@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statezoo
-from .covariance import apply_symp, standard_matrix, to_standard_form
+from .covariance import apply_symp, as_covariance, det2, standard_matrix, to_standard_form
 from .criteria import (
     Outcome,
     classify,
@@ -87,6 +87,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def tolerance(raw: str) -> float:
+    """argparse type of --tol: a finite number in (0, 1)."""
+    tol = float(raw)
+    if not 0.0 < tol < 1.0:  # also rejects nan and inf
+        raise argparse.ArgumentTypeError(f"{raw} is not in (0, 1)")
+    return tol
+
+
 def load_document(path: str) -> tuple[np.ndarray, float | None]:
     """Read an input document; returns (covariance matrix, tol override)."""
     try:
@@ -117,8 +125,7 @@ def load_document(path: str) -> tuple[np.ndarray, float | None]:
             raise InvalidInput(f"matrix entries must be numbers: {exc}") from exc
         if mat.shape == (16,):
             mat = mat.reshape(4, 4)
-        if mat.shape != (4, 4) or not np.all(np.isfinite(mat)):
-            raise InvalidInput("matrix must be 16 finite numbers (4x4 or flat)")
+        mat = as_covariance(mat)
         asym = float(np.abs(mat - mat.T).max())
         if asym > 1e-9:
             raise InvalidInput(f"matrix asymmetry {asym:.3e} exceeds 1e-9")
@@ -183,12 +190,8 @@ def cmd_classify(args) -> int:
     return _OUTCOME_EXIT[verdict.outcome]
 
 
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
 def cmd_standard_form(args) -> int:
-    mat, doc_tol = load_document(args.input)
+    mat, _ = load_document(args.input)
     sf = to_standard_form(mat)
     reduced = apply_symp(mat, sf.s1, sf.s2)
     print(f"a = {_g17(sf.a)}")
@@ -200,9 +203,9 @@ def cmd_standard_form(args) -> int:
     print(f"s2 = [[{_g17(sf.s2[0, 0])}, {_g17(sf.s2[0, 1])}], "
           f"[{_g17(sf.s2[1, 0])}, {_g17(sf.s2[1, 1])}]]")
     for label, before, after in (
-        ("det A", _det2(mat[:2, :2]), _det2(reduced[:2, :2])),
-        ("det B", _det2(mat[2:, 2:]), _det2(reduced[2:, 2:])),
-        ("det C", _det2(mat[:2, 2:]), _det2(reduced[:2, 2:])),
+        ("det A", det2(mat[:2, :2]), det2(reduced[:2, :2])),
+        ("det B", det2(mat[2:, 2:]), det2(reduced[2:, 2:])),
+        ("det C", det2(mat[:2, 2:]), det2(reduced[:2, 2:])),
         ("det V", float(np.linalg.det(mat)), float(np.linalg.det(reduced))),
     ):
         print(f"{label}: before={_g17(before)} after={_g17(after)}")
@@ -266,18 +269,6 @@ class AuditResult:
     nonzero_ensemble_pairs: int
 
 
-def _audit_state(rng: np.random.Generator, index: int) -> np.ndarray:
-    kind = index % 4
-    if kind == 0:
-        return statezoo.random_physical(rng)
-    if kind == 1:
-        return statezoo.random_separable(rng)
-    if kind == 2:
-        return statezoo.random_correlated_physical(rng)
-    v = statezoo.two_mode_squeezed(float(rng.uniform(0.0, 1.5)))
-    return apply_symp(v, statezoo.random_symp2(rng), statezoo.random_symp2(rng))
-
-
 def _scaled_random_psd(rng: np.random.Generator, cap: np.ndarray) -> np.ndarray:
     """Random PSD matrix dominated by cap (which must be PSD within tolerance)."""
     res = eig_sym(cap)
@@ -301,41 +292,35 @@ def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
     if samples < 1:
         raise InvalidInput("audit needs at least one sample")
     rng = np.random.default_rng(seed)
-    half = 0.5 * np.eye(4)
-    pairs = 0
     prep_count = 0
     bad = 0
     stricter = 0
-    nonzero_pairs = 0
     for i in range(samples):
-        v = _audit_state(rng, i)
-        excess = v - half
-        prep_ok = is_psd_sym(excess, tol)
+        v = statezoo.mixed_physical_state(rng, i)
+        excess = v - 0.5 * np.eye(4)
         si = simon_criterion(v, tol)
         du = duan_criterion(v, tol)
         if si.satisfied and not du.satisfied:
             bad += 1
-        ensembles = [np.zeros((4, 4))]
-        if prep_ok:
-            prep_count += 1
-            ensembles.append(excess)
-            ensembles.append(_scaled_random_psd(rng, excess))
-        for k, ens in enumerate(ensembles):
+        if not is_psd_sym(excess, tol):
+            continue
+        prep_count += 1
+        # P-representable => stringent => Simon on every ensemble; at the zero
+        # ensemble the stringent condition is Simon's criterion itself.
+        if not si.satisfied:
+            bad += 1
+        for ens in (excess, _scaled_random_psd(rng, excess)):
             st = stringent_criterion(v, ens, tol)
-            pairs += 1
-            if prep_ok and not st.satisfied:
+            if not (st.satisfied and si.satisfied):
                 bad += 1
-            if st.satisfied and not si.satisfied:
-                bad += 1
-            if k > 0:
-                nonzero_pairs += 1
-                if st.margin < si.margin - 1e-12:
-                    stricter += 1
-    return AuditResult(samples, seed, pairs, prep_count, bad, stricter, nonzero_pairs)
+            if st.margin < si.margin - 1e-12:
+                stricter += 1
+    nonzero = 2 * prep_count  # the coherent excess and a random PSD matrix below it
+    return AuditResult(samples, seed, samples + nonzero, prep_count, bad, stricter, nonzero)
 
 
 def cmd_audit(args) -> int:
-    result = run_audit(args.samples, args.seed, args.tol or DEFAULT_TOL)
+    result = run_audit(args.samples, args.seed, args.tol)
     print(f"audit: samples={result.samples} seed={result.seed}")
     print(f"pairs checked: {result.pairs}")
     print(f"p_representable states: {result.p_representable}")
@@ -373,13 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a covariance matrix")
     p_classify.add_argument("input", help="path to a JSON input document")
-    p_classify.add_argument("--tol", type=float, default=None,
-                            help=f"PSD tolerance (default {DEFAULT_TOL:g})")
+    p_classify.add_argument("--tol", type=tolerance, default=None,
+                            help=f"PSD tolerance in (0, 1) (default {DEFAULT_TOL:g})")
     p_classify.set_defaults(func=cmd_classify)
 
     p_sf = sub.add_parser("standard-form", help="reduce to standard form")
     p_sf.add_argument("input", help="path to a JSON input document")
-    p_sf.add_argument("--tol", type=float, default=None)
     p_sf.set_defaults(func=cmd_standard_form)
 
     p_scan = sub.add_parser("scan", help="boundary-bound scan to CSV")
@@ -395,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="randomized hierarchy audit")
     p_audit.add_argument("--samples", type=int, default=1000)
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--tol", type=float, default=None)
+    p_audit.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p_audit.set_defaults(func=cmd_audit)
 
     p_squeeze = sub.add_parser("squeeze", help="extremal squeezing at (a, b, t)")

@@ -39,6 +39,19 @@ def symplectic_form(sign: int = 1) -> np.ndarray:
     return out
 
 
+def uncertainty_psd(v, sign: int, tol: float) -> tuple[bool, float, np.ndarray]:
+    """is_psd_herm of V + (i/2) diag(J, sign*J); sign=-1 tests the partial transpose."""
+    return matkit.is_psd_herm(np.asarray(v, dtype=float) + 0.5j * symplectic_form(sign), tol)
+
+
+def as_covariance(v) -> np.ndarray:
+    """v as a float array; raises InvalidInput unless it is a finite 4x4 matrix."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (4, 4) or not np.all(np.isfinite(v)):
+        raise InvalidInput("covariance must be a finite 4x4 matrix")
+    return v
+
+
 def block_a(v) -> np.ndarray:
     return np.asarray(v)[:2, :2]
 
@@ -73,13 +86,16 @@ def standard_matrix(a: float, b: float, c1: float, c2: float) -> np.ndarray:
     )
 
 
+def det2(m) -> float:
+    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
 def is_symplectic2(s, tol: float = 1e-12) -> bool:
     """A real 2x2 matrix is symplectic exactly when its determinant is one."""
     s = np.asarray(s, dtype=float)
     if s.shape != (2, 2) or not np.all(np.isfinite(s)):
         return False
-    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    return bool(abs(det - 1.0) <= tol)
+    return bool(abs(det2(s) - 1.0) <= tol)
 
 
 def apply_symp(v, s1, s2) -> np.ndarray:
@@ -134,7 +150,7 @@ def _rotation(theta: float) -> np.ndarray:
 
 def _isotropize(block: np.ndarray, name: str) -> np.ndarray:
     """Symplectic S with S @ block @ S.T == sqrt(det block) * I."""
-    det = float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+    det = det2(block)
     if det < DET_FLOOR:
         raise DegenerateBlock(f"{name} block determinant {det:.3e} below {DET_FLOOR:.0e}")
     rot = _rotation(0.5 * math.atan2(2.0 * block[0, 1], block[0, 0] - block[1, 1]))
@@ -154,9 +170,7 @@ def to_standard_form(v) -> StandardForm:
     transforms satisfy apply_symp(v, s1, s2) == standard matrix; the block
     determinants give a = sqrt(det A), b = sqrt(det B) and c1 * c2 = det C.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (4, 4) or not np.all(np.isfinite(v)):
-        raise InvalidInput("covariance must be a finite 4x4 matrix")
+    v = as_covariance(v)
     s1 = _isotropize(block_a(v), "A")
     s2 = _isotropize(block_b(v), "B")
     r1, r2, c1, c2 = matkit.svd2_rotations(s1 @ block_c(v) @ s2.T)
@@ -170,9 +184,7 @@ def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 
     Returns (verdict, smallest eigenvalue); pure states sit at zero.
     """
-    h = np.asarray(v, dtype=float) + 0.5j * symplectic_form(1)
-    ok, lam, _ = matkit.is_psd_herm(h, tol)
-    return ok, lam
+    return uncertainty_psd(v, 1, tol)[:2]
 
 
 def ensemble_matrix(weights, deviations) -> np.ndarray:

@@ -28,12 +28,13 @@ from . import matkit
 from .covariance import (
     J2,
     StandardForm,
+    as_covariance,
     block_a,
     block_b,
     block_c,
     from_blocks,
-    symplectic_form,
     to_standard_form,
+    uncertainty_psd,
 )
 from .errors import InvalidEnsembleMatrix, InvalidInput
 from .matkit import DEFAULT_TOL
@@ -133,30 +134,31 @@ def gap_separable(v, ens, p: ParamSet) -> float:
     )
 
 
-def _two_branch_report(base: np.ndarray, tol: float) -> CriterionReport:
-    """PSD verdict of base + (i/2) diag(J, sigma*J) over both sigma branches."""
-    margins = {}
-    vectors = {}
-    satisfied = True
-    for sigma in (1, -1):
-        ok, lam, vec = matkit.is_psd_herm(base + 0.5j * symplectic_form(sigma), tol)
-        margins[sigma] = lam
-        vectors[sigma] = vec
-        satisfied = satisfied and ok
-    branch = 1 if margins[1] <= margins[-1] else -1
-    margin = margins[branch]
-    if abs(margins[1] - margins[-1]) <= 1e-12 * max(1.0, abs(margin)):
-        branch = 0
+def _binding_branch(plus: float, minus: float) -> tuple[int, int]:
+    """Sign of the smaller margin, and the branch to report: 0 on a 1e-12 relative tie."""
+    binding = 1 if plus <= minus else -1
+    tied = abs(plus - minus) <= 1e-12 * max(1.0, abs(min(plus, minus)))
+    return binding, 0 if tied else binding
+
+
+def _two_branch_report(base: np.ndarray, tol: float) -> tuple[CriterionReport, tuple]:
+    """PSD verdict of base + (i/2) diag(J, sigma*J) over both sigma branches,
+    and the sigma = +1 result, which for base = V is the physicality test."""
+    plus = uncertainty_psd(base, 1, tol)
+    minus = uncertainty_psd(base, -1, tol)
+    binding, branch = _binding_branch(plus[1], minus[1])
+    satisfied = plus[0] and minus[0]
     witness = None
     if not satisfied:
-        witness = ParamSet.from_complex(vectors[1 if branch in (0, 1) else -1])
-    return CriterionReport(satisfied, margin, witness, branch)
+        witness = ParamSet.from_complex((minus if branch == -1 else plus)[2])
+    margin = plus[1] if binding == 1 else minus[1]
+    return CriterionReport(satisfied, margin, witness, branch), plus
 
 
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
-    return _two_branch_report(np.asarray(v, dtype=float), tol)
+    return _two_branch_report(np.asarray(v, dtype=float), tol)[0]
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -170,7 +172,7 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     ens = np.asarray(ens, dtype=float)
     if not matkit.is_psd_sym(ens, tol):
         raise InvalidEnsembleMatrix("ensemble matrix must be positive semidefinite")
-    return _two_branch_report(np.asarray(v, dtype=float) - ens, tol)
+    return _two_branch_report(np.asarray(v, dtype=float) - ens, tol)[0]
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -249,10 +251,8 @@ def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     than Simon's criterion."""
     plus = weak_gap(v, None, 1, tol)
     minus = weak_gap(v, None, -1, tol)
-    binding = plus if plus.margin <= minus.margin else minus
-    branch = binding.sign_branch
-    if abs(plus.margin - minus.margin) <= 1e-12 * max(1.0, abs(binding.margin)):
-        branch = 0
+    sign, branch = _binding_branch(plus.margin, minus.margin)
+    binding = plus if sign == 1 else minus
     return CriterionReport(
         plus.satisfied and minus.satisfied, binding.margin, binding.witness, branch
     )
@@ -265,25 +265,25 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     its standard-form correlation |c1| sits below the extremal-squeezing
     bound; for Gaussian states that coincides with Simon's criterion, and the
     coincidence is re-checked on every call and recorded in the verdict.
-    Raises DegenerateBlock if the standard-form reduction fails.
+    Raises InvalidInput unless v is a finite 4x4 matrix, and DegenerateBlock
+    if the standard-form reduction fails.
     """
-    v = np.asarray(v, dtype=float)
+    v = as_covariance(v)
+    # Physicality is the sigma = +1 branch of Simon's criterion.
+    simon, (phys_ok, phys_margin, phys_vec) = _two_branch_report(v, tol)
     reports: dict[str, CriterionReport] = {}
-
-    h = v + 0.5j * symplectic_form(1)
-    phys_ok, phys_margin, phys_vec = matkit.is_psd_herm(h, tol)
     reports["physical"] = CriterionReport(
         phys_ok, phys_margin, None if phys_ok else ParamSet.from_complex(phys_vec), 1
     )
-    reports["simon"] = simon_criterion(v, tol)
+    reports["simon"] = simon
     reports["duan"] = duan_criterion(v, tol)
 
     excess = v - 0.5 * np.eye(4)
     if matkit.is_psd_sym(excess, tol):
-        ens, ens_kind = excess, "coherent_excess"
-    else:
-        ens, ens_kind = np.zeros((4, 4)), "zero"
-    reports["stringent"] = stringent_criterion(v, ens, tol)
+        ens_kind, stringent = "coherent_excess", _two_branch_report(v - excess, tol)[0]
+    else:  # V - 0 is V, so the zero-ensemble condition is Simon's criterion.
+        ens_kind, stringent = "zero", simon
+    reports["stringent"] = stringent
 
     if not phys_ok:
         return Verdict(Outcome.NONPHYSICAL, reports, None, ens_kind, True)
@@ -298,8 +298,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     reports["p_rep_bound"] = CriterionReport(separable, float(prep_margin))
 
     outcome = Outcome.SEPARABLE if separable else Outcome.ENTANGLED
-    simon_ok = reports["simon"].satisfied
-    consistent = (simon_ok == separable) or (
-        abs(prep_margin) <= 1e-8 and abs(reports["simon"].margin) <= 1e-8
+    consistent = (simon.satisfied == separable) or (
+        abs(prep_margin) <= 1e-8 and abs(simon.margin) <= 1e-8
     )
     return Verdict(outcome, reports, sf, ens_kind, consistent)

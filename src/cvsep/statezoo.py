@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .covariance import apply_symp, is_physical, standard_matrix
+from .covariance import _rotation, apply_symp, is_physical, standard_matrix
 from .errors import InvalidSpec
 
 
@@ -43,12 +43,7 @@ def random_symp2(seed) -> np.ndarray:
     rng = _as_rng(seed)
     t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
     x = math.exp(rng.uniform(-1.0, 1.0))
-
-    def rot(t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, s], [-s, c]])
-
-    return rot(t2) @ np.diag([x, 1.0 / x]) @ rot(t1)
+    return _rotation(t2) @ np.diag([x, 1.0 / x]) @ _rotation(t1)
 
 
 def random_physical(seed) -> np.ndarray:
@@ -89,3 +84,12 @@ def random_correlated_physical(seed) -> np.ndarray:
     if rng.uniform() < 0.5:
         v = apply_symp(v, random_symp2(rng), random_symp2(rng))
     return v
+
+
+def mixed_physical_state(rng: np.random.Generator, index: int) -> np.ndarray:
+    """Audit pool state number index; index % 4 picks the kind, in the order below."""
+    kind = index % 4
+    if kind < 3:
+        return (random_physical, random_separable, random_correlated_physical)[kind](rng)
+    v = two_mode_squeezed(float(rng.uniform(0.0, 1.5)))
+    return apply_symp(v, random_symp2(rng), random_symp2(rng))

@@ -1,23 +1,6 @@
 """Shared helpers for the test suite."""
 
-from cvsep import apply_symp
-from cvsep import statezoo
-
 
 def random_symmetric(rng, scale=1.0):
     m = rng.standard_normal((4, 4)) * scale
     return 0.5 * (m + m.T)
-
-
-def mixed_physical_state(rng, index):
-    """One physical state from a pool mixing uncorrelated, separable,
-    correlated and squeezed-entangled constructions."""
-    kind = index % 4
-    if kind == 0:
-        return statezoo.random_physical(rng)
-    if kind == 1:
-        return statezoo.random_separable(rng)
-    if kind == 2:
-        return statezoo.random_correlated_physical(rng)
-    v = statezoo.two_mode_squeezed(float(rng.uniform(0.0, 1.5)))
-    return apply_symp(v, statezoo.random_symp2(rng), statezoo.random_symp2(rng))

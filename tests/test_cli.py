@@ -97,6 +97,25 @@ class TestClassify:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["classify", "audit"])
+@pytest.mark.parametrize("tol", ["0", "5", "1", "-1", "nan", "inf", "abc"])
+def test_tol_outside_unit_interval_is_a_usage_error(tmp_path, capsys, command, tol):
+    argv = [command, "--tol", tol]
+    if command == "classify":
+        argv.insert(1, matrix_doc(tmp_path, "vac.json", statezoo.vacuum()))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_tol_inside_unit_interval_is_used(tmp_path, capsys):
+    path = matrix_doc(tmp_path, "vac.json", statezoo.vacuum())
+    assert main(["classify", path, "--tol", "1e-6"]) == EXIT_SEPARABLE
+    assert "tolerance: 1e-06" in capsys.readouterr().out
+    assert main(["audit", "--samples", "4", "--tol", "1e-6"]) == 0
+
+
 class TestStandardFormCommand:
     def test_recovers_rotated_quadruple(self, tmp_path, capsys):
         quad = (1.5, 0.8, 0.6, -0.2)
@@ -123,6 +142,13 @@ class TestStandardFormCommand:
         assert main(["standard-form", path]) == 0
         out = capsys.readouterr().out
         assert float(out.split("b = ")[1].splitlines()[0]) == pytest.approx(2.0)
+
+    def test_has_no_tol_option(self, tmp_path, capsys):
+        path = matrix_doc(tmp_path, "vac.json", statezoo.vacuum())
+        with pytest.raises(SystemExit) as exc:
+            main(["standard-form", path, "--tol", "1e-8"])
+        assert exc.value.code == EXIT_PARSE
+        capsys.readouterr()
 
     def test_degenerate_exit(self, tmp_path):
         path = matrix_doc(tmp_path, "deg.json", np.diag([1e-7, 1e-7, 1.0, 1.0]))

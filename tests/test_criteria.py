@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mixed_physical_state
 from cvsep import statezoo
-from cvsep.covariance import apply_symp, p_rep_ensemble, standard_matrix, to_standard_form
+from cvsep.covariance import (
+    apply_symp,
+    is_physical,
+    p_rep_ensemble,
+    standard_matrix,
+    to_standard_form,
+)
 from cvsep.criteria import (
     Outcome,
     ParamSet,
@@ -19,7 +24,8 @@ from cvsep.criteria import (
     stringent_criterion,
     weak_gap,
 )
-from cvsep.errors import InvalidEnsembleMatrix
+from cvsep.errors import InvalidEnsembleMatrix, InvalidInput
+from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze
 from cvsep.covariance import StandardForm
 
@@ -294,6 +300,35 @@ class TestClassify:
         verdict = classify(standard_matrix(1.0, 1.0, 0.75, 0.0))
         assert verdict.outcome is Outcome.SEPARABLE
         assert verdict.reports["p_rep_bound"].margin == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "bad", [np.full((4, 4), np.nan), np.diag([0.5, 0.5, np.inf, 0.5]), 0.5 * np.eye(3)]
+    )
+    def test_rejects_non_finite_or_misshaped(self, bad):
+        with pytest.raises(InvalidInput):
+            classify(bad)
+
+    def test_physical_and_zero_ensemble_reports_reuse_simon(self):
+        # Physicality is Simon's sigma = +1 branch and the zero-ensemble
+        # stringent condition is Simon's criterion, so classify reads both off
+        # the Simon evaluation; scaled copies cover nonphysical states.
+        rng = np.random.default_rng(41)
+        zero_seen = 0
+        for i in range(400):
+            v = mixed_physical_state(rng, i)
+            for w in (v, 0.8 * v):
+                verdict = classify(w)
+                phys = verdict.reports["physical"]
+                assert (phys.satisfied, phys.margin) == is_physical(w)
+                assert phys.sign_branch == 1
+                assert (phys.witness is None) == phys.satisfied
+                if verdict.ensemble_used == "zero":
+                    zero_seen += 1
+                    assert verdict.reports["stringent"] is verdict.reports["simon"]
+                else:
+                    expected = stringent_criterion(w, w - 0.5 * np.eye(4))
+                    assert verdict.reports["stringent"].margin == expected.margin
+        assert zero_seen > 0
 
     def test_consistent_on_mixed_pool(self):
         rng = np.random.default_rng(37)

@@ -1,0 +1,57 @@
+"""Golden CLI outputs: classify text for a few reference states, an audit
+report and the digest of the default scan CSV must stay byte-identical.
+
+golden_outputs.json holds what capture_outputs() returned on the code the
+goldens were taken from; a refactor that changes any byte fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+from cvsep import statezoo
+from cvsep.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+
+CLASSIFY_STATES = {
+    "vacuum": statezoo.vacuum(),
+    "thermal_1_1.5": statezoo.thermal(1.0, 1.5),
+    "two_mode_squeezed_0.5": statezoo.two_mode_squeezed(0.5),
+    "scaled_two_mode_squeezed_0.9": 0.9 * statezoo.two_mode_squeezed(0.5),
+    "random_separable_seed3": statezoo.random_separable(3),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def capture_outputs(work_dir: Path) -> dict:
+    classify = {}
+    for name, v in CLASSIFY_STATES.items():
+        path = work_dir / f"{name}.json"
+        path.write_text(json.dumps({"matrix": v.tolist()}))
+        code, text = _run(["classify", str(path)])
+        classify[name] = {"exit": code, "stdout": text}
+    code, audit = _run(["audit", "--samples", "200", "--seed", "55"])
+    csv_path = work_dir / "scan.csv"
+    scan_code, _ = _run(["scan", "--out", str(csv_path)])
+    return {
+        "classify": classify,
+        "audit_samples200_seed55": {"exit": code, "stdout": audit},
+        "scan_default": {
+            "exit": scan_code,
+            "sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        },
+    }
+
+
+def test_cli_outputs_match_golden(tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert capture_outputs(tmp_path) == expected
