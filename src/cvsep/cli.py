@@ -10,7 +10,6 @@ optional "tol". Warnings go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -18,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statezoo
-from .covariance import apply_symp, as_covariance, det2, standard_matrix, to_standard_form
+from .covariance import apply_symp, as_matrix4, det2, standard_matrix, to_standard_form
 from .criteria import (
     Outcome,
     classify,
     duan_criterion,
-    simon_bound,
     simon_criterion,
     stringent_criterion,
 )
@@ -34,12 +32,7 @@ from .errors import (
     OutOfDomain,
 )
 from .matkit import DEFAULT_TOL, eig_sym, is_psd_sym
-from .squeezing import (
-    duan_bound_at,
-    extremality_residual,
-    optimal_squeeze,
-    p_rep_bound_at,
-)
+from .squeezing import SCAN_HEADER, extremality_residual, optimal_squeeze, scan_table
 
 EXIT_SEPARABLE = 0
 EXIT_ENTANGLED = 1
@@ -57,17 +50,6 @@ _OUTCOME_EXIT = {
 }
 
 SCHEMA_VERSION = 1
-SCAN_HEADER = [
-    "a",
-    "b",
-    "t",
-    "c1_prep",
-    "c1_simon",
-    "c1_duan",
-    "r1",
-    "r2",
-    "max_rel_disagreement",
-]
 DEFAULT_GRID = "0.5,0.75,1,1.5,2,5"
 
 
@@ -125,7 +107,7 @@ def load_document(path: str) -> tuple[np.ndarray, float | None]:
             raise InvalidInput(f"matrix entries must be numbers: {exc}") from exc
         if mat.shape == (16,):
             mat = mat.reshape(4, 4)
-        mat = as_covariance(mat)
+        mat = as_matrix4(mat)
         asym = float(np.abs(mat - mat.T).max())
         if asym > 1e-9:
             raise InvalidInput(f"matrix asymmetry {asym:.3e} exceeds 1e-9")
@@ -212,19 +194,6 @@ def cmd_standard_form(args) -> int:
     return 0
 
 
-def scan_row(a: float, b: float, t: float) -> list[float]:
-    """One boundary-scan row: the three |c1| bounds, the extremal factors,
-    and the largest relative disagreement among the bounds (relative with a
-    unit floor, so degenerate rows with all-zero bounds stay meaningful)."""
-    sol = optimal_squeeze(a, b, t)
-    c1_prep = p_rep_bound_at(a, b, sol.params)
-    c1_simon = simon_bound(a, b, t)
-    c1_duan = duan_bound_at(a, b, t, sol.params)
-    bounds = (c1_prep, c1_simon, c1_duan)
-    rel = (max(bounds) - min(bounds)) / max(1.0, max(abs(x) for x in bounds))
-    return [a, b, t, c1_prep, c1_simon, c1_duan, sol.params.r1, sol.params.r2, rel]
-
-
 def _parse_values(raw: str, name: str) -> list[float]:
     try:
         vals = [float(x) for x in raw.split(",") if x.strip()]
@@ -240,18 +209,14 @@ def cmd_scan(args) -> int:
     b_values = _parse_values(args.b, "--b")
     if args.t_steps < 1:
         raise InvalidInput("--t-steps must be at least 1")
-    t_values = [0.0] if args.t_steps == 1 else list(np.linspace(0.0, 1.0, args.t_steps))
-    rows = []
-    for a in a_values:
-        for b in b_values:
-            for t in t_values:
-                rows.append(scan_row(a, b, t))
+    t_values = [0.0] if args.t_steps == 1 else np.linspace(0.0, 1.0, args.t_steps)
+    table = scan_table(a_values, b_values, t_values)
+    # "%.17g" formats a float exactly as format(x, ".17g") does.
+    row = ",".join(["%.17g"] * len(SCAN_HEADER)) + "\n"
+    text = ",".join(SCAN_HEADER) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SCAN_HEADER)
-            for row in rows:
-                writer.writerow([_g17(x) for x in row])
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE

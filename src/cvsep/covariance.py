@@ -44,11 +44,24 @@ def uncertainty_psd(v, sign: int, tol: float) -> tuple[bool, float, np.ndarray]:
     return matkit.is_psd_herm(np.asarray(v, dtype=float) + 0.5j * symplectic_form(sign), tol)
 
 
-def as_covariance(v) -> np.ndarray:
+def as_matrix4(v) -> np.ndarray:
     """v as a float array; raises InvalidInput unless it is a finite 4x4 matrix."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (4, 4) or not np.all(np.isfinite(v)):
+    if v.shape != (4, 4) or not np.isfinite(v).all():
         raise InvalidInput("covariance must be a finite 4x4 matrix")
+    return v
+
+
+def as_covariance(v) -> np.ndarray:
+    """as_matrix4(v), which must also be symmetric: max |v - v^T| at most
+    1e-9 * norm_scale(v). Eigensolvers read one triangle only, so an
+    asymmetric matrix would be judged by half of its entries."""
+    v = as_matrix4(v)
+    # v - v^T is antisymmetric, so its largest entry is max |v - v^T|; the
+    # list max is a few microseconds cheaper than an ndarray reduction.
+    asym = max((v - v.T).ravel().tolist())
+    if asym > 1e-9 and asym > 1e-9 * matkit.norm_scale(v):  # norm_scale >= 1
+        raise InvalidInput(f"covariance asymmetry {asym:.3e} exceeds 1e-9 relative")
     return v
 
 
@@ -182,9 +195,10 @@ def to_standard_form(v) -> StandardForm:
 def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Uncertainty-relation test: V + (i/2) diag(J, J) must be PSD.
 
-    Returns (verdict, smallest eigenvalue); pure states sit at zero.
+    Returns (verdict, smallest eigenvalue); pure states sit at zero. Raises
+    InvalidInput unless v passes as_covariance.
     """
-    return uncertainty_psd(v, 1, tol)[:2]
+    return uncertainty_psd(as_covariance(v), 1, tol)[:2]
 
 
 def ensemble_matrix(weights, deviations) -> np.ndarray:

@@ -158,7 +158,7 @@ def _two_branch_report(base: np.ndarray, tol: float) -> tuple[CriterionReport, t
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
-    return _two_branch_report(np.asarray(v, dtype=float), tol)[0]
+    return _two_branch_report(as_covariance(v), tol)[0]
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -167,12 +167,13 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     some decomposition of the state.
 
     Implies Simon's criterion for every admissible ens and reduces to it at
-    ens = 0.
+    ens = 0. Both v and ens must pass as_covariance.
     """
-    ens = np.asarray(ens, dtype=float)
+    v = as_covariance(v)
+    ens = as_covariance(ens)
     if not matkit.is_psd_sym(ens, tol):
         raise InvalidEnsembleMatrix("ensemble matrix must be positive semidefinite")
-    return _two_branch_report(np.asarray(v, dtype=float) - ens, tol)[0]
+    return _two_branch_report(v - ens, tol)[0]
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -246,9 +247,7 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     return CriterionReport(satisfied, lam, witness, sign)
 
 
-def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
-    """EPR-variance separability condition over both sign branches; weaker
-    than Simon's criterion."""
+def _duan_report(v: np.ndarray, tol: float) -> CriterionReport:
     plus = weak_gap(v, None, 1, tol)
     minus = weak_gap(v, None, -1, tol)
     sign, branch = _binding_branch(plus.margin, minus.margin)
@@ -258,6 +257,12 @@ def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     )
 
 
+def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
+    """EPR-variance separability condition over both sign branches; weaker
+    than Simon's criterion."""
+    return _duan_report(as_covariance(v), tol)
+
+
 def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     """Classify a covariance matrix as nonphysical, entangled or separable.
 
@@ -265,8 +270,8 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     its standard-form correlation |c1| sits below the extremal-squeezing
     bound; for Gaussian states that coincides with Simon's criterion, and the
     coincidence is re-checked on every call and recorded in the verdict.
-    Raises InvalidInput unless v is a finite 4x4 matrix, and DegenerateBlock
-    if the standard-form reduction fails.
+    Raises InvalidInput unless v passes as_covariance (finite, 4x4,
+    symmetric), and DegenerateBlock if the standard-form reduction fails.
     """
     v = as_covariance(v)
     # Physicality is the sigma = +1 branch of Simon's criterion.
@@ -276,7 +281,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
         phys_ok, phys_margin, None if phys_ok else ParamSet.from_complex(phys_vec), 1
     )
     reports["simon"] = simon
-    reports["duan"] = duan_criterion(v, tol)
+    reports["duan"] = _duan_report(v, tol)
 
     excess = v - 0.5 * np.eye(4)
     if matkit.is_psd_sym(excess, tol):

@@ -199,6 +199,108 @@ def duan_bound_at(a: float, b: float, t: float, p: SqueezeParams) -> float:
     return num / (root + t / root)
 
 
+#: Columns of scan_table, in order.
+SCAN_HEADER = [
+    "a",
+    "b",
+    "t",
+    "c1_prep",
+    "c1_simon",
+    "c1_duan",
+    "r1",
+    "r2",
+    "max_rel_disagreement",
+]
+
+
+def _max(x, y):
+    """Elementwise builtin max(x, y), which keeps x unless y > x, NaNs included."""
+    return np.where(y > x, y, x)
+
+
+def _min(x, y):
+    """Elementwise builtin min(x, y), which keeps x unless y < x."""
+    return np.where(y < x, y, x)
+
+
+def _snap_all(x: np.ndarray, lo: float, hi: np.ndarray) -> np.ndarray:
+    """_snap over arrays, with the lo window taking precedence as in _snap."""
+    out = _min(_max(x, lo), hi)
+    out = np.where(np.abs(x - hi) <= 8e-16 * _max(1.0, hi), hi, out)
+    return np.where(np.abs(x - lo) <= 8e-16 * max(1.0, lo), lo, out)
+
+
+def scan_table(a_values, b_values, t_values) -> np.ndarray:
+    """Boundary-scan table over the (a, b, t) grid: one row per point, a
+    outer, then b, then t, with the SCAN_HEADER columns. These are the three
+    |c1| bounds, the extremal factors, and the largest relative disagreement
+    among the bounds (relative with a unit floor, so degenerate rows with
+    all-zero bounds stay meaningful).
+
+    Each route repeats, on whole columns, the operations of its scalar
+    function in the same order: optimal_squeeze, p_rep_bound_at,
+    criteria.simon_bound and duan_bound_at. Every entry is therefore bit for
+    bit what those functions return for its row. Raises OutOfDomain with the
+    scalar functions' message for the first row, in output order, that they
+    reject.
+    """
+    if len(a_values) * len(b_values) * len(t_values):
+        # The first row to fail is at the first (a, b) pair, or at its first
+        # bad t, or else at the first later pair outside the domain.
+        _check_domain(a_values[0], b_values[0])
+        for t in t_values:
+            _check_ratio(t)
+        for a in a_values:
+            for b in b_values:
+                _check_domain(a, b)
+    a, b, t = (
+        g.ravel()
+        for g in np.meshgrid(
+            np.asarray(a_values, dtype=float),
+            np.asarray(b_values, dtype=float),
+            np.asarray(t_values, dtype=float),
+            indexing="ij",
+        )
+    )
+
+    # optimal_squeeze. Its x ** 2 on a float calls the C pow, which can
+    # differ in the last bit from the x * x that ndarray ** 2 computes;
+    # float_power calls pow for every element.
+    x = a * b * (1.0 - t * t)
+    root_d = np.sqrt(np.float_power(x, 2.0) + t * (a + b * t) * (a * t + b))
+    core = x + root_d
+    r1 = _snap_all(core / (a * t + b), 1.0, 2.0 * a)
+    r2 = _snap_all(core / (a + b * t), 1.0, 2.0 * b)
+    bad = ~(np.isfinite(r1) & np.isfinite(r2))
+    if bad.any():  # reachable only when the products above overflow
+        i = int(bad.argmax())
+        SqueezeParams(float(r1[i]), float(r2[i]))  # raises, as optimal_squeeze does
+    # r1 <= 2a and r2 <= 2b, so duan_bound_at's window check always passes.
+
+    # p_rep_bound_at
+    c1_prep = np.sqrt(_max(a * r1 - 0.5, 0.0) * _max(b * r2 - 0.5, 0.0) / (r1 * r2))
+
+    # criteria.simon_bound
+    quad_a = 4.0 * t * t
+    quad_b = 4.0 * a * b * (1.0 + t * t) + 2.0 * t
+    quad_c = (2.0 * a * a - 0.5) * (2.0 * b * b - 0.5)
+    disc = quad_b * quad_b - 4.0 * quad_a * quad_c
+    c1_simon = np.sqrt(quad_c / (0.5 * (quad_b + np.sqrt(_max(disc, 0.0)))))
+
+    # duan_bound_at
+    num = np.sqrt(
+        _max(a * r1 + a / r1 - 1.0, 0.0) * _max(b * r2 + b / r2 - 1.0, 0.0)
+    )
+    root = np.sqrt(r1 * r2)
+    c1_duan = num / (root + t / root)
+
+    top = _max(_max(c1_prep, c1_simon), c1_duan)
+    bottom = _min(_min(c1_prep, c1_simon), c1_duan)
+    scale = _max(1.0, _max(_max(np.abs(c1_prep), np.abs(c1_simon)), np.abs(c1_duan)))
+    rel = (top - bottom) / scale
+    return np.column_stack([a, b, t, c1_prep, c1_simon, c1_duan, r1, r2, rel])
+
+
 def superadditivity_gap(n1: float, n2: float, m1: float, m2: float) -> tuple[float, bool]:
     """Gap of sqrt((n1 + n2 - 1)(m1 + m2 - 1)) over the sum of the two
     half-shifted geometric means sqrt((n_k - 1/2)(m_k - 1/2)).

@@ -210,6 +210,15 @@ class TestScan:
         out_path = tmp_path / "bad.csv"
         assert main(["scan", "--a", "0.4", "--out", str(out_path)]) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("a_list, pair", [("0.5,0.4", "(0.4, 0.5)"), ("nan", "(nan, 0.5)")])
+    def test_domain_error_names_first_bad_row_and_writes_nothing(
+        self, tmp_path, capsys, a_list, pair
+    ):
+        out_path = tmp_path / "bad.csv"
+        assert main(["scan", "--a", a_list, "--out", str(out_path)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: block sizes (a, b) = {pair} must be >= 1/2\n"
+        assert not out_path.exists()
+
 
 class TestAudit:
     def test_deterministic_and_clean(self, capsys):

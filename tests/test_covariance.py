@@ -10,6 +10,7 @@ from cvsep import statezoo
 from cvsep.covariance import (
     StandardForm,
     apply_symp,
+    as_covariance,
     block_a,
     block_b,
     block_c,
@@ -23,6 +24,7 @@ from cvsep.covariance import (
 from cvsep.errors import (
     DegenerateBlock,
     InvalidEnsemble,
+    InvalidInput,
     InvalidTransform,
     NotPRepresentable,
 )
@@ -254,3 +256,18 @@ def test_standard_form_t_ratio():
     sf = StandardForm.from_params(1.0, 1.0, 0.5, -0.3)
     assert sf.t == pytest.approx(0.6)
     assert StandardForm.from_params(1.0, 1.0, 0.0, 0.0).t == 0.0
+
+
+@pytest.mark.parametrize(
+    "scale, skew, accepted",
+    [(1.0, 5e-10, True), (1.0, 2e-9, False), (1e4, 5e-6, True), (1e4, 2e-5, False)],
+)
+def test_as_covariance_asymmetry_bound_is_relative(scale, skew, accepted):
+    # The bound is 1e-9 * norm_scale(v), and norm_scale(scale * I) = max(1, scale).
+    v = scale * np.eye(4)
+    v[0, 1] += skew
+    if accepted:
+        np.testing.assert_array_equal(as_covariance(v), v)
+    else:
+        with pytest.raises(InvalidInput, match="asymmetry"):
+            as_covariance(v)

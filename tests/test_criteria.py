@@ -37,6 +37,24 @@ def params(d, f, g, h):
 ZERO = np.zeros((4, 4))
 
 
+def _one_sided(v, i, j, x):
+    """v with only the (i, j) entry set to x, not its mirror (j, i)."""
+    v = np.array(v, dtype=float)
+    v[i, j] = x
+    return v
+
+
+#: Matrices every public criterion must reject with InvalidInput. The last is
+#: I/2 with only v[0, 2] set, which an eigensolver reading one triangle would
+#: otherwise take for an entangled state.
+BAD_MATRICES = [
+    np.full((4, 4), np.nan),
+    np.diag([0.5, 0.5, np.inf, 0.5]),
+    0.5 * np.eye(3),
+    _one_sided(0.5 * np.eye(4), 0, 2, 0.3),
+]
+
+
 class TestGaps:
     def test_general_vacuum_saturates(self):
         p = params([1, 0], [0, 0], [0, 1], [0, 0])
@@ -301,9 +319,7 @@ class TestClassify:
         assert verdict.outcome is Outcome.SEPARABLE
         assert verdict.reports["p_rep_bound"].margin == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize(
-        "bad", [np.full((4, 4), np.nan), np.diag([0.5, 0.5, np.inf, 0.5]), 0.5 * np.eye(3)]
-    )
+    @pytest.mark.parametrize("bad", BAD_MATRICES)
     def test_rejects_non_finite_or_misshaped(self, bad):
         with pytest.raises(InvalidInput):
             classify(bad)
@@ -337,6 +353,23 @@ class TestClassify:
             verdict = classify(v)
             assert verdict.outcome in (Outcome.SEPARABLE, Outcome.ENTANGLED)
             assert verdict.consistent
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        is_physical,
+        simon_criterion,
+        duan_criterion,
+        lambda v: stringent_criterion(v, ZERO),
+        lambda ens: stringent_criterion(statezoo.vacuum(), ens),
+    ],
+    ids=["is_physical", "simon", "duan", "stringent_v", "stringent_ens"],
+)
+@pytest.mark.parametrize("bad", BAD_MATRICES)
+def test_public_criteria_reject_bad_matrices(criterion, bad):
+    with pytest.raises(InvalidInput):
+        criterion(bad)
 
 
 def test_simon_bound_is_stable_near_zero_ratio():
