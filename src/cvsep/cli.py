@@ -10,6 +10,7 @@ optional "tol". Warnings go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -314,6 +315,7 @@ def cmd_squeeze(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cvsep",

@@ -77,16 +77,6 @@ def block_c(v) -> np.ndarray:
     return np.asarray(v)[:2, 2:]
 
 
-def from_blocks(a, b, c) -> np.ndarray:
-    """Assemble [[A, C], [C^T, B]] from 2x2 blocks."""
-    out = np.empty((4, 4))
-    out[:2, :2] = a
-    out[2:, 2:] = b
-    out[:2, 2:] = c
-    out[2:, :2] = np.transpose(c)
-    return out
-
-
 def standard_matrix(a: float, b: float, c1: float, c2: float) -> np.ndarray:
     """Standard-form covariance: isotropic diagonal blocks, diagonal correlations."""
     return np.array(
@@ -104,11 +94,13 @@ def det2(m) -> float:
 
 
 def is_symplectic2(s, tol: float = 1e-12) -> bool:
-    """A real 2x2 matrix is symplectic exactly when its determinant is one."""
+    """A real 2x2 matrix is symplectic exactly when its determinant is one;
+    tol is relative to the two products of det, which round at that scale."""
     s = np.asarray(s, dtype=float)
     if s.shape != (2, 2) or not np.all(np.isfinite(s)):
         return False
-    return bool(abs(det2(s) - 1.0) <= tol)
+    scale = max(1.0, abs(float(s[0, 0] * s[1, 1])) + abs(float(s[0, 1] * s[1, 0])))
+    return bool(abs(det2(s) - 1.0) <= tol * scale)
 
 
 def apply_symp(v, s1, s2) -> np.ndarray:
@@ -156,23 +148,27 @@ class StandardForm:
         return min(1.0, abs(self.c2) / abs(self.c1))
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def _isotropize(block: np.ndarray, name: str) -> np.ndarray:
-    """Symplectic S with S @ block @ S.T == sqrt(det block) * I."""
+def _isotropize(block: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """Symplectic S with S @ block @ S.T == sqrt(det block) * I, and sqrt(det block):
+    the rotation SVD gives diag(a1, det / a1), and x^2 = sqrt(det) / a1 in diag(x, 1/x)."""
     det = det2(block)
     if det < DET_FLOOR:
         raise DegenerateBlock(f"{name} block determinant {det:.3e} below {DET_FLOOR:.0e}")
-    rot = _rotation(0.5 * math.atan2(2.0 * block[0, 1], block[0, 0] - block[1, 1]))
-    diag = rot @ block @ rot.T
-    a1, a2 = float(diag[0, 0]), float(diag[1, 1])
-    if a1 <= 0.0 or a2 <= 0.0:
+    # A positive determinant leaves both eigenvalues of one sign; the trace picks it.
+    if block[0, 0] + block[1, 1] <= 0.0:
         raise DegenerateBlock(f"{name} block is not positive definite")
-    x = (a2 / a1) ** 0.25
-    return np.diag([x, 1.0 / x]) @ rot
+    rot, _, a1, _ = matkit.svd2_rotations(block)
+    root = math.sqrt(det)
+    x = math.sqrt(root / a1)
+    return np.array([[x], [1.0 / x]]) * rot, root
+
+
+def _standard_form(v: np.ndarray) -> StandardForm:
+    """to_standard_form of a matrix that already passed as_covariance."""
+    s1, a = _isotropize(block_a(v), "A")
+    s2, b = _isotropize(block_b(v), "B")
+    r1, r2, c1, c2 = matkit.svd2_rotations(s1 @ block_c(v) @ s2.T)
+    return StandardForm(a, b, c1, c2, r1 @ s1, r2 @ s2)
 
 
 def to_standard_form(v) -> StandardForm:
@@ -183,13 +179,7 @@ def to_standard_form(v) -> StandardForm:
     transforms satisfy apply_symp(v, s1, s2) == standard matrix; the block
     determinants give a = sqrt(det A), b = sqrt(det B) and c1 * c2 = det C.
     """
-    v = as_covariance(v)
-    s1 = _isotropize(block_a(v), "A")
-    s2 = _isotropize(block_b(v), "B")
-    r1, r2, c1, c2 = matkit.svd2_rotations(s1 @ block_c(v) @ s2.T)
-    a = math.sqrt(float(np.linalg.det(block_a(v))))
-    b = math.sqrt(float(np.linalg.det(block_b(v))))
-    return StandardForm(a, b, c1, c2, r1 @ s1, r2 @ s2)
+    return _standard_form(as_covariance(v))
 
 
 def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

@@ -25,17 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import (
-    J2,
-    StandardForm,
-    as_covariance,
-    block_a,
-    block_b,
-    block_c,
-    from_blocks,
-    to_standard_form,
-    uncertainty_psd,
-)
+from .covariance import J2, StandardForm, _standard_form, as_covariance, uncertainty_psd
 from .errors import InvalidEnsembleMatrix, InvalidInput
 from .matkit import DEFAULT_TOL
 from .squeezing import _check_domain, _check_ratio, optimal_squeeze
@@ -211,30 +201,25 @@ def simon_bound(a: float, b: float, t: float) -> float:
 
 
 def _epr_blocks(m: np.ndarray, sign: int) -> np.ndarray:
-    """Block matrix [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]]."""
-    a = block_a(m)
-    b = block_b(m)
-    c = block_c(m)
-    return from_blocks(
-        a + J2 @ a @ J2.T,
-        b + J2 @ b @ J2.T,
-        c + sign * (J2 @ c @ J2.T),
+    """Block matrix [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]], written out from
+    J X J^T = [[x11, -x10], [-x01, x00]]. Antisymmetric entries are x10 - x01 and
+    x01 - x10, never -(x01 - x10), which is -0.0 on a symmetric block."""
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (*_, b00, b01), (*_, b10, b11) = m.tolist()
+    return np.array(
+        [
+            [a00 + a11, a01 - a10, c00 + sign * c11, c01 - sign * c10],
+            [a10 - a01, a11 + a00, c10 - sign * c01, c11 + sign * c00],
+            [c00 + sign * c11, c10 - sign * c01, b00 + b11, b01 - b10],
+            [c01 - sign * c10, c11 + sign * c00, b10 - b01, b11 + b00],
+        ]
     )
 
 
-def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
-    """Subsidiary-condition (EPR-type) criterion for one commutator sign
-    branch: the EPR block matrix of V minus that of ens minus I must be PSD.
-
-    Obtained from the full separability condition by tying g = J^T d and
-    h = sign * J^T f; with ens = 0 it coincides with the matching branch of
-    duan_criterion.
-    """
-    if sign not in (1, -1):
-        raise InvalidInput("sign branch must be +1 or -1")
-    m = _epr_blocks(np.asarray(v, dtype=float), sign)
+def _weak_gap(v: np.ndarray, ens, sign: int, tol: float) -> CriterionReport:
+    """weak_gap of matrices that already passed as_covariance."""
+    m = _epr_blocks(v, sign)
     if ens is not None:
-        m = m - _epr_blocks(np.asarray(ens, dtype=float), sign)
+        m = m - _epr_blocks(ens, sign)
     m = m - np.eye(4)
     res = matkit.eig_sym(m)
     lam = float(res.values[0])
@@ -247,9 +232,23 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     return CriterionReport(satisfied, lam, witness, sign)
 
 
+def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
+    """Subsidiary-condition (EPR-type) criterion for one commutator sign
+    branch: the EPR block matrix of V minus that of ens minus I must be PSD.
+
+    Obtained from the full separability condition by tying g = J^T d and
+    h = sign * J^T f; with ens = 0 it coincides with the matching branch of
+    duan_criterion. v and ens (unless None) must pass as_covariance.
+    """
+    if sign not in (1, -1):
+        raise InvalidInput("sign branch must be +1 or -1")
+    ens = None if ens is None else as_covariance(ens)
+    return _weak_gap(as_covariance(v), ens, sign, tol)
+
+
 def _duan_report(v: np.ndarray, tol: float) -> CriterionReport:
-    plus = weak_gap(v, None, 1, tol)
-    minus = weak_gap(v, None, -1, tol)
+    plus = _weak_gap(v, None, 1, tol)
+    minus = _weak_gap(v, None, -1, tol)
     sign, branch = _binding_branch(plus.margin, minus.margin)
     binding = plus if sign == 1 else minus
     return CriterionReport(
@@ -293,7 +292,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     if not phys_ok:
         return Verdict(Outcome.NONPHYSICAL, reports, None, ens_kind, True)
 
-    sf = to_standard_form(v)
+    sf = _standard_form(v)
     reports["simon_algebraic"] = simon_algebraic(sf, tol)
 
     # Physicality guarantees a, b >= 1/2; clamp away rounding dips below.

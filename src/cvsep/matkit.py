@@ -1,11 +1,12 @@
 """Dense kernels for the small symmetric and Hermitian matrices used throughout.
 
-Everything is a thin, tolerance-aware wrapper around LAPACK via numpy; the
-matrices are 2x2, 4x4 or 8x8, so clear conventions matter more than speed.
+The eigen kernels are thin, tolerance-aware wrappers around LAPACK via numpy
+and the 2x2 rotation SVD is closed-form; clear conventions matter more than speed.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -66,24 +67,28 @@ def real_embedding(h) -> np.ndarray:
     return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
+def rotation(theta: float) -> np.ndarray:
+    """Proper rotation [[cos, sin], [-sin, cos]] of angle theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
 def svd2_rotations(c) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Diagonalize a real 2x2 matrix with proper rotations.
+    """Diagonalize a real 2x2 matrix with proper rotations, in closed form.
 
     Returns (r1, r2, c1, c2) such that r1 @ c @ r2.T == diag(c1, c2), both
     rotation factors have determinant +1, c1 >= 0, |c2| <= c1, and
     sign(c1 * c2) == sign(det c).
+
+    With c = [[e + f, g - h], [g + h, e - f]] they take (e, h) to q * I and (f, g)
+    to r * diag(1, -1), q = |(e, h)| and r = |(f, g)|, so c1 = q + r, c2 = q - r.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (2, 2) or not np.all(np.isfinite(c)):
         raise InvalidInput("rotation SVD needs a finite 2x2 matrix")
-    u, s, vh = np.linalg.svd(c)
-    r1 = u.T.copy()
-    r2 = vh.copy()
-    c1, c2 = float(s[0]), float(s[1])
-    if np.linalg.det(r1) < 0.0:
-        r1[1, :] *= -1.0
-        c2 = -c2
-    if np.linalg.det(r2) < 0.0:
-        r2[1, :] *= -1.0
-        c2 = -c2
-    return r1, r2, c1, c2
+    (c00, c01), (c10, c11) = c.tolist()
+    e, h = 0.5 * (c00 + c11), 0.5 * (c10 - c01)
+    f, g = 0.5 * (c00 - c11), 0.5 * (c10 + c01)
+    q, r = math.hypot(e, h), math.hypot(f, g)
+    alpha, beta = math.atan2(g, f), math.atan2(h, e)
+    return rotation(0.5 * (beta + alpha)), rotation(0.5 * (alpha - beta)), q + r, q - r

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
-from .covariance import _rotation, apply_symp, is_physical, standard_matrix
+from .covariance import apply_symp, is_physical, standard_matrix
 from .errors import InvalidSpec
+from .matkit import rotation
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -43,7 +44,7 @@ def random_symp2(seed) -> np.ndarray:
     rng = _as_rng(seed)
     t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
     x = math.exp(rng.uniform(-1.0, 1.0))
-    return _rotation(t2) @ np.diag([x, 1.0 / x]) @ _rotation(t1)
+    return rotation(t2) @ np.diag([x, 1.0 / x]) @ rotation(t1)
 
 
 def random_physical(seed) -> np.ndarray:

@@ -109,6 +109,20 @@ def test_tol_outside_unit_interval_is_a_usage_error(tmp_path, capsys, command, t
     assert "--tol" in capsys.readouterr().err
 
 
+def test_usage_error_leaves_the_parser_usable(tmp_path, capsys):
+    # The parser is built once per process; a failed parse must not leak
+    # into the next call.
+    path = matrix_doc(tmp_path, "vac.json", statezoo.vacuum())
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", path, "--tol", "5"])
+    assert exc.value.code == EXIT_PARSE
+    out_path = tmp_path / "scan.csv"
+    assert main(["scan", "--a", "1", "--b", "1", "--t-steps", "2",
+                 "--out", str(out_path)]) == 0
+    assert len(out_path.read_text().splitlines()) == 3
+    capsys.readouterr()
+
+
 def test_tol_inside_unit_interval_is_used(tmp_path, capsys):
     path = matrix_doc(tmp_path, "vac.json", statezoo.vacuum())
     assert main(["classify", path, "--tol", "1e-6"]) == EXIT_SEPARABLE

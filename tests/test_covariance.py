@@ -40,6 +40,13 @@ def rotation(theta):
     return np.array([[c, s], [-s, c]])
 
 
+def squeezed_symp(rng, log_x):
+    """rotation * diag(x, 1/x) * rotation with random angles and x = e^log_x."""
+    t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    x = math.exp(log_x)
+    return rotation(t2) @ np.diag([x, 1.0 / x]) @ rotation(t1)
+
+
 class TestApplySymp:
     def test_identity(self):
         v = standard_matrix(1.0, 1.0, 0.5, -0.3)
@@ -70,6 +77,18 @@ class TestApplySymp:
         v = statezoo.vacuum()
         with pytest.raises(InvalidTransform):
             apply_symp(v, np.array([[1.0, 1.0], [0.0, 2.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("log_x", [6.0, 8.0])
+    def test_accepts_strongly_squeezed_symplectics(self, log_x):
+        # det rounds with an error near x^2 * eps; the bound must scale with it.
+        rng = np.random.default_rng(17)
+        v = statezoo.vacuum()
+        for _ in range(200):
+            apply_symp(v, squeezed_symp(rng, log_x), squeezed_symp(rng, -log_x))
+
+    def test_rejects_unit_scale_determinant_off_by_1e_6(self):
+        with pytest.raises(InvalidTransform):
+            apply_symp(statezoo.vacuum(), np.diag([1.0 + 1e-6, 1.0]), np.eye(2))
 
 
 class TestPartialTranspose:
@@ -127,6 +146,17 @@ class TestStandardForm:
                 sf.matrix(), np.linalg.inv(sf.s1), np.linalg.inv(sf.s2)
             )
             np.testing.assert_allclose(back, v, atol=1e-9)
+
+    def test_round_trip_under_strong_local_squeezing(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            a, b = rng.uniform(0.5, 3.0, size=2)
+            c1 = rng.uniform(0.0, 0.9 * math.sqrt(a * b))
+            c2 = rng.uniform(-c1, c1)
+            s1 = squeezed_symp(rng, rng.uniform(-3.0, 3.0))
+            s2 = squeezed_symp(rng, rng.uniform(-3.0, 3.0))
+            sf = to_standard_form(apply_symp(standard_matrix(a, b, c1, c2), s1, s2))
+            assert (sf.a, sf.b, sf.c1, sf.c2) == pytest.approx((a, b, c1, c2), rel=1e-9)
 
     def test_thermal_reduces_to_diagonal(self):
         sf = to_standard_form(statezoo.thermal(1.0, 2.0))

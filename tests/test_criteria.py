@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import cvsep.covariance
+import cvsep.criteria
 from cvsep import statezoo
 from cvsep.covariance import (
     apply_symp,
+    as_covariance,
     is_physical,
     p_rep_ensemble,
     standard_matrix,
@@ -324,6 +327,19 @@ class TestClassify:
         with pytest.raises(InvalidInput):
             classify(bad)
 
+    def test_validates_its_matrix_once(self, monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(1)
+            return as_covariance(v)
+
+        monkeypatch.setattr(cvsep.criteria, "as_covariance", counting)
+        monkeypatch.setattr(cvsep.covariance, "as_covariance", counting)
+        verdict = classify(statezoo.two_mode_squeezed(0.5))
+        assert verdict.standard_form is not None
+        assert len(calls) == 1
+
     def test_physical_and_zero_ensemble_reports_reuse_simon(self):
         # Physicality is Simon's sigma = +1 branch and the zero-ensemble
         # stringent condition is Simon's criterion, so classify reads both off
@@ -363,8 +379,11 @@ class TestClassify:
         duan_criterion,
         lambda v: stringent_criterion(v, ZERO),
         lambda ens: stringent_criterion(statezoo.vacuum(), ens),
+        lambda v: weak_gap(v, ZERO, 1),
+        lambda ens: weak_gap(statezoo.vacuum(), ens, -1),
     ],
-    ids=["is_physical", "simon", "duan", "stringent_v", "stringent_ens"],
+    ids=["is_physical", "simon", "duan", "stringent_v", "stringent_ens", "weak_gap_v",
+         "weak_gap_ens"],
 )
 @pytest.mark.parametrize("bad", BAD_MATRICES)
 def test_public_criteria_reject_bad_matrices(criterion, bad):

@@ -122,6 +122,39 @@ def test_svd2_zero_matrix():
     assert np.linalg.det(r2) == pytest.approx(1.0, abs=1e-12)
 
 
+def _rot(theta):
+    return np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
+
+
+def _reflection(theta):
+    return np.array([[math.cos(theta), math.sin(theta)], [math.sin(theta), -math.cos(theta)]])
+
+
+#: A generic matrix with det > 0, and its singular values from LAPACK.
+_GENERIC = np.array([[0.5, -0.2], [0.9, 0.3]])
+_GENERIC_SV = tuple(np.linalg.svd(_GENERIC, compute_uv=False))
+
+
+@pytest.mark.parametrize(
+    "c, expected",
+    [
+        (0.7 * _rot(0.4), (0.7, 0.7)),  # reflection part (f, g) = 0: atan2(0, 0)
+        (0.7 * _reflection(1.1), (0.7, -0.7)),  # rotation part (e, h) = 0
+        (np.outer([0.3, -1.2], [2.0, 0.5]), (math.hypot(0.3, 1.2) * math.hypot(2.0, 0.5), 0.0)),
+        (1e150 * _GENERIC, tuple(1e150 * x for x in _GENERIC_SV)),
+        (1e-150 * _GENERIC, tuple(1e-150 * x for x in _GENERIC_SV)),
+    ],
+    ids=["scaled_rotation", "scaled_reflection", "rank_one", "scale_1e150", "scale_1e-150"],
+)
+def test_svd2_edge_cases(c, expected):
+    r1, r2, c1, c2 = svd2_rotations(c)
+    scale = np.abs(c).max()
+    assert (c1, c2) == pytest.approx(expected, rel=1e-14, abs=1e-15 * scale)
+    assert np.linalg.det(r1) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.det(r2) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(r1 @ c @ r2.T / scale, np.diag([c1, c2]) / scale, atol=1e-15)
+
+
 @given(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
 def test_svd2_properties(entries):
     c = np.array(entries).reshape(2, 2)
