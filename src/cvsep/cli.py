@@ -13,26 +13,14 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import statezoo
+from .audit import run_audit
 from .covariance import apply_symp, as_matrix4, det2, standard_matrix, to_standard_form
-from .criteria import (
-    Outcome,
-    classify,
-    duan_criterion,
-    simon_criterion,
-    stringent_criterion,
-)
-from .errors import (
-    CvsepError,
-    DegenerateBlock,
-    InvalidInput,
-    OutOfDomain,
-)
-from .matkit import DEFAULT_TOL, eig_sym, is_psd_sym
+from .criteria import Outcome, classify
+from .errors import CvsepError, DegenerateBlock, InvalidInput, OutOfDomain
+from .matkit import DEFAULT_TOL
 from .squeezing import SCAN_HEADER, extremality_residual, optimal_squeeze, scan_table
 
 EXIT_SEPARABLE = 0
@@ -49,6 +37,13 @@ _OUTCOME_EXIT = {
     Outcome.ENTANGLED: EXIT_ENTANGLED,
     Outcome.NONPHYSICAL: EXIT_NONPHYSICAL,
 }
+
+#: Exit code of each error kind, first match wins; any other CvsepError is EXIT_SOFTWARE.
+_ERROR_EXIT = (
+    (InvalidInput, EXIT_PARSE),
+    (DegenerateBlock, EXIT_DEGENERATE),
+    (OutOfDomain, EXIT_DOMAIN),
+)
 
 SCHEMA_VERSION = 1
 DEFAULT_GRID = "0.5,0.75,1,1.5,2,5"
@@ -132,17 +127,10 @@ def load_document(path: str) -> tuple[np.ndarray, float | None]:
     return standard_matrix(*vals), tol
 
 
-def _pick_tol(args, doc_tol: float | None) -> float:
-    if args.tol is not None:
-        return args.tol
-    if doc_tol is not None:
-        return doc_tol
-    return DEFAULT_TOL
-
-
 def cmd_classify(args) -> int:
     mat, doc_tol = load_document(args.input)
-    tol = _pick_tol(args, doc_tol)
+    # --tol wins over the document's "tol", which wins over the default.
+    tol = next((t for t in (args.tol, doc_tol) if t is not None), DEFAULT_TOL)
     verdict = classify(mat, tol)
     print(f"verdict: {verdict.outcome.value}")
     print(f"tolerance: {tol:.3g}")
@@ -224,81 +212,17 @@ def cmd_scan(args) -> int:
     return 0
 
 
-@dataclass
-class AuditResult:
-    samples: int
-    seed: int
-    pairs: int
-    p_representable: int
-    counterexamples: int
-    stringent_stricter: int
-    nonzero_ensemble_pairs: int
-
-
-def _scaled_random_psd(rng: np.random.Generator, cap: np.ndarray) -> np.ndarray:
-    """Random PSD matrix dominated by cap (which must be PSD within tolerance)."""
-    res = eig_sym(cap)
-    root = (res.vectors * np.sqrt(np.maximum(res.values, 0.0))) @ res.vectors.T
-    g = rng.standard_normal((4, 4))
-    w = g @ g.T
-    top = float(np.linalg.eigvalsh(w)[-1])
-    w *= float(rng.uniform(0.0, 1.0)) / top
-    return root @ w @ root.T
-
-
-def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
-    """Check the criterion hierarchy on a seeded pool of random states.
-
-    For each state and each admissible ensemble matrix (zero, the coherent
-    excess when PSD, and a random PSD matrix dominated by it), verify
-    P-representable => stringent => Simon => Duan. Returns the count of
-    violations (expected zero) and how often the nonzero ensemble makes the
-    stringent margin strictly smaller than Simon's.
-    """
-    if samples < 1:
-        raise InvalidInput("audit needs at least one sample")
-    rng = np.random.default_rng(seed)
-    prep_count = 0
-    bad = 0
-    stricter = 0
-    for i in range(samples):
-        v = statezoo.mixed_physical_state(rng, i)
-        excess = v - 0.5 * np.eye(4)
-        si = simon_criterion(v, tol)
-        du = duan_criterion(v, tol)
-        if si.satisfied and not du.satisfied:
-            bad += 1
-        if not is_psd_sym(excess, tol):
-            continue
-        prep_count += 1
-        # P-representable => stringent => Simon on every ensemble; at the zero
-        # ensemble the stringent condition is Simon's criterion itself.
-        if not si.satisfied:
-            bad += 1
-        for ens in (excess, _scaled_random_psd(rng, excess)):
-            st = stringent_criterion(v, ens, tol)
-            if not (st.satisfied and si.satisfied):
-                bad += 1
-            if st.margin < si.margin - 1e-12:
-                stricter += 1
-    nonzero = 2 * prep_count  # the coherent excess and a random PSD matrix below it
-    return AuditResult(samples, seed, samples + nonzero, prep_count, bad, stricter, nonzero)
-
-
 def cmd_audit(args) -> int:
     result = run_audit(args.samples, args.seed, args.tol)
     print(f"audit: samples={result.samples} seed={result.seed}")
     print(f"pairs checked: {result.pairs}")
     print(f"p_representable states: {result.p_representable}")
     print(f"counterexamples: {result.counterexamples}")
-    frac = (
-        0.0
-        if result.nonzero_ensemble_pairs == 0
-        else result.stringent_stricter / result.nonzero_ensemble_pairs
-    )
+    nonzero = result.nonzero_ensemble_pairs
+    frac = result.stringent_stricter / nonzero if nonzero else 0.0
     print(
         "stringent margin strictly below simon: "
-        f"{result.stringent_stricter}/{result.nonzero_ensemble_pairs} ({_g17(frac)})"
+        f"{result.stringent_stricter}/{nonzero} ({_g17(frac)})"
     )
     return 0 if result.counterexamples == 0 else 1
 
@@ -363,18 +287,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DegenerateBlock as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except OutOfDomain as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except CvsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOFTWARE
+        return next((code for kind, code in _ERROR_EXIT if isinstance(exc, kind)), EXIT_SOFTWARE)
 
 
 if __name__ == "__main__":

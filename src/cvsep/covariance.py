@@ -39,9 +39,13 @@ def symplectic_form(sign: int = 1) -> np.ndarray:
     return out
 
 
+#: (i/2) diag(J, sign*J) for sign = +1 and -1.
+_UNCERTAINTY_SHIFT = {sign: 0.5j * symplectic_form(sign) for sign in (1, -1)}
+
+
 def uncertainty_psd(v, sign: int, tol: float) -> tuple[bool, float, np.ndarray]:
     """is_psd_herm of V + (i/2) diag(J, sign*J); sign=-1 tests the partial transpose."""
-    return matkit.is_psd_herm(np.asarray(v, dtype=float) + 0.5j * symplectic_form(sign), tol)
+    return matkit.is_psd_herm(np.asarray(v, dtype=float) + _UNCERTAINTY_SHIFT[sign], tol)
 
 
 def as_matrix4(v) -> np.ndarray:

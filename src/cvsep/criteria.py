@@ -145,6 +145,14 @@ def _two_branch_report(base: np.ndarray, tol: float) -> tuple[CriterionReport, t
     return CriterionReport(satisfied, margin, witness, branch), plus
 
 
+def _as_ensemble(ens, tol: float) -> np.ndarray:
+    """as_covariance(ens), which must also be PSD within tol."""
+    ens = as_covariance(ens)
+    if not matkit.is_psd_sym(ens, tol):
+        raise InvalidEnsembleMatrix("ensemble matrix must be positive semidefinite")
+    return ens
+
+
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
@@ -157,13 +165,10 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     some decomposition of the state.
 
     Implies Simon's criterion for every admissible ens and reduces to it at
-    ens = 0. Both v and ens must pass as_covariance.
+    ens = 0. Both v and ens must pass as_covariance, and ens must be PSD.
     """
     v = as_covariance(v)
-    ens = as_covariance(ens)
-    if not matkit.is_psd_sym(ens, tol):
-        raise InvalidEnsembleMatrix("ensemble matrix must be positive semidefinite")
-    return _two_branch_report(v - ens, tol)[0]
+    return _two_branch_report(v - _as_ensemble(ens, tol), tol)[0]
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -238,11 +243,11 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
 
     Obtained from the full separability condition by tying g = J^T d and
     h = sign * J^T f; with ens = 0 it coincides with the matching branch of
-    duan_criterion. v and ens (unless None) must pass as_covariance.
+    duan_criterion. v and ens (unless None) are checked as in stringent_criterion.
     """
     if sign not in (1, -1):
         raise InvalidInput("sign branch must be +1 or -1")
-    ens = None if ens is None else as_covariance(ens)
+    ens = None if ens is None else _as_ensemble(ens, tol)
     return _weak_gap(as_covariance(v), ens, sign, tol)
 
 

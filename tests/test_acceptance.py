@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cvsep import statezoo
-from cvsep.cli import run_audit
+from cvsep.audit import run_audit
 from cvsep.covariance import (
     apply_symp,
     block_a,

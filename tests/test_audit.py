@@ -1,0 +1,34 @@
+import pytest
+
+import cvsep.audit
+from cvsep.audit import run_audit
+from cvsep.errors import InvalidInput
+
+
+def counting(monkeypatch, name):
+    """Wrap cvsep.audit.<name> so that its calls are counted in the returned list."""
+    original = getattr(cvsep.audit, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cvsep.audit, name, wrapper)
+    return calls
+
+
+def test_audit_runs_classify_once_per_state_and_one_random_ensemble(monkeypatch):
+    classify_calls = counting(monkeypatch, "classify")
+    stringent_calls = counting(monkeypatch, "stringent_criterion")
+    result = run_audit(40, 55)
+    assert len(classify_calls) == 40
+    assert result.p_representable > 0
+    assert len(stringent_calls) == result.p_representable
+    assert result.pairs == 40 + 2 * result.p_representable
+    assert result.counterexamples == 0
+
+
+def test_audit_needs_a_sample():
+    with pytest.raises(InvalidInput, match="at least one sample"):
+        run_audit(0, 0)

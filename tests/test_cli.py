@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import cvsep.cli
 from cvsep import statezoo
 from cvsep.cli import (
     EXIT_DEGENERATE,
@@ -12,10 +13,12 @@ from cvsep.cli import (
     EXIT_NONPHYSICAL,
     EXIT_PARSE,
     EXIT_SEPARABLE,
+    EXIT_SOFTWARE,
     EXIT_UNWRITABLE,
     SCAN_HEADER,
     main,
 )
+from cvsep.errors import InvalidSpec
 
 
 def write_doc(tmp_path, name, payload):
@@ -247,6 +250,12 @@ class TestAudit:
         assert main(["audit", "--samples", "1", "--seed", "0"]) == 0
         capsys.readouterr()
 
+    def test_zero_samples_is_a_parse_error(self, capsys):
+        assert main(["audit", "--samples", "0"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: audit needs at least one sample\n"
+
 
 class TestSqueeze:
     def test_uncorrelated_point(self, capsys):
@@ -264,3 +273,14 @@ class TestSqueeze:
     def test_domain_guard(self, capsys):
         assert main(["squeeze", "0.4", "1", "0"]) == EXIT_DOMAIN
         capsys.readouterr()
+
+
+def test_unmapped_package_error_exits_software(monkeypatch, capsys):
+    def fail(a, b, t):
+        raise InvalidSpec("spec out of range")
+
+    monkeypatch.setattr(cvsep.cli, "optimal_squeeze", fail)
+    assert main(["squeeze", "1", "1", "0"]) == EXIT_SOFTWARE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spec out of range\n"

@@ -119,6 +119,21 @@ class TestStringent:
         with pytest.raises(InvalidEnsembleMatrix):
             stringent_criterion(np.eye(4), np.diag([1.0, -1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "v, ens",
+        [
+            (np.eye(4), np.diag([1.0, -1.0, 0.0, 0.0])),
+            (statezoo.vacuum(), -np.eye(4)),
+        ],
+        ids=["diag", "vacuum-minus-identity"],
+    )
+    def test_weak_gap_rejects_indefinite_ensemble_too(self, v, ens, sign):
+        with pytest.raises(InvalidEnsembleMatrix):
+            stringent_criterion(v, ens)
+        with pytest.raises(InvalidEnsembleMatrix):
+            weak_gap(v, ens, sign)
+
 
 class TestSimon:
     def test_vacuum(self):
