@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .audit import run_audit
-from .covariance import apply_symp, as_matrix4, det2, standard_matrix, to_standard_form
+from .covariance import apply_symp, as_covariance, det2, standard_matrix, to_standard_form
 from .criteria import Outcome, classify
 from .errors import CvsepError, DegenerateBlock, InvalidInput, OutOfDomain
 from .matkit import DEFAULT_TOL
@@ -103,10 +103,9 @@ def load_document(path: str) -> tuple[np.ndarray, float | None]:
             raise InvalidInput(f"matrix entries must be numbers: {exc}") from exc
         if mat.shape == (16,):
             mat = mat.reshape(4, 4)
-        mat = as_matrix4(mat)
+        # The same relative asymmetry bound as the API; below it, symmetrize.
+        mat = as_covariance(mat)
         asym = float(np.abs(mat - mat.T).max())
-        if asym > 1e-9:
-            raise InvalidInput(f"matrix asymmetry {asym:.3e} exceeds 1e-9")
         if asym > 0.0:
             print(
                 f"warning: symmetrizing input (max asymmetry {asym:.3e})",
@@ -193,16 +192,27 @@ def _parse_values(raw: str, name: str) -> list[float]:
     return vals
 
 
+def _csv_text(table: np.ndarray) -> str:
+    """The scan CSV: SCAN_HEADER, then each row of the float64 table with its
+    fields printed by "%.17g" (exactly as format(x, ".17g") prints them).
+
+    A scan repeats most of its values, so each distinct value is formatted
+    once. Values are told apart by their bits, not by ==, which would merge
+    -0.0 with 0.0 and print "0" for "-0"."""
+    bits, inverse = np.unique(table.ravel().view(np.int64), return_inverse=True)
+    text = "%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())
+    strings = np.array(text.split("\n"), dtype=object)
+    row = ",".join(["%s"] * len(SCAN_HEADER)) + "\n"
+    return ",".join(SCAN_HEADER) + "\n" + row * len(table) % tuple(strings[inverse].tolist())
+
+
 def cmd_scan(args) -> int:
     a_values = _parse_values(args.a, "--a")
     b_values = _parse_values(args.b, "--b")
     if args.t_steps < 1:
         raise InvalidInput("--t-steps must be at least 1")
     t_values = [0.0] if args.t_steps == 1 else np.linspace(0.0, 1.0, args.t_steps)
-    table = scan_table(a_values, b_values, t_values)
-    # "%.17g" formats a float exactly as format(x, ".17g") does.
-    row = ",".join(["%.17g"] * len(SCAN_HEADER)) + "\n"
-    text = ",".join(SCAN_HEADER) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    text = _csv_text(scan_table(a_values, b_values, t_values))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

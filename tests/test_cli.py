@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,27 @@ class TestClassify:
         v[0, 1] += 1e-6
         path = matrix_doc(tmp_path, "asym2.json", v)
         assert main(["classify", path]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "scale, skew, accepted",
+        [(1.0, 5e-10, True), (1.0, 2e-9, False), (1e4, 5e-6, True), (1e4, 2e-5, False)],
+    )
+    def test_asymmetry_bound_is_relative_like_the_api(
+        self, tmp_path, capsys, scale, skew, accepted
+    ):
+        # The cases of test_as_covariance_asymmetry_bound_is_relative: the
+        # document is judged by the bound classify applies to the matrix.
+        v = scale * np.eye(4)
+        v[0, 1] += skew
+        path = matrix_doc(tmp_path, "skew.json", v)
+        code = main(["classify", path])
+        err = capsys.readouterr().err
+        if accepted:
+            assert code == EXIT_SEPARABLE
+            assert "warning: symmetrizing input" in err
+        else:
+            assert code == EXIT_PARSE
+            assert "asymmetry" in err
 
     def test_parse_failures(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -284,3 +309,17 @@ def test_unmapped_package_error_exits_software(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: spec out of range\n"
+
+
+def test_python_m_cvsep_runs_the_cli(capsys):
+    # python -m cvsep from a checkout, with only src/ on the path.
+    src = Path(cvsep.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvsep", "squeeze", "1", "1", "0"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert main(["squeeze", "1", "1", "0"]) == 0
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stderr == ""

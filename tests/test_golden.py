@@ -1,5 +1,6 @@
 """Golden CLI outputs: classify text for a few reference states, an audit
-report and the digest of the default scan CSV must stay byte-identical.
+report and the digests of the default scan CSV and of further scans (other
+t-step counts, an asymmetric a/b grid) must stay byte-identical.
 
 golden_outputs.json holds what capture_outputs() returned on the code the
 goldens were taken from; a refactor that changes any byte fails here.
@@ -24,6 +25,15 @@ CLASSIFY_STATES = {
     "random_separable_seed3": statezoo.random_separable(3),
 }
 
+#: Scan arguments besides --out, for the digests beyond the default scan.
+SCAN_ARGS = {
+    "t_steps_1": ["--t-steps", "1"],
+    "t_steps_2": ["--t-steps", "2"],
+    "t_steps_8": ["--t-steps", "8"],
+    "t_steps_16": ["--t-steps", "16"],
+    "asymmetric_grid_t_steps_9": ["--a", "0.5,1.5,7", "--b", "0.75,3", "--t-steps", "9"],
+}
+
 
 def _run(argv):
     out = io.StringIO()
@@ -41,14 +51,16 @@ def capture_outputs(work_dir: Path) -> dict:
         classify[name] = {"exit": code, "stdout": text}
     code, audit = _run(["audit", "--samples", "200", "--seed", "55"])
     csv_path = work_dir / "scan.csv"
-    scan_code, _ = _run(["scan", "--out", str(csv_path)])
+
+    def scan(args):
+        scan_code, _ = _run(["scan", *args, "--out", str(csv_path)])
+        return {"exit": scan_code, "sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest()}
+
     return {
         "classify": classify,
         "audit_samples200_seed55": {"exit": code, "stdout": audit},
-        "scan_default": {
-            "exit": scan_code,
-            "sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
-        },
+        "scan_default": scan([]),
+        "scan_digests": {name: scan(args) for name, args in SCAN_ARGS.items()},
     }
 
 

@@ -3,13 +3,14 @@
 scan_row is the row the scan CSV held before the table was computed as
 arrays: each scalar route evaluated at one (a, b, t). Every table entry must
 equal it exactly, and scan_table must reject the same first row with the
-same message.
+same message. The CSV text built from the table is checked against one
+"%.17g" per field on random tables.
 """
 
 import numpy as np
 import pytest
 
-from cvsep.cli import DEFAULT_GRID
+from cvsep.cli import DEFAULT_GRID, _csv_text
 from cvsep.criteria import simon_bound
 from cvsep.errors import OutOfDomain
 from cvsep.squeezing import (
@@ -93,3 +94,40 @@ def test_rejects_the_first_bad_row_like_the_scalar_routes(a_values, b_values, t_
     assert _first_error(scan_table, a_values, b_values, t_values) == _first_error(
         reference, a_values, b_values, t_values
     )
+
+
+#: Values whose text is easy to get wrong: signed zeros, NaNs with different
+#: sign bits and payloads (quiet and signalling), infinities, the subnormal
+#: extremes and the largest finite double.
+SPECIAL_VALUES = np.concatenate([
+    np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+              1.7976931348623157e308, -1.7976931348623157e308, 0.5, 1.0, 1.0 / 3.0]),
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+              0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64),
+])
+
+
+def random_table(seed: int) -> np.ndarray:
+    """A float64 table with the scan's width: most fields drawn with heavy
+    repeats from a small pool (the special values plus arbitrary bit
+    patterns), the rest fresh arbitrary bit patterns."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 200))
+
+    def bits(size):
+        return rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+
+    pool = np.concatenate([SPECIAL_VALUES, bits(8), rng.standard_normal(8)])
+    table = rng.choice(pool, size=(rows, len(SCAN_HEADER)))
+    fresh = rng.random(table.shape) < 0.2
+    table[fresh] = bits(int(fresh.sum()))
+    table[0, 0], table[-1, -1] = 0.0, -0.0
+    return table
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_csv_text_formats_every_field_with_g17(seed):
+    table = random_table(seed)
+    row = ",".join(["%.17g"] * len(SCAN_HEADER)) + "\n"
+    expected = ",".join(SCAN_HEADER) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    assert _csv_text(table) == expected
