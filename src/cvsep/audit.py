@@ -9,7 +9,7 @@ import numpy as np
 from . import statezoo
 from .criteria import classify, stringent_criterion
 from .errors import InvalidInput
-from .matkit import DEFAULT_TOL, eig_sym
+from .matkit import DEFAULT_TOL, check_tol, eig_sym
 
 
 @dataclass
@@ -43,10 +43,14 @@ def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
     gives Simon, Duan, P-representability and the coherent-excess report; only
     the random ensemble is evaluated here. Returns the count of violations
     (expected zero) and how often the nonzero ensemble makes the stringent
-    margin strictly smaller than Simon's.
+    margin strictly smaller than Simon's. Raises InvalidInput unless samples
+    is positive, seed nonnegative and tol passes check_tol.
     """
     if samples < 1:
         raise InvalidInput("audit needs at least one sample")
+    if seed < 0:
+        raise InvalidInput(f"audit seed {seed} must be nonnegative")
+    tol = check_tol(tol)
     rng = np.random.default_rng(seed)
     prep_count = 0
     bad = 0

@@ -20,7 +20,7 @@ from .audit import run_audit
 from .covariance import apply_symp, as_covariance, det2, standard_matrix, to_standard_form
 from .criteria import Outcome, classify
 from .errors import CvsepError, DegenerateBlock, InvalidInput, OutOfDomain
-from .matkit import DEFAULT_TOL
+from .matkit import DEFAULT_TOL, check_tol
 from .squeezing import SCAN_HEADER, extremality_residual, optimal_squeeze, scan_table
 
 EXIT_SEPARABLE = 0
@@ -66,11 +66,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def tolerance(raw: str) -> float:
-    """argparse type of --tol: a finite number in (0, 1)."""
-    tol = float(raw)
-    if not 0.0 < tol < 1.0:  # also rejects nan and inf
-        raise argparse.ArgumentTypeError(f"{raw} is not in (0, 1)")
-    return tol
+    """argparse type of --tol: a finite number in (0, 1), as check_tol has it."""
+    try:
+        return check_tol(float(raw))
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(f"{raw} is not in (0, 1)") from exc
 
 
 def load_document(path: str) -> tuple[np.ndarray, float | None]:
@@ -92,9 +92,7 @@ def load_document(path: str) -> tuple[np.ndarray, float | None]:
 
     tol = doc.get("tol")
     if tol is not None:
-        if not isinstance(tol, (int, float)) or not 0.0 < float(tol) < 1.0:
-            raise InvalidInput("tol must be a number in (0, 1)")
-        tol = float(tol)
+        tol = check_tol(tol)
 
     if "matrix" in doc:
         try:

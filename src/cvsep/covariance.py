@@ -19,6 +19,7 @@ from .errors import (
     InvalidInput,
     InvalidTransform,
     NotPRepresentable,
+    OutOfDomain,
 )
 from .matkit import DEFAULT_TOL
 
@@ -39,13 +40,8 @@ def symplectic_form(sign: int = 1) -> np.ndarray:
     return out
 
 
-#: (i/2) diag(J, sign*J) for sign = +1 and -1.
-_UNCERTAINTY_SHIFT = {sign: 0.5j * symplectic_form(sign) for sign in (1, -1)}
-
-
-def uncertainty_psd(v, sign: int, tol: float) -> tuple[bool, float, np.ndarray]:
-    """is_psd_herm of V + (i/2) diag(J, sign*J); sign=-1 tests the partial transpose."""
-    return matkit.is_psd_herm(np.asarray(v, dtype=float) + _UNCERTAINTY_SHIFT[sign], tol)
+#: (i/2) diag(J, sign*J) stacked for sign = +1, then -1 (the partial transpose).
+_UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
 
 
 def as_matrix4(v) -> np.ndarray:
@@ -94,7 +90,8 @@ def standard_matrix(a: float, b: float, c1: float, c2: float) -> np.ndarray:
 
 
 def det2(m) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    (m00, m01), (m10, m11) = m.tolist()  # Python floats overflow to inf without a warning
+    return m00 * m11 - m01 * m10
 
 
 def is_symplectic2(s, tol: float = 1e-12) -> bool:
@@ -161,6 +158,8 @@ def _isotropize(block: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     # A positive determinant leaves both eigenvalues of one sign; the trace picks it.
     if block[0, 0] + block[1, 1] <= 0.0:
         raise DegenerateBlock(f"{name} block is not positive definite")
+    if not det < math.inf:  # so a * b is past the bound of the squeezing routes
+        raise OutOfDomain(f"{name} block determinant overflows")
     rot, _, a1, _ = matkit.svd2_rotations(block)
     root = math.sqrt(det)
     x = math.sqrt(root / a1)
@@ -190,9 +189,9 @@ def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Uncertainty-relation test: V + (i/2) diag(J, J) must be PSD.
 
     Returns (verdict, smallest eigenvalue); pure states sit at zero. Raises
-    InvalidInput unless v passes as_covariance.
+    InvalidInput unless v passes as_covariance and tol passes check_tol.
     """
-    return uncertainty_psd(as_covariance(v), 1, tol)[:2]
+    return matkit.is_psd_herm(as_covariance(v) + _UNCERTAINTY_SHIFT[0], tol)[:2]
 
 
 def ensemble_matrix(weights, deviations) -> np.ndarray:
@@ -214,13 +213,19 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _coherent_excess(v: np.ndarray, tol: float) -> np.ndarray | None:
+    """V - I/2 if it is PSD within tol (the state is P-representable), else None."""
+    excess = v - 0.5 * np.eye(4)
+    return excess if matkit.is_psd_sym(excess, tol) else None
+
+
 def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ensemble matrix of the coherent-state decomposition, V - I/2.
 
     Defined whenever V - I/2 is PSD, i.e. whenever the state is
     P-representable without further squeezing.
     """
-    excess = np.asarray(v, dtype=float) - 0.5 * np.eye(4)
-    if not matkit.is_psd_sym(excess, tol):
+    excess = _coherent_excess(np.asarray(v, dtype=float), tol)
+    if excess is None:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     return excess

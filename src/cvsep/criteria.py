@@ -3,10 +3,12 @@
 Each criterion is a quadratic-form inequality quantified over all real
 coefficient choices. The universal quantifier is settled spectrally: the
 inequality holds for every choice exactly when a small Hermitian matrix is
-positive semidefinite, with one branch per relative sign of the two
-single-mode commutator terms. Whenever a matrix-form criterion fails, the
-minimizing eigenvector is converted back into an explicit real parameter
-witness that drives the corresponding scalar gap negative.
+positive semidefinite for both relative signs sigma = +1, -1 of the two
+single-mode commutator terms, decided as one stack; the margin is the smaller
+eigenvalue. Whenever a matrix-form criterion fails, the minimizing
+eigenvector of branch +1, or of -1 if it binds beyond a 1e-12 relative tie,
+is converted back into an explicit real parameter witness that drives the
+corresponding scalar gap negative.
 
 The hierarchy, from strongest to weakest: the ensemble-refined condition
 (stringent_criterion), Simon's partial-transpose condition, and the
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import J2, StandardForm, _standard_form, as_covariance, uncertainty_psd
+from .covariance import J2, StandardForm, _standard_form, as_covariance
+from .covariance import _UNCERTAINTY_SHIFT, _coherent_excess
 from .errors import InvalidEnsembleMatrix, InvalidInput
 from .matkit import DEFAULT_TOL
 from .squeezing import _check_domain, _check_ratio, optimal_squeeze
@@ -124,25 +127,26 @@ def gap_separable(v, ens, p: ParamSet) -> float:
     )
 
 
-def _binding_branch(plus: float, minus: float) -> tuple[int, int]:
-    """Sign of the smaller margin, and the branch to report: 0 on a 1e-12 relative tie."""
+def _witness(vec: np.ndarray, sign: int) -> ParamSet:
+    """Witness from a branch's minimizing eigenvector: a complex one splits as
+    (d, f) + i(g, h), a real (EPR) one ties g = J^T d and h = sign * J^T f."""
+    if np.iscomplexobj(vec):
+        return ParamSet.from_complex(vec)
+    d, f = vec[:2].copy(), vec[2:].copy()
+    return ParamSet(d, f, J2.T @ d, sign * (J2.T @ f))
+
+
+def _branch_report(stack: np.ndarray, tol: float) -> tuple[CriterionReport, tuple]:
+    """Report of "both matrices of the (2, 4, 4) stack, sigma = +1 then -1,
+    are PSD", and the result of the one is_psd_herm call that decides it."""
+    psd = ok, lam, vec = matkit.is_psd_herm(stack, tol)
+    plus, minus = lam.tolist()
     binding = 1 if plus <= minus else -1
-    tied = abs(plus - minus) <= 1e-12 * max(1.0, abs(min(plus, minus)))
-    return binding, 0 if tied else binding
-
-
-def _two_branch_report(base: np.ndarray, tol: float) -> tuple[CriterionReport, tuple]:
-    """PSD verdict of base + (i/2) diag(J, sigma*J) over both sigma branches,
-    and the sigma = +1 result, which for base = V is the physicality test."""
-    plus = uncertainty_psd(base, 1, tol)
-    minus = uncertainty_psd(base, -1, tol)
-    binding, branch = _binding_branch(plus[1], minus[1])
-    satisfied = plus[0] and minus[0]
-    witness = None
-    if not satisfied:
-        witness = ParamSet.from_complex((minus if branch == -1 else plus)[2])
-    margin = plus[1] if binding == 1 else minus[1]
-    return CriterionReport(satisfied, margin, witness, branch), plus
+    branch = 0 if abs(plus - minus) <= 1e-12 * max(1.0, abs(min(plus, minus))) else binding
+    satisfied = bool(ok[0] and ok[1])
+    k = 1 if branch == -1 else 0  # stack index of the witness branch, sigma = 1 - 2k
+    witness = None if satisfied else _witness(vec[k], 1 - 2 * k)
+    return CriterionReport(satisfied, plus if binding == 1 else minus, witness, branch), psd
 
 
 def _as_ensemble(ens, tol: float) -> np.ndarray:
@@ -156,7 +160,7 @@ def _as_ensemble(ens, tol: float) -> np.ndarray:
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
-    return _two_branch_report(as_covariance(v), tol)[0]
+    return _branch_report(as_covariance(v) + _UNCERTAINTY_SHIFT, tol)[0]
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -168,13 +172,14 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     ens = 0. Both v and ens must pass as_covariance, and ens must be PSD.
     """
     v = as_covariance(v)
-    return _two_branch_report(v - _as_ensemble(ens, tol), tol)[0]
+    return _branch_report(v - _as_ensemble(ens, tol) + _UNCERTAINTY_SHIFT, tol)[0]
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's condition as scalar inequalities on the standard-form
     parameters: a quartic determinant inequality, a geometric-mean cap on
     |c1| + |c2|, and a >= 1/2, b >= 1/2. The margin is the smallest gap."""
+    tol = matkit.check_tol(tol)
     a, b = sf.a, sf.b
     c1, c2 = abs(sf.c1), abs(sf.c2)
     quartic = (
@@ -220,21 +225,9 @@ def _epr_blocks(m: np.ndarray, sign: int) -> np.ndarray:
     )
 
 
-def _weak_gap(v: np.ndarray, ens, sign: int, tol: float) -> CriterionReport:
-    """weak_gap of matrices that already passed as_covariance."""
-    m = _epr_blocks(v, sign)
-    if ens is not None:
-        m = m - _epr_blocks(ens, sign)
-    m = m - np.eye(4)
-    res = matkit.eig_sym(m)
-    lam = float(res.values[0])
-    satisfied = bool(lam >= -tol * matkit.norm_scale(m))
-    witness = None
-    if not satisfied:
-        d = res.vectors[:2, 0].copy()
-        f = res.vectors[2:, 0].copy()
-        witness = ParamSet(d, f, J2.T @ d, sign * (J2.T @ f))
-    return CriterionReport(satisfied, lam, witness, sign)
+def _epr_stack(v: np.ndarray) -> np.ndarray:
+    """The EPR block matrices of v minus I, sigma = +1 then -1, as one stack."""
+    return np.stack([_epr_blocks(v, 1), _epr_blocks(v, -1)]) - np.eye(4)
 
 
 def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -248,23 +241,24 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     if sign not in (1, -1):
         raise InvalidInput("sign branch must be +1 or -1")
     ens = None if ens is None else _as_ensemble(ens, tol)
-    return _weak_gap(as_covariance(v), ens, sign, tol)
-
-
-def _duan_report(v: np.ndarray, tol: float) -> CriterionReport:
-    plus = _weak_gap(v, None, 1, tol)
-    minus = _weak_gap(v, None, -1, tol)
-    sign, branch = _binding_branch(plus.margin, minus.margin)
-    binding = plus if sign == 1 else minus
-    return CriterionReport(
-        plus.satisfied and minus.satisfied, binding.margin, binding.witness, branch
-    )
+    m = _epr_blocks(as_covariance(v), sign)
+    if ens is not None:
+        m = m - _epr_blocks(ens, sign)
+    ok, lam, vec = matkit.is_psd_herm(m - np.eye(4), tol)
+    return CriterionReport(ok, lam, None if ok else _witness(vec, sign), sign)
 
 
 def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """EPR-variance separability condition over both sign branches; weaker
     than Simon's criterion."""
-    return _duan_report(as_covariance(v), tol)
+    return _branch_report(_epr_stack(as_covariance(v)), tol)[0]
+
+
+#: The stringent report at the coherent-excess ensemble: V - (V - I/2) is I/2
+#: exactly (computed per state, it rounds once a diagonal entry reaches 2^53),
+#: so it is the report of I/2: margin 0.0, branches tied, no witness. Written
+#: out, so importing the package runs no eigensolver.
+_COHERENT_EXCESS_REPORT = CriterionReport(True, 0.0, None, 0)
 
 
 def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
@@ -275,21 +269,23 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     bound; for Gaussian states that coincides with Simon's criterion, and the
     coincidence is re-checked on every call and recorded in the verdict.
     Raises InvalidInput unless v passes as_covariance (finite, 4x4,
-    symmetric), and DegenerateBlock if the standard-form reduction fails.
+    symmetric) and tol passes check_tol, DegenerateBlock if the
+    standard-form reduction fails, and OutOfDomain if a * b of the standard
+    form exceeds the bound of the squeezing routes.
     """
     v = as_covariance(v)
+    simon, (ok, lam, vec) = _branch_report(v + _UNCERTAINTY_SHIFT, tol)
     # Physicality is the sigma = +1 branch of Simon's criterion.
-    simon, (phys_ok, phys_margin, phys_vec) = _two_branch_report(v, tol)
+    phys_ok = bool(ok[0])
     reports: dict[str, CriterionReport] = {}
     reports["physical"] = CriterionReport(
-        phys_ok, phys_margin, None if phys_ok else ParamSet.from_complex(phys_vec), 1
+        phys_ok, float(lam[0]), None if phys_ok else _witness(vec[0], 1), 1
     )
     reports["simon"] = simon
-    reports["duan"] = _duan_report(v, tol)
+    reports["duan"] = _branch_report(_epr_stack(v), tol)[0]
 
-    excess = v - 0.5 * np.eye(4)
-    if matkit.is_psd_sym(excess, tol):
-        ens_kind, stringent = "coherent_excess", _two_branch_report(v - excess, tol)[0]
+    if _coherent_excess(v, tol) is not None:
+        ens_kind, stringent = "coherent_excess", _COHERENT_EXCESS_REPORT
     else:  # V - 0 is V, so the zero-ensemble condition is Simon's criterion.
         ens_kind, stringent = "zero", simon
     reports["stringent"] = stringent

@@ -1,12 +1,14 @@
 """Dense kernels for the small symmetric and Hermitian matrices used throughout.
 
 The eigen kernels are thin, tolerance-aware wrappers around LAPACK via numpy
-and the 2x2 rotation SVD is closed-form; clear conventions matter more than speed.
+(is_psd_herm takes a whole stack) and the 2x2 rotation SVD is closed-form;
+clear conventions matter more than speed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -24,9 +26,16 @@ class EigenResult(NamedTuple):
     vectors: np.ndarray
 
 
-def norm_scale(m: np.ndarray) -> float:
-    """Tolerance scale max(1, max absolute row sum)."""
-    return max(1.0, float(np.abs(m).sum(axis=1).max()))
+def check_tol(tol) -> float:
+    """tol as a float; raises InvalidInput unless it is a finite number in (0, 1)."""
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):  # nan and inf fail too
+        raise InvalidInput(f"tol must be a finite number in (0, 1), got {tol!r}")
+    return float(tol)
+
+
+def norm_scale(m: np.ndarray):
+    """Tolerance scale max(1, max absolute row sum), per matrix of a stack (..., n, n)."""
+    return np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
 
 
 def eig_sym(m) -> EigenResult:
@@ -40,28 +49,33 @@ def eig_sym(m) -> EigenResult:
 
 def is_psd_sym(m, tol: float = DEFAULT_TOL) -> bool:
     """Positive semidefiniteness of a real symmetric matrix within tolerance."""
+    tol = check_tol(tol)
     m = np.asarray(m, dtype=float)
     w = np.linalg.eigvalsh(m)
     return bool(w[0] >= -tol * norm_scale(m))
 
 
-def is_psd_herm(h, tol: float = DEFAULT_TOL) -> tuple[bool, float, np.ndarray]:
-    """PSD verdict for a Hermitian matrix.
-
-    Returns (verdict, smallest eigenvalue, eigenvector of that eigenvalue);
-    the eigenvector is what criterion reports hand out as a witness.
-    """
-    h = np.asarray(h, dtype=complex)
+def is_psd_herm(h, tol: float = DEFAULT_TOL):
+    """PSD verdict of a Hermitian or real symmetric matrix, or of each matrix
+    of a stack (..., n, n) in one LAPACK call, bit for bit as one call each:
+    (verdict, smallest eigenvalue, its eigenvector, which reports hand out as
+    a witness), each against tol times the matrix's own norm_scale."""
+    tol = check_tol(tol)
+    h = np.asarray(h)
+    if not np.isfinite(h).all():
+        raise InvalidInput("PSD test needs finite entries")
     values, vectors = np.linalg.eigh(h)
-    ok = bool(values[0] >= -tol * norm_scale(h))
-    return ok, float(values[0]), vectors[:, 0]
+    ok = values[..., 0] >= -tol * norm_scale(h)
+    if h.ndim == 2:
+        return bool(ok), float(values[0]), vectors[:, 0]
+    return ok, values[..., 0], vectors[..., 0]
 
 
 def real_embedding(h) -> np.ndarray:
     """Real symmetric embedding [[X, -Y], [Y, X]] of a Hermitian X + iY.
 
     Its spectrum is the Hermitian spectrum with every eigenvalue doubled,
-    which the test suite uses as an independent cross-check of is_psd_herm.
+    which the test suite uses to cross-check is_psd_herm, stacked or not.
     """
     h = np.asarray(h, dtype=complex)
     return np.block([[h.real, -h.imag], [h.imag, h.real]])

@@ -37,7 +37,9 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     Requires V - I/2 positive definite. A zero eigenvalue means the weight
     degenerates to a lower-dimensional Gaussian with no phase-space density,
     reported as BoundaryPRep; a negative eigenvalue as NotPRepresentable.
+    Raises InvalidInput unless tol passes matkit.check_tol.
     """
+    tol = matkit.check_tol(tol)
     excess = np.asarray(v, dtype=float) - 0.5 * np.eye(4)
     res = matkit.eig_sym(excess)
     scale = matkit.norm_scale(excess)

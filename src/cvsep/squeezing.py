@@ -22,6 +22,10 @@ from .errors import OutOfDomain
 #: Slack for range checks so exact endpoints survive floating-point rounding.
 _DOMAIN_EPS = 1e-12
 
+#: Largest a * b the routes accept: their largest intermediate, about 64 (ab)^2,
+#: overflows past a * b of about 1.7e153 and turns results into inf or nan.
+_AB_MAX = 1e150
+
 
 @dataclass(frozen=True)
 class SqueezeParams:
@@ -55,6 +59,8 @@ class SqueezeSolution:
 def _check_domain(a: float, b: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b)) or a < 0.5 or b < 0.5:
         raise OutOfDomain(f"block sizes (a, b) = ({a}, {b}) must be >= 1/2")
+    if a * b > _AB_MAX:
+        raise OutOfDomain(f"block sizes (a, b) = ({a}, {b}) must have a * b <= {_AB_MAX:g}")
 
 
 def _check_ratio(t: float) -> None:
@@ -271,11 +277,8 @@ def scan_table(a_values, b_values, t_values) -> np.ndarray:
     core = x + root_d
     r1 = _snap_all(core / (a * t + b), 1.0, 2.0 * a)
     r2 = _snap_all(core / (a + b * t), 1.0, 2.0 * b)
-    bad = ~(np.isfinite(r1) & np.isfinite(r2))
-    if bad.any():  # reachable only when the products above overflow
-        i = int(bad.argmax())
-        SqueezeParams(float(r1[i]), float(r2[i]))  # raises, as optimal_squeeze does
-    # r1 <= 2a and r2 <= 2b, so duan_bound_at's window check always passes.
+    # a * b <= _AB_MAX keeps r1 and r2 finite, so SqueezeParams accepts every
+    # row; r1 <= 2a and r2 <= 2b, so duan_bound_at's window check always passes.
 
     # p_rep_bound_at
     c1_prep = np.sqrt(_max(a * r1 - 0.5, 0.0) * _max(b * r2 - 0.5, 0.0) / (r1 * r2))

@@ -32,3 +32,10 @@ def test_audit_runs_classify_once_per_state_and_one_random_ensemble(monkeypatch)
 def test_audit_needs_a_sample():
     with pytest.raises(InvalidInput, match="at least one sample"):
         run_audit(0, 0)
+
+
+def test_audit_needs_a_nonnegative_seed():
+    # numpy's generator rejects a negative seed with ValueError; the audit
+    # reports it as unusable input before drawing anything.
+    with pytest.raises(InvalidInput, match="seed -1 must be nonnegative"):
+        run_audit(1, -1)

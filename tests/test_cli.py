@@ -137,6 +137,14 @@ def test_tol_outside_unit_interval_is_a_usage_error(tmp_path, capsys, command, t
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "5", "-1", "NaN", "Infinity", '"0.1"', "true", "[]"])
+def test_document_tol_outside_unit_interval_is_rejected(tmp_path, capsys, tol):
+    path = tmp_path / "doc.json"
+    path.write_text('{"matrix": %s, "tol": %s}' % (json.dumps(statezoo.vacuum().tolist()), tol))
+    assert main(["classify", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: tol must be a finite number in (0, 1)")
+
+
 def test_usage_error_leaves_the_parser_usable(tmp_path, capsys):
     # The parser is built once per process; a failed parse must not leak
     # into the next call.
@@ -261,6 +269,16 @@ class TestScan:
         assert capsys.readouterr().err == f"error: block sizes (a, b) = {pair} must be >= 1/2\n"
         assert not out_path.exists()
 
+    def test_products_past_the_bound_are_out_of_domain(self, tmp_path, capsys):
+        out_path = tmp_path / "bad.csv"
+        assert main(["scan", "--a", "1,1e200", "--out", str(out_path)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "error: block sizes (a, b) = (1e+200, 0.5) must have a * b <= 1e+150\n"
+        )
+        assert not out_path.exists()
+        assert main(["scan", "--a", "2e150", "--b", "0.5", "--out", str(out_path)]) == 0
+        assert "\n2e+150,0.5,1,0,0,0,1,1,0\n" in out_path.read_text()
+
 
 class TestAudit:
     def test_deterministic_and_clean(self, capsys):
@@ -281,6 +299,12 @@ class TestAudit:
         assert captured.out == ""
         assert captured.err == "error: audit needs at least one sample\n"
 
+    def test_negative_seed_is_a_parse_error(self, capsys):
+        assert main(["audit", "--samples", "1", "--seed", "-1"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: audit seed -1 must be nonnegative\n"
+
 
 class TestSqueeze:
     def test_uncorrelated_point(self, capsys):
@@ -298,6 +322,14 @@ class TestSqueeze:
     def test_domain_guard(self, capsys):
         assert main(["squeeze", "0.4", "1", "0"]) == EXIT_DOMAIN
         capsys.readouterr()
+
+    def test_products_past_the_bound_are_out_of_domain(self, capsys):
+        assert main(["squeeze", "1e200", "0.5", "0"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: block sizes (a, b) = (1e+200, 0.5) must have a * b <= 1e+150\n"
+        assert main(["squeeze", "2e150", "0.5", "0"]) == 0
+        assert "c1_bound = 0\n" in capsys.readouterr().out
 
 
 def test_unmapped_package_error_exits_software(monkeypatch, capsys):

@@ -27,10 +27,12 @@ from cvsep.criteria import (
     stringent_criterion,
     weak_gap,
 )
-from cvsep.errors import InvalidEnsembleMatrix, InvalidInput
+from cvsep.audit import run_audit
+from cvsep.errors import InvalidEnsembleMatrix, InvalidInput, OutOfDomain
+from cvsep.prep import p_weight
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze
-from cvsep.covariance import StandardForm
+from cvsep.covariance import J2, StandardForm
 
 
 def params(d, f, g, h):
@@ -223,6 +225,31 @@ class TestDuan:
             margins = [weak_gap(v, ZERO, s).margin for s in (1, -1)]
             assert rep.margin == pytest.approx(min(margins), abs=1e-12)
 
+    def test_overflowing_epr_matrix_is_invalid_input(self):
+        # The EPR blocks add two entries of V; near the float maximum the sum
+        # is inf, and the eigensolver would turn it into a nan margin.
+        v = 1e308 * np.eye(4)
+        for call in (duan_criterion, lambda v: weak_gap(v, None, -1), classify):
+            with pytest.raises(InvalidInput, match="finite entries"):
+                call(v)
+
+    @pytest.mark.parametrize("c2, branch", [(1e-15, 0), (-1e-15, 0), (1e-3, 1), (-1e-3, -1)])
+    def test_witness_comes_from_the_plus_branch_unless_minus_binds(self, c2, branch):
+        # Sub-vacuum blocks with correlations (1e-3, c2): the EPR branches
+        # have smallest eigenvalues -0.2 - |1e-3 + sigma c2|, so c2 = -1e-15
+        # leaves sigma = -1 lower by 2e-15, inside the 1e-12 tie.
+        v = 0.4 * np.eye(4)
+        v[0, 2] = v[2, 0] = 1e-3
+        v[1, 3] = v[3, 1] = c2
+        rep = duan_criterion(v)
+        assert not rep.satisfied
+        assert rep.sign_branch == branch
+        sign = -1 if branch == -1 else 1
+        w = rep.witness
+        np.testing.assert_array_equal(w.g, J2.T @ w.d)
+        np.testing.assert_array_equal(w.h, sign * (J2.T @ w.f))
+        assert gap_separable(v, ZERO, w) < 0.0
+
 
 class TestWeakGap:
     def test_vacuum_both_signs(self):
@@ -355,6 +382,41 @@ class TestClassify:
         assert verdict.standard_form is not None
         assert len(calls) == 1
 
+    def test_coherent_excess_report_is_the_vacuum_report(self):
+        # V - (V - I/2) is I/2 exactly, so the coherent-excess stringent
+        # report is one constant: that of the vacuum, at every tol.
+        rep = cvsep.criteria._COHERENT_EXCESS_REPORT
+        assert (rep.satisfied, rep.margin, rep.witness, rep.sign_branch) == (True, 0.0, None, 0)
+        vac = stringent_criterion(0.5 * np.eye(4), ZERO, 5e-324)
+        assert (vac.satisfied, vac.witness, vac.sign_branch) == (True, None, 0)
+        assert np.float64(vac.margin).tobytes() == np.float64(0.0).tobytes()
+        for tol in (5e-324, 1e-10, 0.5):
+            verdict = classify(statezoo.thermal(1.0, 1.5), tol)
+            assert verdict.ensemble_used == "coherent_excess"
+            assert verdict.reports["stringent"] is rep
+
+    @pytest.mark.parametrize("n1", [2.0**53, 1e16 + 3, 2.0**60, 1e75])
+    def test_huge_occupation_keeps_the_stringent_report_exact(self, n1):
+        # V - (V - I/2) computed per state is no longer I/2 once a diagonal
+        # entry reaches 2^53; on these separable, P-representable states it
+        # reported the stringent condition violated, margin -0.5, a witness.
+        verdict = classify(statezoo.thermal(n1, 0.75))
+        assert verdict.outcome is Outcome.SEPARABLE
+        assert verdict.ensemble_used == "coherent_excess"
+        st = verdict.reports["stringent"]
+        assert (st.satisfied, st.margin, st.witness, st.sign_branch) == (True, 0.0, None, 0)
+
+    def test_standard_form_past_the_ab_bound_is_out_of_domain(self):
+        # thermal(n, n) has a = b = n: 1e75^2 rounds to just below 1e150.
+        assert classify(statezoo.thermal(1e75, 1e75)).outcome is Outcome.SEPARABLE
+        with pytest.raises(OutOfDomain, match=r"a \* b <= 1e\+150"):
+            classify(statezoo.thermal(1.1e75, 1e75))
+        with pytest.raises(OutOfDomain):
+            classify(1e100 * np.eye(4))
+        # Past about 1.3e154 the block determinants overflow before a and b exist.
+        with pytest.raises(OutOfDomain, match="A block determinant overflows"):
+            classify(1e160 * np.eye(4))
+
     def test_physical_and_zero_ensemble_reports_reuse_simon(self):
         # Physicality is Simon's sigma = +1 branch and the zero-ensemble
         # stringent condition is Simon's criterion, so classify reads both off
@@ -404,6 +466,31 @@ class TestClassify:
 def test_public_criteria_reject_bad_matrices(criterion, bad):
     with pytest.raises(InvalidInput):
         criterion(bad)
+
+
+#: Every public function that takes tol, called with a valid state and a tol.
+TOL_TAKERS = {
+    "classify": lambda tol: classify(statezoo.vacuum(), tol),
+    "is_physical": lambda tol: is_physical(statezoo.vacuum(), tol),
+    "simon": lambda tol: simon_criterion(statezoo.vacuum(), tol),
+    "duan": lambda tol: duan_criterion(statezoo.vacuum(), tol),
+    "stringent": lambda tol: stringent_criterion(statezoo.vacuum(), ZERO, tol),
+    "weak_gap": lambda tol: weak_gap(statezoo.vacuum(), None, 1, tol),
+    "simon_algebraic": lambda tol: simon_algebraic(StandardForm.from_params(1, 1, 0, 0), tol),
+    "p_rep_ensemble": lambda tol: p_rep_ensemble(np.eye(4), tol),
+    "p_weight": lambda tol: p_weight(np.eye(4), tol),
+    "run_audit": lambda tol: run_audit(1, 0, tol),
+}
+
+
+@pytest.mark.parametrize("call", TOL_TAKERS.values(), ids=TOL_TAKERS.keys())
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 5.0, math.nan, math.inf])
+def test_public_functions_reject_tol_outside_the_unit_interval(call, tol):
+    # The CLI rejects these values as usage errors; the API used to judge
+    # the vacuum nonphysical at tol = -1 or nan and accept tol = 5.
+    with pytest.raises(InvalidInput, match=r"tol must be a finite number in \(0, 1\)"):
+        call(tol)
+    call(1e-3)
 
 
 def test_simon_bound_is_stable_near_zero_ratio():

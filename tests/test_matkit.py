@@ -6,11 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cvsep import statezoo, symplectic_form
+from cvsep.covariance import _UNCERTAINTY_SHIFT
+from cvsep.criteria import _epr_stack
 from cvsep.errors import InvalidInput
 from cvsep.matkit import (
+    DEFAULT_TOL,
+    check_tol,
     eig_sym,
     is_psd_herm,
     is_psd_sym,
+    norm_scale,
     real_embedding,
     svd2_rotations,
 )
@@ -94,6 +99,57 @@ def test_real_embedding_duplicates_spectrum():
         herm = np.linalg.eigvalsh(h)
         emb = np.linalg.eigvalsh(real_embedding(h))
         np.testing.assert_allclose(emb, np.sort(np.repeat(herm, 2)), atol=1e-10)
+        # The real solver also checks is_psd_herm's smallest eigenvalue, for
+        # one matrix and for a stack holding it and its conjugate.
+        assert is_psd_herm(h)[1] == pytest.approx(emb[0], abs=1e-10)
+        _, lam, _ = is_psd_herm(np.stack([h, h.conj()]))
+        np.testing.assert_allclose(lam, [emb[0], emb[0]], atol=1e-10)
+
+
+def _branch_stacks(n):
+    """Both uncertainty branches (complex) and both EPR branches (real) of
+    states from the audit pool, and of nonphysical copies scaled by 0.8."""
+    rng = np.random.default_rng(3)
+    for i in range(n):
+        v = statezoo.mixed_physical_state(rng, i)
+        for w in (v, 0.8 * v):
+            yield w + _UNCERTAINTY_SHIFT
+            yield _epr_stack(w)
+
+
+def test_stacked_kernel_equals_one_eigh_per_branch_bitwise():
+    # The criteria decide both branches in one stacked call; their reports
+    # stay what one solve per branch gave only if the stack changes no bit.
+    for stack in _branch_stacks(300):
+        ok, lam, vec = is_psd_herm(stack, DEFAULT_TOL)
+        assert ok.shape == lam.shape == (2,) and vec.shape == (2, 4)
+        for k, h in enumerate(stack):
+            values, vectors = np.linalg.eigh(h)
+            assert lam[k].tobytes() == values[0].tobytes()
+            assert vec[k].tobytes() == vectors[:, 0].tobytes()
+            assert ok[k] == (values[0] >= -DEFAULT_TOL * max(1.0, np.abs(h).sum(axis=1).max()))
+            single = is_psd_herm(h, DEFAULT_TOL)
+            assert type(single[0]) is bool and type(single[1]) is float
+            assert (single[0], single[1]) == (ok[k], lam[k])
+            assert single[2].tobytes() == vec[k].tobytes()
+
+
+def test_norm_scale_is_per_matrix():
+    m = np.stack([0.1 * np.eye(4), np.diag([3.0, -5.0, 1.0, 2.0])])
+    np.testing.assert_array_equal(norm_scale(m), [1.0, 5.0])
+    assert norm_scale(m[1]) == 5.0
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-10, 0.5, 0.9999999999999999, np.float64(1e-3)])
+def test_check_tol_accepts_finite_numbers_inside_the_unit_interval(tol):
+    assert check_tol(tol) == tol and type(check_tol(tol)) is float
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, -0.0, -1e-10, 1, 1.0, 5, math.nan, math.inf, -math.inf,
+                                 "0.1", None, True])
+def test_check_tol_rejects_everything_else(tol):
+    with pytest.raises(InvalidInput):
+        check_tol(tol)
 
 
 def test_svd2_diagonal_input():

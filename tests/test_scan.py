@@ -57,6 +57,7 @@ GRIDS = {
     "random_seed3": (random_grid(3, 4), random_grid(4, 5)),
     "random_seed5": (random_grid(5, 5), random_grid(6, 5)),
     "vacuum_blocks": ([0.5], [0.5]),
+    "up_to_the_ab_bound": ([0.5, 1e75, 1e150], [1.0]),
 }
 
 
@@ -88,6 +89,7 @@ def _first_error(fn, *args) -> str:
         ([1.0], [0.5, float("nan")], [0.0]),
         ([1.0], [1.0], [0.0, float("nan")]),
         ([float("inf")], [1.0], [0.0]),
+        ([1.0, 2e150], [0.5, 1.0], [0.0]),  # (2e150, 0.5) is at the a * b bound
     ],
 )
 def test_rejects_the_first_bad_row_like_the_scalar_routes(a_values, b_values, t_values):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvsep.covariance import StandardForm, apply_symp
+from cvsep.criteria import simon_bound
 from cvsep.errors import OutOfDomain
 from cvsep.matkit import is_psd_sym
 from cvsep.squeezing import (
@@ -343,3 +344,41 @@ class TestBoundEquivalence:
             sf_out = StandardForm.from_params(a, b, outside, -t * outside)
             v_out = apply_squeeze(sf_out, sol.params)
             assert not is_psd_sym(v_out - 0.5 * np.eye(4))
+
+
+#: (a, b) pairs whose product is exactly 1e150, the largest the routes accept.
+AT_THE_AB_BOUND = [(1e150, 1.0), (1.0, 1e150), (2e150, 0.5)]
+
+
+class TestProductBound:
+    @pytest.mark.parametrize("a, b", AT_THE_AB_BOUND)
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_routes_stay_finite_and_agree_at_the_bound(self, a, b, t):
+        sol = optimal_squeeze(a, b, t)
+        bounds = (
+            sol.c1_bound,
+            simon_bound(a, b, t),
+            p_rep_bound_at(a, b, sol.params),
+            duan_bound_at(a, b, t, sol.params),
+        )
+        assert all(math.isfinite(x) for x in (sol.d_aux, r2_of_r1(a, b, 1.0), *bounds))
+        assert bounds == pytest.approx([sol.c1_bound] * 4, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(math.nextafter(a, math.inf), b) for a, b in AT_THE_AB_BOUND]
+        + [(1e154, 0.75), (1e200, 0.5)],
+    )
+    def test_every_route_rejects_a_product_past_the_bound(self, a, b):
+        p = SqueezeParams(1.0, 1.0)
+        routes = [
+            lambda: optimal_squeeze(a, b, 0.3),
+            lambda: simon_bound(a, b, 0.3),
+            lambda: p_rep_bound_at(a, b, p),
+            lambda: duan_bound_at(a, b, 0.3, p),
+            lambda: extremality_residual(a, b, p),
+            lambda: r2_of_r1(a, b, 1.0),
+        ]
+        for route in routes:
+            with pytest.raises(OutOfDomain, match=r"must have a \* b <= 1e\+150"):
+                route()
