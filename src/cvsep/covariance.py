@@ -213,19 +213,15 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _coherent_excess(v: np.ndarray, tol: float) -> np.ndarray | None:
-    """V - I/2 if it is PSD within tol (the state is P-representable), else None."""
-    excess = v - 0.5 * np.eye(4)
-    return excess if matkit.is_psd_sym(excess, tol) else None
-
-
 def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ensemble matrix of the coherent-state decomposition, V - I/2.
 
     Defined whenever V - I/2 is PSD, i.e. whenever the state is
-    P-representable without further squeezing.
+    P-representable without further squeezing. Decided as classify decides
+    its ensemble_used: matkit.is_psd_herm of V - I/2, against tol times that
+    matrix's norm_scale. Raises InvalidInput unless v passes as_covariance.
     """
-    excess = _coherent_excess(np.asarray(v, dtype=float), tol)
-    if excess is None:
+    excess = as_covariance(v) - 0.5 * np.eye(4)
+    if not matkit.is_psd_herm(excess, tol)[0]:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     return excess

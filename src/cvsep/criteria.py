@@ -15,7 +15,9 @@ The hierarchy, from strongest to weakest: the ensemble-refined condition
 Duan-type condition obtained by restricting the coefficients. For Gaussian
 states the extremal-squeezing bound of the squeezing module is necessary and
 sufficient, and classify() cross-checks it against Simon's criterion on
-every call.
+every call. classify() makes two LAPACK calls: one complex stack for
+physicality and Simon, and one real stack holding Duan's two branches and
+the coherent excess V - I/2, whose PSD verdict is P-representability.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import matkit
 from .covariance import J2, StandardForm, _standard_form, as_covariance
-from .covariance import _UNCERTAINTY_SHIFT, _coherent_excess
+from .covariance import _UNCERTAINTY_SHIFT
 from .errors import InvalidEnsembleMatrix, InvalidInput
 from .matkit import DEFAULT_TOL
 from .squeezing import _check_domain, _check_ratio, optimal_squeeze
@@ -136,17 +138,16 @@ def _witness(vec: np.ndarray, sign: int) -> ParamSet:
     return ParamSet(d, f, J2.T @ d, sign * (J2.T @ f))
 
 
-def _branch_report(stack: np.ndarray, tol: float) -> tuple[CriterionReport, tuple]:
-    """Report of "both matrices of the (2, 4, 4) stack, sigma = +1 then -1,
-    are PSD", and the result of the one is_psd_herm call that decides it."""
-    psd = ok, lam, vec = matkit.is_psd_herm(stack, tol)
-    plus, minus = lam.tolist()
+def _branch_report(ok: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> CriterionReport:
+    """Report of "the sigma = +1 and sigma = -1 matrices are PSD" from the first
+    two entries of a stacked is_psd_herm result (verdicts, eigenvalues, vectors)."""
+    plus, minus = lam[:2].tolist()
     binding = 1 if plus <= minus else -1
     branch = 0 if abs(plus - minus) <= 1e-12 * max(1.0, abs(min(plus, minus))) else binding
     satisfied = bool(ok[0] and ok[1])
     k = 1 if branch == -1 else 0  # stack index of the witness branch, sigma = 1 - 2k
     witness = None if satisfied else _witness(vec[k], 1 - 2 * k)
-    return CriterionReport(satisfied, plus if binding == 1 else minus, witness, branch), psd
+    return CriterionReport(satisfied, plus if binding == 1 else minus, witness, branch)
 
 
 def _as_ensemble(ens, tol: float) -> np.ndarray:
@@ -160,7 +161,7 @@ def _as_ensemble(ens, tol: float) -> np.ndarray:
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
-    return _branch_report(as_covariance(v) + _UNCERTAINTY_SHIFT, tol)[0]
+    return _branch_report(*matkit.is_psd_herm(as_covariance(v) + _UNCERTAINTY_SHIFT, tol))
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -171,8 +172,8 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     Implies Simon's criterion for every admissible ens and reduces to it at
     ens = 0. Both v and ens must pass as_covariance, and ens must be PSD.
     """
-    v = as_covariance(v)
-    return _branch_report(v - _as_ensemble(ens, tol) + _UNCERTAINTY_SHIFT, tol)[0]
+    shifted = as_covariance(v) - _as_ensemble(ens, tol) + _UNCERTAINTY_SHIFT
+    return _branch_report(*matkit.is_psd_herm(shifted, tol))
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -210,24 +211,30 @@ def simon_bound(a: float, b: float, t: float) -> float:
     return math.sqrt(quad_c / big)
 
 
-def _epr_blocks(m: np.ndarray, sign: int) -> np.ndarray:
-    """Block matrix [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]], written out from
-    J X J^T = [[x11, -x10], [-x01, x00]]. Antisymmetric entries are x10 - x01 and
-    x01 - x10, never -(x01 - x10), which is -0.0 on a symmetric block."""
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (*_, b00, b01), (*_, b10, b11) = m.tolist()
-    return np.array(
-        [
-            [a00 + a11, a01 - a10, c00 + sign * c11, c01 - sign * c10],
-            [a10 - a01, a11 + a00, c10 - sign * c01, c11 + sign * c00],
-            [c00 + sign * c11, c10 - sign * c01, b00 + b11, b01 - b10],
-            [c01 - sign * c10, c11 + sign * c00, b10 - b01, b11 + b00],
-        ]
-    )
+def _epr_blocks(rows: list, sign: int) -> list:
+    """Rows of the block matrix [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]] of a
+    4x4 matrix given as nested lists, written out from J X J^T = [[x11, -x10],
+    [-x01, x00]]. Antisymmetric entries are x10 - x01 and x01 - x10, never
+    -(x01 - x10), which is -0.0 on a symmetric block."""
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (*_, b00, b01), (*_, b10, b11) = rows
+    return [
+        [a00 + a11, a01 - a10, c00 + sign * c11, c01 - sign * c10],
+        [a10 - a01, a11 + a00, c10 - sign * c01, c11 + sign * c00],
+        [c00 + sign * c11, c10 - sign * c01, b00 + b11, b01 - b10],
+        [c01 - sign * c10, c11 + sign * c00, b10 - b01, b11 + b00],
+    ]
 
 
-def _epr_stack(v: np.ndarray) -> np.ndarray:
-    """The EPR block matrices of v minus I, sigma = +1 then -1, as one stack."""
-    return np.stack([_epr_blocks(v, 1), _epr_blocks(v, -1)]) - np.eye(4)
+#: Subtracted from [EPR(+1), EPR(-1), V]: I, I and I/2. Off the diagonal it
+#: subtracts 0.0, which changes no bit, so each matrix is what X - c * I gives.
+_REAL_SHIFT = np.array([np.eye(4), np.eye(4), 0.5 * np.eye(4)])
+
+
+def _real_stack(v: np.ndarray) -> np.ndarray:
+    """[EPR(+1) - I, EPR(-1) - I, V - I/2] of v as one (3, 4, 4) stack: Duan's
+    two branches, sigma = +1 then -1, and the coherent excess."""
+    rows = v.tolist()
+    return np.array([_epr_blocks(rows, 1), _epr_blocks(rows, -1), rows]) - _REAL_SHIFT
 
 
 def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -241,9 +248,9 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     if sign not in (1, -1):
         raise InvalidInput("sign branch must be +1 or -1")
     ens = None if ens is None else _as_ensemble(ens, tol)
-    m = _epr_blocks(as_covariance(v), sign)
+    m = np.array(_epr_blocks(as_covariance(v).tolist(), sign))
     if ens is not None:
-        m = m - _epr_blocks(ens, sign)
+        m = m - np.array(_epr_blocks(ens.tolist(), sign))
     ok, lam, vec = matkit.is_psd_herm(m - np.eye(4), tol)
     return CriterionReport(ok, lam, None if ok else _witness(vec, sign), sign)
 
@@ -251,7 +258,7 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
 def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """EPR-variance separability condition over both sign branches; weaker
     than Simon's criterion."""
-    return _branch_report(_epr_stack(as_covariance(v)), tol)[0]
+    return _branch_report(*matkit.is_psd_herm(_real_stack(as_covariance(v))[:2], tol))
 
 
 #: The stringent report at the coherent-excess ensemble: V - (V - I/2) is I/2
@@ -274,7 +281,8 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     form exceeds the bound of the squeezing routes.
     """
     v = as_covariance(v)
-    simon, (ok, lam, vec) = _branch_report(v + _UNCERTAINTY_SHIFT, tol)
+    ok, lam, vec = matkit.is_psd_herm(v + _UNCERTAINTY_SHIFT, tol)
+    simon = _branch_report(ok, lam, vec)
     # Physicality is the sigma = +1 branch of Simon's criterion.
     phys_ok = bool(ok[0])
     reports: dict[str, CriterionReport] = {}
@@ -282,9 +290,11 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
         phys_ok, float(lam[0]), None if phys_ok else _witness(vec[0], 1), 1
     )
     reports["simon"] = simon
-    reports["duan"] = _branch_report(_epr_stack(v), tol)[0]
+    ok, lam, vec = matkit.is_psd_herm(_real_stack(v), tol)
+    reports["duan"] = _branch_report(ok, lam, vec)
 
-    if _coherent_excess(v, tol) is not None:
+    # The third matrix is V - I/2: the state is P-representable when it is PSD.
+    if ok[2]:
         ens_kind, stringent = "coherent_excess", _COHERENT_EXCESS_REPORT
     else:  # V - 0 is V, so the zero-ensemble condition is Simon's criterion.
         ens_kind, stringent = "zero", simon

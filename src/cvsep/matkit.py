@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, OutOfDomain
 
 #: Default relative tolerance for positive-semidefiniteness decisions.
 DEFAULT_TOL = 1e-10
@@ -59,11 +60,19 @@ def is_psd_herm(h, tol: float = DEFAULT_TOL):
     """PSD verdict of a Hermitian or real symmetric matrix, or of each matrix
     of a stack (..., n, n) in one LAPACK call, bit for bit as one call each:
     (verdict, smallest eigenvalue, its eigenvector, which reports hand out as
-    a witness), each against tol times the matrix's own norm_scale."""
+    a witness), each against tol times the matrix's own norm_scale. Raises
+    InvalidInput on a non-finite entry and OutOfDomain on an overflowing row sum."""
     tol = check_tol(tol)
     h = np.asarray(h)
-    if not np.isfinite(h).all():
-        raise InvalidInput("PSD test needs finite entries")
+    # n entries of at most max / n cannot sum past the float maximum, so only
+    # larger (or non-finite) entries need their norm_scale checked.
+    top = np.abs(h).max()
+    if not top <= sys.float_info.max / h.shape[-1]:
+        if not top < math.inf:  # nan fails both comparisons
+            raise InvalidInput("PSD test needs finite entries")
+        with np.errstate(over="ignore"):
+            if norm_scale(h).max() == math.inf:
+                raise OutOfDomain("PSD test: a row sum of the matrix overflows")
     values, vectors = np.linalg.eigh(h)
     ok = values[..., 0] >= -tol * norm_scale(h)
     if h.ndim == 2:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
+from .covariance import as_covariance
 from .errors import BoundaryPRep, InvalidInput, NotPRepresentable
 from .matkit import DEFAULT_TOL
 
@@ -37,10 +38,11 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     Requires V - I/2 positive definite. A zero eigenvalue means the weight
     degenerates to a lower-dimensional Gaussian with no phase-space density,
     reported as BoundaryPRep; a negative eigenvalue as NotPRepresentable.
-    Raises InvalidInput unless tol passes matkit.check_tol.
+    Raises InvalidInput unless v passes as_covariance and tol passes
+    matkit.check_tol.
     """
     tol = matkit.check_tol(tol)
-    excess = np.asarray(v, dtype=float) - 0.5 * np.eye(4)
+    excess = as_covariance(v) - 0.5 * np.eye(4)
     res = matkit.eig_sym(excess)
     scale = matkit.norm_scale(excess)
     if res.values[0] < -tol * scale:
@@ -64,10 +66,12 @@ def p_moment_residual(v, tol: float = DEFAULT_TOL) -> float:
 
     Zero up to inversion round-off whenever the weight exists: the second
     moments of the weight are exactly the coherent excess of the state.
+    Raises as p_weight does.
     """
+    v = as_covariance(v)
     w = p_weight(v, tol)
     cov = np.linalg.inv(w.pmat)
-    excess = np.asarray(v, dtype=float) - 0.5 * np.eye(4)
+    excess = v - 0.5 * np.eye(4)
     return float(np.abs(cov - excess).max())
 
 

@@ -153,15 +153,18 @@ def extremality_residual(a: float, b: float, p: SqueezeParams) -> float:
 
     Zero at the extremal factors. At the endpoint r1 = 2a, r2 = 2b both
     denominators vanish and the residual is zero by the endpoint limit; if
-    only one denominator vanishes the residual is infinite.
+    only one denominator vanishes the residual is infinite. A denominator
+    counts as vanishing within 1e-12 * max(1, its mode's a or b), the scale
+    at which a / r1 or b / r2 rounds.
     """
     _check_domain(a, b)
     den1 = a / p.r1 - 0.5
     den2 = b / p.r2 - 0.5
-    tiny = 1e-12 * max(1.0, a, b)
-    if abs(den1) <= tiny and abs(den2) <= tiny:
+    vanish1 = abs(den1) <= 1e-12 * max(1.0, a)
+    vanish2 = abs(den2) <= 1e-12 * max(1.0, b)
+    if vanish1 and vanish2:
         return 0.0
-    if abs(den1) <= tiny or abs(den2) <= tiny:
+    if vanish1 or vanish2:
         return math.inf
     return (a * p.r1 - 0.5) / den1 - (b * p.r2 - 0.5) / den2
 

@@ -319,6 +319,10 @@ class TestSqueeze:
         assert "r1 = 1" in out
         assert "c1_bound = 0.5" in out
 
+    def test_unequal_blocks_print_a_finite_residual(self, capsys):
+        assert main(["squeeze", "1e13", "1", "0.3"]) == 0
+        assert "extremality_residual = 4.2632564145606011e-14\n" in capsys.readouterr().out
+
     def test_domain_guard(self, capsys):
         assert main(["squeeze", "0.4", "1", "0"]) == EXIT_DOMAIN
         capsys.readouterr()

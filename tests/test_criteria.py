@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from cvsep.criteria import (
     weak_gap,
 )
 from cvsep.audit import run_audit
-from cvsep.errors import InvalidEnsembleMatrix, InvalidInput, OutOfDomain
-from cvsep.prep import p_weight
+from cvsep.errors import InvalidEnsembleMatrix, InvalidInput, NotPRepresentable, OutOfDomain
+from cvsep.prep import p_moment_residual, p_weight
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze
 from cvsep.covariance import J2, StandardForm
@@ -417,6 +418,76 @@ class TestClassify:
         with pytest.raises(OutOfDomain, match="A block determinant overflows"):
             classify(1e160 * np.eye(4))
 
+    @pytest.mark.parametrize("call", [classify, is_physical, simon_criterion, duan_criterion])
+    def test_overflowing_row_sum_is_out_of_domain_without_a_warning(self, call):
+        # Every entry is finite, but a row sums past the float maximum, so the
+        # PSD tolerance scale would be inf; numpy used to warn while summing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain, match="row sum"):
+                call(np.full((4, 4), 5e307))
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            standard_matrix(1.0, 1.0, 0.6, 0.0),  # separable, V - I/2 indefinite
+            statezoo.thermal(1.0, 1.5),  # P-representable
+            statezoo.two_mode_squeezed(0.5),  # entangled
+            0.4 * np.eye(4),  # nonphysical
+        ],
+        ids=["separable", "p_representable", "entangled", "nonphysical"],
+    )
+    def test_makes_two_lapack_calls(self, monkeypatch, v):
+        # One complex (2, 4, 4) stack for physicality and Simon, one real
+        # (3, 4, 4) stack for Duan's branches and the coherent excess.
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, counting(name, fn))
+        classify(v)
+        assert calls == ["eigh", "eigh"]
+
+    def test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria(self):
+        # The real stack decides P-representability and Duan together; each
+        # must be what the public function alone gives, bit for bit.
+        def same(rep, ref):
+            assert (rep.satisfied, rep.sign_branch) == (ref.satisfied, ref.sign_branch)
+            assert np.float64(rep.margin).tobytes() == np.float64(ref.margin).tobytes()
+            assert (rep.witness is None) == (ref.witness is None)
+            if rep.witness is not None:
+                for x, y in zip(vars(rep.witness).values(), vars(ref.witness).values()):
+                    assert x.tobytes() == y.tobytes()
+
+        rng = np.random.default_rng(55)
+        seen = {"coherent_excess": 0, "zero": 0}
+        for i in range(300):
+            v = mixed_physical_state(rng, i)
+            for w in (v, 0.8 * v):
+                verdict = classify(w)
+                seen[verdict.ensemble_used] += 1
+                try:
+                    p_rep_ensemble(w)
+                    p_rep = True
+                except NotPRepresentable:
+                    p_rep = False
+                assert (verdict.ensemble_used == "coherent_excess") == p_rep
+                phys = verdict.reports["physical"]
+                ok, lam = is_physical(w)
+                assert phys.satisfied == ok
+                assert np.float64(phys.margin).tobytes() == np.float64(lam).tobytes()
+                same(verdict.reports["simon"], simon_criterion(w))
+                same(verdict.reports["duan"], duan_criterion(w))
+        assert min(seen.values()) > 0
+
     def test_physical_and_zero_ensemble_reports_reuse_simon(self):
         # Physicality is Simon's sigma = +1 branch and the zero-ensemble
         # stringent condition is Simon's criterion, so classify reads both off
@@ -458,9 +529,12 @@ class TestClassify:
         lambda ens: stringent_criterion(statezoo.vacuum(), ens),
         lambda v: weak_gap(v, ZERO, 1),
         lambda ens: weak_gap(statezoo.vacuum(), ens, -1),
+        p_rep_ensemble,
+        p_weight,
+        p_moment_residual,
     ],
     ids=["is_physical", "simon", "duan", "stringent_v", "stringent_ens", "weak_gap_v",
-         "weak_gap_ens"],
+         "weak_gap_ens", "p_rep_ensemble", "p_weight", "p_moment_residual"],
 )
 @pytest.mark.parametrize("bad", BAD_MATRICES)
 def test_public_criteria_reject_bad_matrices(criterion, bad):

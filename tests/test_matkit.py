@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cvsep import statezoo, symplectic_form
 from cvsep.covariance import _UNCERTAINTY_SHIFT
-from cvsep.criteria import _epr_stack
+from cvsep.criteria import _real_stack
 from cvsep.errors import InvalidInput
 from cvsep.matkit import (
     DEFAULT_TOL,
@@ -107,14 +107,15 @@ def test_real_embedding_duplicates_spectrum():
 
 
 def _branch_stacks(n):
-    """Both uncertainty branches (complex) and both EPR branches (real) of
-    states from the audit pool, and of nonphysical copies scaled by 0.8."""
+    """Both uncertainty branches (complex), and both EPR branches with the
+    coherent excess (real), of states from the audit pool and of nonphysical
+    copies scaled by 0.8."""
     rng = np.random.default_rng(3)
     for i in range(n):
         v = statezoo.mixed_physical_state(rng, i)
         for w in (v, 0.8 * v):
             yield w + _UNCERTAINTY_SHIFT
-            yield _epr_stack(w)
+            yield _real_stack(w)
 
 
 def test_stacked_kernel_equals_one_eigh_per_branch_bitwise():
@@ -122,7 +123,7 @@ def test_stacked_kernel_equals_one_eigh_per_branch_bitwise():
     # stay what one solve per branch gave only if the stack changes no bit.
     for stack in _branch_stacks(300):
         ok, lam, vec = is_psd_herm(stack, DEFAULT_TOL)
-        assert ok.shape == lam.shape == (2,) and vec.shape == (2, 4)
+        assert ok.shape == lam.shape == (len(stack),) and vec.shape == (len(stack), 4)
         for k, h in enumerate(stack):
             values, vectors = np.linalg.eigh(h)
             assert lam[k].tobytes() == values[0].tobytes()

@@ -51,6 +51,13 @@ class TestPWeight:
         with pytest.raises(NotPRepresentable):
             p_weight(statezoo.two_mode_squeezed(0.5))
 
+    def test_one_sided_matrix_rejected(self):
+        # The eigensolver reads one triangle, so I plus ones above the
+        # diagonal was taken for I and gave P = 2I.
+        for call in (p_weight, p_moment_residual):
+            with pytest.raises(InvalidInput, match="asymmetry"):
+                call(np.eye(4) + np.triu(np.ones((4, 4)), 1))
+
     def test_density_integral_is_one(self):
         # Analytic Gaussian integral: normalization * (2 pi)^2 / sqrt(det P).
         rng = np.random.default_rng(1)

@@ -173,6 +173,13 @@ class TestExtremality:
         sol = optimal_squeeze(1.3, 0.9, 0.0)
         assert extremality_residual(1.3, 0.9, sol.params) == 0.0
 
+    @pytest.mark.parametrize("a, b", [(1e13, 1.0), (1.0, 1e13), (1e150, 1.0), (1.0, 1e150)])
+    def test_each_denominator_vanishes_at_its_own_mode_scale(self, a, b):
+        # A threshold of 1e-12 * max(1, a, b) for both modes took the small
+        # mode's denominator for zero and returned inf at the extremal factors.
+        sol = optimal_squeeze(a, b, 0.3)
+        assert abs(extremality_residual(a, b, sol.params)) < 1e-12
+
 
 class TestMatchedFactor:
     def test_endpoints(self):
