@@ -9,7 +9,7 @@ import numpy as np
 from . import statezoo
 from .criteria import classify, stringent_criterion
 from .errors import InvalidInput
-from .matkit import DEFAULT_TOL, check_tol, eig_sym
+from .matkit import DEFAULT_TOL, check_tol
 
 
 @dataclass
@@ -25,8 +25,8 @@ class AuditResult:
 
 def _scaled_random_psd(rng: np.random.Generator, cap: np.ndarray) -> np.ndarray:
     """Random PSD matrix dominated by cap (which must be PSD within tolerance)."""
-    res = eig_sym(cap)
-    root = (res.vectors * np.sqrt(np.maximum(res.values, 0.0))) @ res.vectors.T
+    values, vectors = np.linalg.eigh(cap)
+    root = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.T
     g = rng.standard_normal((4, 4))
     w = g @ g.T
     top = float(np.linalg.eigvalsh(w)[-1])

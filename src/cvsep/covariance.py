@@ -44,23 +44,22 @@ def symplectic_form(sign: int = 1) -> np.ndarray:
 _UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
 
 
-def as_matrix4(v) -> np.ndarray:
-    """v as a float array; raises InvalidInput unless it is a finite 4x4 matrix."""
+def as_covariance(v) -> np.ndarray:
+    """v as a float array; raises InvalidInput unless it is a finite, symmetric
+    4x4 matrix: max |v - v^T| at most 1e-9 * norm_scale(v). Eigensolvers read
+    one triangle only, so an asymmetric matrix would be judged by half of its
+    entries."""
     v = np.asarray(v, dtype=float)
     if v.shape != (4, 4) or not np.isfinite(v).all():
         raise InvalidInput("covariance must be a finite 4x4 matrix")
-    return v
-
-
-def as_covariance(v) -> np.ndarray:
-    """as_matrix4(v), which must also be symmetric: max |v - v^T| at most
-    1e-9 * norm_scale(v). Eigensolvers read one triangle only, so an
-    asymmetric matrix would be judged by half of its entries."""
-    v = as_matrix4(v)
-    # v - v^T is antisymmetric, so its largest entry is max |v - v^T|; the
-    # list max is a few microseconds cheaper than an ndarray reduction.
-    asym = max((v - v.T).ravel().tolist())
-    if asym > 1e-9 and asym > 1e-9 * matkit.norm_scale(v):  # norm_scale >= 1
+    # Python floats overflow to inf without a warning and cost less here than
+    # an ndarray v - v^T. An asymmetry past the float maximum exceeds a quarter
+    # of any row sum, so comparing on v / 4, whose row sums cannot overflow,
+    # rejects it; a power-of-two scale changes no other decision.
+    (_, v01, v02, v03), (v10, _, v12, v13), (v20, v21, _, v23), (v30, v31, v32, _) = v.tolist()
+    asym = max(abs(v01 - v10), abs(v02 - v20), abs(v03 - v30),
+               abs(v12 - v21), abs(v13 - v31), abs(v23 - v32))
+    if asym > 1e-9 and asym / 4 > 1e-9 * np.abs(v / 4).sum(axis=1).max():  # norm_scale >= 1
         raise InvalidInput(f"covariance asymmetry {asym:.3e} exceeds 1e-9 relative")
     return v
 

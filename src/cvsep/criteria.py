@@ -153,7 +153,7 @@ def _branch_report(ok: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> Criterio
 def _as_ensemble(ens, tol: float) -> np.ndarray:
     """as_covariance(ens), which must also be PSD within tol."""
     ens = as_covariance(ens)
-    if not matkit.is_psd_sym(ens, tol):
+    if not matkit.is_psd_herm(ens, tol)[0]:
         raise InvalidEnsembleMatrix("ensemble matrix must be positive semidefinite")
     return ens
 

@@ -1,8 +1,8 @@
 """Dense kernels for the small symmetric and Hermitian matrices used throughout.
 
-The eigen kernels are thin, tolerance-aware wrappers around LAPACK via numpy
-(is_psd_herm takes a whole stack) and the 2x2 rotation SVD is closed-form;
-clear conventions matter more than speed.
+One PSD kernel, is_psd_herm, makes every positive-semidefinite decision: a
+tolerance-aware wrapper around one LAPACK eigh call that takes a whole stack.
+The 2x2 rotation SVD is closed-form; clear conventions matter more than speed.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,13 +17,6 @@ from .errors import InvalidInput, OutOfDomain
 
 #: Default relative tolerance for positive-semidefiniteness decisions.
 DEFAULT_TOL = 1e-10
-
-
-class EigenResult(NamedTuple):
-    """Spectral decomposition, eigenvalues ascending, eigenvectors as columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def check_tol(tol) -> float:
@@ -37,23 +29,6 @@ def check_tol(tol) -> float:
 def norm_scale(m: np.ndarray):
     """Tolerance scale max(1, max absolute row sum), per matrix of a stack (..., n, n)."""
     return np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
-
-
-def eig_sym(m) -> EigenResult:
-    """Spectral decomposition of a real symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise InvalidInput("symmetric eigendecomposition needs finite entries")
-    values, vectors = np.linalg.eigh(m)
-    return EigenResult(values, vectors)
-
-
-def is_psd_sym(m, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness of a real symmetric matrix within tolerance."""
-    tol = check_tol(tol)
-    m = np.asarray(m, dtype=float)
-    w = np.linalg.eigvalsh(m)
-    return bool(w[0] >= -tol * norm_scale(m))
 
 
 def is_psd_herm(h, tol: float = DEFAULT_TOL):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import as_covariance
-from .errors import BoundaryPRep, InvalidInput, NotPRepresentable
+from .covariance import as_covariance, p_rep_ensemble
+from .errors import BoundaryPRep, InvalidInput, OutOfDomain
 from .matkit import DEFAULT_TOL
 
 
@@ -35,24 +35,23 @@ class PWeight:
 def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     """Weight matrix P = (V - I/2)^(-1) of the coherent-state mixture.
 
-    Requires V - I/2 positive definite. A zero eigenvalue means the weight
-    degenerates to a lower-dimensional Gaussian with no phase-space density,
-    reported as BoundaryPRep; a negative eigenvalue as NotPRepresentable.
-    Raises InvalidInput unless v passes as_covariance and tol passes
-    matkit.check_tol.
+    Requires V - I/2 positive definite. A negative eigenvalue is reported as
+    p_rep_ensemble reports it, NotPRepresentable; a zero eigenvalue means the
+    weight degenerates to a lower-dimensional Gaussian with no phase-space
+    density, reported as BoundaryPRep. Raises InvalidInput unless v passes
+    as_covariance and tol passes matkit.check_tol, and OutOfDomain when a row
+    sum or the determinant of V - I/2 overflows.
     """
-    tol = matkit.check_tol(tol)
-    excess = as_covariance(v) - 0.5 * np.eye(4)
-    res = matkit.eig_sym(excess)
-    scale = matkit.norm_scale(excess)
-    if res.values[0] < -tol * scale:
-        raise NotPRepresentable("V - I/2 has a negative eigenvalue")
-    if res.values[0] <= tol * scale:
+    excess = p_rep_ensemble(v, tol)
+    values, vectors = np.linalg.eigh(excess)
+    if values[0] <= tol * matkit.norm_scale(excess):
         raise BoundaryPRep("V - I/2 is singular; the weight has no density")
-    pmat = (res.vectors / res.values) @ res.vectors.T
+    det = math.prod(values.tolist())  # Python floats overflow to inf without a warning
+    if det == math.inf:
+        raise OutOfDomain("p_weight: the determinant of V - I/2 overflows")
+    pmat = (vectors / values) @ vectors.T
     pmat = 0.5 * (pmat + pmat.T)
-    normalization = 1.0 / (4.0 * math.pi**2 * math.sqrt(float(np.prod(res.values))))
-    return PWeight(pmat, float(normalization))
+    return PWeight(pmat, 1.0 / (4.0 * math.pi**2 * math.sqrt(det)))
 
 
 def p_density(w: PWeight, z) -> float:
@@ -80,11 +79,12 @@ def p_sample(w: PWeight, n: int, seed) -> np.ndarray:
 
     Applies the spectral square root of P^(-1) to standard normal variates
     from numpy's seeded PCG64 generator, so equal seeds give equal samples
-    and the sample covariance converges to P^(-1).
+    and the sample covariance converges to P^(-1). Raises InvalidInput unless
+    n is positive and w.pmat passes as_covariance.
     """
     if n < 1:
         raise InvalidInput("need at least one sample")
-    res = matkit.eig_sym(w.pmat)
-    root = (res.vectors / np.sqrt(res.values)) @ res.vectors.T
+    values, vectors = np.linalg.eigh(as_covariance(w.pmat))
+    root = (vectors / np.sqrt(values)) @ vectors.T
     rng = np.random.default_rng(seed)
     return rng.standard_normal((int(n), 4)) @ root

@@ -28,7 +28,7 @@ from cvsep.errors import (
     InvalidTransform,
     NotPRepresentable,
 )
-from cvsep.matkit import is_psd_sym
+from cvsep.matkit import is_psd_herm
 
 
 def det2(m):
@@ -256,7 +256,7 @@ class TestEnsembleMatrix:
                 total = 1.0
             w /= total
             devs = rng.standard_normal((k, 4)) * rng.uniform(0.1, 3.0)
-            assert is_psd_sym(ensemble_matrix(w, devs))
+            assert is_psd_herm(ensemble_matrix(w, devs))[0]
 
     def test_invalid_ensembles_rejected(self):
         with pytest.raises(InvalidEnsemble):

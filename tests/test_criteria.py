@@ -30,7 +30,7 @@ from cvsep.criteria import (
 )
 from cvsep.audit import run_audit
 from cvsep.errors import InvalidEnsembleMatrix, InvalidInput, NotPRepresentable, OutOfDomain
-from cvsep.prep import p_moment_residual, p_weight
+from cvsep.prep import PWeight, p_moment_residual, p_sample, p_weight
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze
 from cvsep.covariance import J2, StandardForm
@@ -50,15 +50,44 @@ def _one_sided(v, i, j, x):
     return v
 
 
-#: Matrices every public criterion must reject with InvalidInput. The last is
-#: I/2 with only v[0, 2] set, which an eigensolver reading one triangle would
-#: otherwise take for an entangled state.
+def _overflowing_asymmetry():
+    """Finite, but v[0, 1] - v[1, 0] and the first row sum overflow."""
+    v = np.zeros((4, 4))
+    v[0, 1], v[1, 0] = 1.7e308, -1.7e308
+    v[0, 2] = v[2, 0] = 1.7e308
+    return v
+
+
+#: Matrices every public criterion must reject with InvalidInput. The fourth
+#: is I/2 with only v[0, 2] set, which an eigensolver reading one triangle
+#: would otherwise take for an entangled state; the last was accepted as
+#: symmetric after numpy overflow warnings.
 BAD_MATRICES = [
     np.full((4, 4), np.nan),
     np.diag([0.5, 0.5, np.inf, 0.5]),
     0.5 * np.eye(3),
     _one_sided(0.5 * np.eye(4), 0, 2, 0.3),
+    _overflowing_asymmetry(),
 ]
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Names of the np.linalg functions called while the test runs, in order."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counting(name, fn))
+    return calls
 
 
 class TestGaps:
@@ -117,6 +146,12 @@ class TestStringent:
         rep = stringent_criterion(np.eye(4), 0.5 * np.eye(4))
         assert rep.satisfied
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
+
+    def test_makes_two_lapack_calls(self, linalg_calls):
+        # One real eigh decides the ensemble matrix is PSD, one complex
+        # (2, 4, 4) stack decides both branches.
+        stringent_criterion(np.eye(4), 0.25 * np.eye(4))
+        assert linalg_calls == ["eigh", "eigh"]
 
     def test_rejects_indefinite_ensemble(self):
         with pytest.raises(InvalidEnsembleMatrix):
@@ -418,7 +453,20 @@ class TestClassify:
         with pytest.raises(OutOfDomain, match="A block determinant overflows"):
             classify(1e160 * np.eye(4))
 
-    @pytest.mark.parametrize("call", [classify, is_physical, simon_criterion, duan_criterion])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            classify,
+            is_physical,
+            simon_criterion,
+            duan_criterion,
+            lambda ens: stringent_criterion(statezoo.vacuum(), ens),
+            lambda ens: weak_gap(statezoo.vacuum(), ens, 1),
+            p_weight,
+        ],
+        ids=["classify", "is_physical", "simon_criterion", "duan_criterion",
+             "stringent_ens", "weak_gap_ens", "p_weight"],
+    )
     def test_overflowing_row_sum_is_out_of_domain_without_a_warning(self, call):
         # Every entry is finite, but a row sums past the float maximum, so the
         # PSD tolerance scale would be inf; numpy used to warn while summing.
@@ -437,24 +485,11 @@ class TestClassify:
         ],
         ids=["separable", "p_representable", "entangled", "nonphysical"],
     )
-    def test_makes_two_lapack_calls(self, monkeypatch, v):
+    def test_makes_two_lapack_calls(self, linalg_calls, v):
         # One complex (2, 4, 4) stack for physicality and Simon, one real
         # (3, 4, 4) stack for Duan's branches and the coherent excess.
-        calls = []
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in np.linalg.__all__:
-            fn = getattr(np.linalg, name)
-            if callable(fn) and not isinstance(fn, type):
-                monkeypatch.setattr(np.linalg, name, counting(name, fn))
         classify(v)
-        assert calls == ["eigh", "eigh"]
+        assert linalg_calls == ["eigh", "eigh"]
 
     def test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria(self):
         # The real stack decides P-representability and Duan together; each
@@ -532,9 +567,10 @@ class TestClassify:
         p_rep_ensemble,
         p_weight,
         p_moment_residual,
+        lambda m: p_sample(PWeight(m, 1.0), 1, 0),
     ],
     ids=["is_physical", "simon", "duan", "stringent_v", "stringent_ens", "weak_gap_v",
-         "weak_gap_ens", "p_rep_ensemble", "p_weight", "p_moment_residual"],
+         "weak_gap_ens", "p_rep_ensemble", "p_weight", "p_moment_residual", "p_sample"],
 )
 @pytest.mark.parametrize("bad", BAD_MATRICES)
 def test_public_criteria_reject_bad_matrices(criterion, bad):

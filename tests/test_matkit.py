@@ -12,55 +12,24 @@ from cvsep.errors import InvalidInput
 from cvsep.matkit import (
     DEFAULT_TOL,
     check_tol,
-    eig_sym,
     is_psd_herm,
-    is_psd_sym,
     norm_scale,
     real_embedding,
     svd2_rotations,
 )
 
 
-def test_eig_sym_identity():
-    res = eig_sym(np.eye(4))
-    np.testing.assert_allclose(res.values, np.ones(4), atol=1e-14)
+def test_is_psd_herm_cases():
+    assert is_psd_herm(np.eye(4))[0]
+    assert not is_psd_herm(np.diag([1.0, -1.0, 1.0, 1.0]))[0]
+    assert is_psd_herm(np.zeros((4, 4)))[0]
 
 
-def test_eig_sym_already_diagonal():
-    res = eig_sym(np.diag([-1.0, 0.0, 2.0, 3.0]))
-    np.testing.assert_allclose(res.values, [-1.0, 0.0, 2.0, 3.0], atol=1e-14)
-
-
-def test_eig_sym_two_mode_squeezed():
-    # Analytic oracle: the cosh/sinh block structure diagonalizes by +-45 degree
-    # rotations into e^{+-2r}/2, each doubly degenerate.
-    v = statezoo.two_mode_squeezed(0.5)
-    lo, hi = 0.5 * math.exp(-1.0), 0.5 * math.exp(1.0)
-    np.testing.assert_allclose(eig_sym(v).values, [lo, lo, hi, hi], atol=1e-10)
-
-
-def test_eig_sym_rejects_nonfinite():
-    m = np.eye(4)
-    m[0, 0] = np.nan
-    with pytest.raises(InvalidInput):
-        eig_sym(m)
-
-
-def test_eig_sym_reconstruction_random():
-    rng = np.random.default_rng(42)
-    for _ in range(1000):
-        m = rng.standard_normal((4, 4)) * rng.uniform(0.1, 10.0)
-        m = 0.5 * (m + m.T)
-        res = eig_sym(m)
-        recon = (res.vectors * res.values) @ res.vectors.T
-        assert np.linalg.norm(recon - m) <= 1e-10 * max(1.0, np.linalg.norm(m))
-        assert np.all(np.diff(res.values) >= 0.0)
-
-
-def test_is_psd_sym_cases():
-    assert is_psd_sym(np.eye(4))
-    assert not is_psd_sym(np.diag([1.0, -1.0, 1.0, 1.0]))
-    assert is_psd_sym(np.zeros((4, 4)))
+def test_is_psd_herm_real_identity():
+    ok, lam, vec = is_psd_herm(np.eye(4))
+    assert ok
+    assert lam == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_is_psd_herm_identity():
@@ -68,6 +37,44 @@ def test_is_psd_herm_identity():
     assert ok
     assert lam == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_is_psd_herm_already_diagonal():
+    ok, lam, vec = is_psd_herm(np.diag([-1.0, 0.0, 2.0, 3.0]))
+    assert not ok
+    assert lam == pytest.approx(-1.0, abs=1e-14)
+    np.testing.assert_allclose(np.abs(vec), [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+
+
+def test_is_psd_herm_two_mode_squeezed():
+    # Analytic oracle: the cosh/sinh block structure diagonalizes by +-45 degree
+    # rotations into e^{+-2r}/2, each doubly degenerate.
+    ok, lam, _ = is_psd_herm(statezoo.two_mode_squeezed(0.5))
+    assert ok
+    assert lam == pytest.approx(0.5 * math.exp(-1.0), abs=1e-10)
+
+
+def test_is_psd_herm_rejects_nonfinite():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(4)
+        m[0, 0] = bad
+        with pytest.raises(InvalidInput, match="finite entries"):
+            is_psd_herm(m)
+        with pytest.raises(InvalidInput, match="finite entries"):
+            is_psd_herm(np.stack([np.eye(4), m]))
+
+
+def test_is_psd_herm_smallest_eigenpair_random():
+    # The smallest eigenvalue and a unit eigenvector for it, which reports
+    # hand out as the witness, on random symmetric matrices.
+    rng = np.random.default_rng(42)
+    for _ in range(1000):
+        m = rng.standard_normal((4, 4)) * rng.uniform(0.1, 10.0)
+        m = 0.5 * (m + m.T)
+        _, lam, vec = is_psd_herm(m)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(m @ vec - lam * vec) <= 1e-10 * max(1.0, np.linalg.norm(m))
+        assert lam == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-10 * max(1.0, np.linalg.norm(m)))
 
 
 def test_is_psd_herm_rank_deficient_boundary():

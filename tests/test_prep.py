@@ -5,8 +5,8 @@ import pytest
 
 from cvsep import statezoo
 from cvsep.covariance import apply_symp, p_rep_ensemble
-from cvsep.errors import BoundaryPRep, InvalidInput, NotPRepresentable
-from cvsep.matkit import is_psd_sym
+from cvsep.errors import BoundaryPRep, InvalidInput, NotPRepresentable, OutOfDomain
+from cvsep.matkit import is_psd_herm
 from cvsep.prep import char_fn, p_density, p_moment_residual, p_sample, p_weight
 
 
@@ -57,6 +57,15 @@ class TestPWeight:
         for call in (p_weight, p_moment_residual):
             with pytest.raises(InvalidInput, match="asymmetry"):
                 call(np.eye(4) + np.triu(np.ones((4, 4)), 1))
+
+    def test_overflowing_determinant_is_out_of_domain(self):
+        # det(V - I/2) overflows at 1e200 * I; the weight then had
+        # normalization 0, a density zero everywhere, after a numpy warning.
+        with pytest.raises(OutOfDomain, match="determinant"):
+            p_weight(1e200 * np.eye(4))
+        w = p_weight(1e70 * np.eye(4))
+        np.testing.assert_allclose(w.pmat, np.eye(4) / (1e70 - 0.5), rtol=1e-15)
+        assert w.normalization == pytest.approx(1.0 / (4.0 * math.pi**2 * 1e140), rel=1e-12)
 
     def test_density_integral_is_one(self):
         # Analytic Gaussian integral: normalization * (2 pi)^2 / sqrt(det P).
@@ -188,7 +197,7 @@ def test_p_representability_not_symplectically_invariant():
     # A thermal state with unit occupations is P-representable, but squeezing
     # one mode pushes a momentum variance below the vacuum floor.
     v = np.eye(4)
-    assert is_psd_sym(p_rep_ensemble(v))
+    assert is_psd_herm(p_rep_ensemble(v))[0]
     squeezer = np.diag([2.0, 0.5])
     v_squeezed = apply_symp(v, squeezer, np.eye(2))
     with pytest.raises(NotPRepresentable):

@@ -6,7 +6,7 @@ import pytest
 from cvsep.covariance import StandardForm, apply_symp
 from cvsep.criteria import simon_bound
 from cvsep.errors import OutOfDomain
-from cvsep.matkit import is_psd_sym
+from cvsep.matkit import is_psd_herm
 from cvsep.squeezing import (
     SqueezeParams,
     apply_squeeze,
@@ -346,11 +346,11 @@ class TestBoundEquivalence:
             inside = sol.c1_bound * (1.0 - 1e-12)
             sf = StandardForm.from_params(a, b, inside, -t * inside)
             v = apply_squeeze(sf, sol.params)
-            assert is_psd_sym(v - 0.5 * np.eye(4))
+            assert is_psd_herm(v - 0.5 * np.eye(4))[0]
             outside = sol.c1_bound * (1.0 + 1e-6)
             sf_out = StandardForm.from_params(a, b, outside, -t * outside)
             v_out = apply_squeeze(sf_out, sol.params)
-            assert not is_psd_sym(v_out - 0.5 * np.eye(4))
+            assert not is_psd_herm(v_out - 0.5 * np.eye(4))[0]
 
 
 #: (a, b) pairs whose product is exactly 1e150, the largest the routes accept.
