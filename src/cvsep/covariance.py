@@ -64,18 +64,6 @@ def as_covariance(v) -> np.ndarray:
     return v
 
 
-def block_a(v) -> np.ndarray:
-    return np.asarray(v)[:2, :2]
-
-
-def block_b(v) -> np.ndarray:
-    return np.asarray(v)[2:, 2:]
-
-
-def block_c(v) -> np.ndarray:
-    return np.asarray(v)[:2, 2:]
-
-
 def standard_matrix(a: float, b: float, c1: float, c2: float) -> np.ndarray:
     """Standard-form covariance: isotropic diagonal blocks, diagonal correlations."""
     return np.array(
@@ -106,20 +94,22 @@ def is_symplectic2(s, tol: float = 1e-12) -> bool:
 def apply_symp(v, s1, s2) -> np.ndarray:
     """Congruence action of a local (per-mode) symplectic pair.
 
-    Blocks map as A -> S1 A S1^T, B -> S2 B S2^T, C -> S1 C S2^T.
+    Blocks map as A -> S1 A S1^T, B -> S2 B S2^T, C -> S1 C S2^T. Raises
+    InvalidInput unless v passes as_covariance.
     """
     if not is_symplectic2(s1) or not is_symplectic2(s2):
         raise InvalidTransform("each factor must be a 2x2 symplectic matrix")
     s = np.zeros((4, 4))
     s[:2, :2] = s1
     s[2:, 2:] = s2
-    return s @ np.asarray(v, dtype=float) @ s.T
+    return s @ as_covariance(v) @ s.T
 
 
 def partial_transpose(v) -> np.ndarray:
     """Momentum sign flip on the second mode, the covariance-level partial
-    transpose: B -> S3 B S3 and C -> C S3 with S3 = diag(1, -1)."""
-    return _PT_FLIP @ np.asarray(v, dtype=float) @ _PT_FLIP
+    transpose: B -> S3 B S3 and C -> C S3 with S3 = diag(1, -1). Raises
+    InvalidInput unless v passes as_covariance."""
+    return _PT_FLIP @ as_covariance(v) @ _PT_FLIP
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,29 +138,45 @@ class StandardForm:
         return min(1.0, abs(self.c2) / abs(self.c1))
 
 
-def _isotropize(block: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """Symplectic S with S @ block @ S.T == sqrt(det block) * I, and sqrt(det block):
-    the rotation SVD gives diag(a1, det / a1), and x^2 = sqrt(det) / a1 in diag(x, 1/x)."""
-    det = det2(block)
+def _mul2(p, q):
+    """Product p @ q of 2x2 matrices given as rows of Python floats. Each entry
+    is p_i0 * q_0j + p_i1 * q_1j with every operation rounded on its own, where
+    a BLAS kernel may fuse one product into the sum and change the last bit."""
+    (p00, p01), (p10, p11) = p
+    (q00, q01), (q10, q11) = q
+    return ((p00 * q00 + p01 * q10, p00 * q01 + p01 * q11),
+            (p10 * q00 + p11 * q10, p10 * q01 + p11 * q11))
+
+
+def _isotropize(block, name: str):
+    """Symplectic S with S @ block @ S.T == sqrt(det block) * I, and sqrt(det block),
+    on the rows of Python floats of a 2x2 block, S as rows too: the rotation SVD
+    gives diag(a1, det / a1), and x^2 = sqrt(det) / a1 in diag(x, 1/x)."""
+    (m00, m01), (m10, m11) = block
+    det = m00 * m11 - m01 * m10  # Python floats overflow to inf without a warning
     if det < DET_FLOOR:
         raise DegenerateBlock(f"{name} block determinant {det:.3e} below {DET_FLOOR:.0e}")
     # A positive determinant leaves both eigenvalues of one sign; the trace picks it.
-    if block[0, 0] + block[1, 1] <= 0.0:
+    if m00 + m11 <= 0.0:
         raise DegenerateBlock(f"{name} block is not positive definite")
     if not det < math.inf:  # so a * b is past the bound of the squeezing routes
         raise OutOfDomain(f"{name} block determinant overflows")
-    rot, _, a1, _ = matkit.svd2_rotations(block)
+    ((r00, r01), (r10, r11)), _, a1, _ = matkit.svd2_rotations(block)
     root = math.sqrt(det)
     x = math.sqrt(root / a1)
-    return np.array([[x], [1.0 / x]]) * rot, root
+    y = 1.0 / x
+    return ((x * r00, x * r01), (y * r10, y * r11)), root
 
 
 def _standard_form(v: np.ndarray) -> StandardForm:
-    """to_standard_form of a matrix that already passed as_covariance."""
-    s1, a = _isotropize(block_a(v), "A")
-    s2, b = _isotropize(block_b(v), "B")
-    r1, r2, c1, c2 = matkit.svd2_rotations(s1 @ block_c(v) @ s2.T)
-    return StandardForm(a, b, c1, c2, r1 @ s1, r2 @ s2)
+    """to_standard_form of a matrix that already passed as_covariance, on the
+    Python floats of v.tolist(); only the returned s1 and s2 are arrays."""
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (*_, b00, b01), (*_, b10, b11) = v.tolist()
+    s1, a = _isotropize(((a00, a01), (a10, a11)), "A")
+    s2, b = _isotropize(((b00, b01), (b10, b11)), "B")
+    s1c = _mul2(s1, ((c00, c01), (c10, c11)))
+    r1, r2, c1, c2 = matkit.svd2_rotations(_mul2(s1c, zip(*s2)))  # zip(*s2) is S2^T
+    return StandardForm(a, b, c1, c2, np.array(_mul2(r1, s1)), np.array(_mul2(r2, s2)))
 
 
 def to_standard_form(v) -> StandardForm:

@@ -101,10 +101,10 @@ def _quad(m: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
 
 
 def _pair_quads(v, ens, p: ParamSet) -> float:
-    v = np.asarray(v, dtype=float)
+    v = as_covariance(v)
     total = _quad(v, p.d, p.f) + _quad(v, p.g, p.h)
     if ens is not None:
-        ens = np.asarray(ens, dtype=float)
+        ens = as_covariance(ens)
         total -= _quad(ens, p.d, p.f) + _quad(ens, p.g, p.h)
     return total
 
@@ -114,6 +114,7 @@ def gap_general(v, ens, p: ParamSet) -> float:
 
     Nonnegative for every physical state and every PSD ensemble matrix drawn
     from one of its decompositions; ens=None means no ensemble refinement.
+    Raises InvalidInput unless v, and ens unless None, pass as_covariance.
     """
     comm = float(p.d @ J2 @ p.g + p.f @ J2 @ p.h)
     return _pair_quads(v, ens, p) - abs(comm)
@@ -121,7 +122,8 @@ def gap_general(v, ens, p: ParamSet) -> float:
 
 def gap_separable(v, ens, p: ParamSet) -> float:
     """Separability gap: the two commutator terms are bounded separately,
-    |d.Jg| + |f.Jh|, which is what separable states must satisfy."""
+    |d.Jg| + |f.Jh|, which is what separable states must satisfy. Inputs are
+    checked as in gap_general."""
     return (
         _pair_quads(v, ens, p)
         - abs(float(p.d @ J2 @ p.g))

@@ -2,7 +2,8 @@
 
 One PSD kernel, is_psd_herm, makes every positive-semidefinite decision: a
 tolerance-aware wrapper around one LAPACK eigh call that takes a whole stack.
-The 2x2 rotation SVD is closed-form; clear conventions matter more than speed.
+The 2x2 rotation SVD is closed-form, on Python floats; clear conventions matter
+more than speed.
 """
 
 from __future__ import annotations
@@ -65,14 +66,22 @@ def real_embedding(h) -> np.ndarray:
     return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
+def _rotation_rows(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    c, s = math.cos(theta), math.sin(theta)
+    return (c, s), (-s, c)
+
+
 def rotation(theta: float) -> np.ndarray:
     """Proper rotation [[cos, sin], [-sin, cos]] of angle theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
+    return np.array(_rotation_rows(theta))
 
 
-def svd2_rotations(c) -> tuple[np.ndarray, np.ndarray, float, float]:
+def svd2_rotations(c) -> tuple[tuple, tuple, float, float]:
     """Diagonalize a real 2x2 matrix with proper rotations, in closed form.
+
+    c is given as its two rows of Python floats, ((c00, c01), (c10, c11)), and
+    the rotations come back as rows too, so the whole reduction is scalar
+    arithmetic: no numpy array, and the same bits on any BLAS.
 
     Returns (r1, r2, c1, c2) such that r1 @ c @ r2.T == diag(c1, c2), both
     rotation factors have determinant +1, c1 >= 0, |c2| <= c1, and
@@ -81,12 +90,13 @@ def svd2_rotations(c) -> tuple[np.ndarray, np.ndarray, float, float]:
     With c = [[e + f, g - h], [g + h, e - f]] they take (e, h) to q * I and (f, g)
     to r * diag(1, -1), q = |(e, h)| and r = |(f, g)|, so c1 = q + r, c2 = q - r.
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (2, 2) or not np.all(np.isfinite(c)):
+    (c00, c01), (c10, c11) = c
+    if not (math.isfinite(c00) and math.isfinite(c01) and math.isfinite(c10)
+            and math.isfinite(c11)):
         raise InvalidInput("rotation SVD needs a finite 2x2 matrix")
-    (c00, c01), (c10, c11) = c.tolist()
     e, h = 0.5 * (c00 + c11), 0.5 * (c10 - c01)
     f, g = 0.5 * (c00 - c11), 0.5 * (c10 + c01)
     q, r = math.hypot(e, h), math.hypot(f, g)
     alpha, beta = math.atan2(g, f), math.atan2(h, e)
-    return rotation(0.5 * (beta + alpha)), rotation(0.5 * (alpha - beta)), q + r, q - r
+    return (_rotation_rows(0.5 * (beta + alpha)), _rotation_rows(0.5 * (alpha - beta)),
+            q + r, q - r)

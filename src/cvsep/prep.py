@@ -19,9 +19,10 @@ from .matkit import DEFAULT_TOL
 
 
 def char_fn(v, lam) -> float:
-    """Symmetric-ordering characteristic function exp(-lam^T V lam / 2)."""
+    """Symmetric-ordering characteristic function exp(-lam^T V lam / 2).
+    Raises InvalidInput unless v passes as_covariance."""
     lam = np.asarray(lam, dtype=float)
-    return float(np.exp(-0.5 * float(lam @ np.asarray(v, dtype=float) @ lam)))
+    return float(np.exp(-0.5 * float(lam @ as_covariance(v) @ lam)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +81,13 @@ def p_sample(w: PWeight, n: int, seed) -> np.ndarray:
     Applies the spectral square root of P^(-1) to standard normal variates
     from numpy's seeded PCG64 generator, so equal seeds give equal samples
     and the sample covariance converges to P^(-1). Raises InvalidInput unless
-    n is positive and w.pmat passes as_covariance.
+    n is positive and w.pmat passes as_covariance and is positive definite.
     """
     if n < 1:
         raise InvalidInput("need at least one sample")
     values, vectors = np.linalg.eigh(as_covariance(w.pmat))
+    if not values[0] > 0.0:
+        raise InvalidInput("weight matrix must be positive definite")
     root = (vectors / np.sqrt(values)) @ vectors.T
     rng = np.random.default_rng(seed)
     return rng.standard_normal((int(n), 4)) @ root

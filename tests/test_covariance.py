@@ -1,4 +1,10 @@
+import inspect
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_symmetric
-from cvsep import statezoo
+import cvsep
+from cvsep import cli, statezoo
 from cvsep.covariance import (
     StandardForm,
     apply_symp,
     as_covariance,
-    block_a,
-    block_b,
-    block_c,
     ensemble_matrix,
     is_physical,
     p_rep_ensemble,
@@ -70,8 +74,8 @@ class TestApplySymp:
         full[:2, :2] = s
         full[2:, 2:] = s
         np.testing.assert_allclose(got, full @ v @ full.T, atol=1e-14)
-        np.testing.assert_allclose(block_a(got), np.diag([4.0, 0.25]), atol=1e-14)
-        np.testing.assert_allclose(block_c(got), np.diag([2.0, -0.075]), atol=1e-14)
+        np.testing.assert_allclose(got[:2, :2], np.diag([4.0, 0.25]), atol=1e-14)
+        np.testing.assert_allclose(got[:2, 2:], np.diag([2.0, -0.075]), atol=1e-14)
 
     def test_rejects_non_symplectic(self):
         v = statezoo.vacuum()
@@ -110,9 +114,9 @@ class TestPartialTranspose:
         m[np.triu_indices(4)] = entries
         v = m + np.triu(m, 1).T
         pt = partial_transpose(v)
-        assert det2(block_c(pt)) == -det2(block_c(v))
-        assert det2(block_a(pt)) == det2(block_a(v))
-        assert det2(block_b(pt)) == det2(block_b(v))
+        assert det2(pt[:2, 2:]) == -det2(v[:2, 2:])
+        assert det2(pt[:2, :2]) == det2(v[:2, :2])
+        assert det2(pt[2:, 2:]) == det2(v[2:, 2:])
 
 
 class TestStandardForm:
@@ -184,6 +188,14 @@ class TestStandardForm:
         with pytest.raises(DegenerateBlock):
             to_standard_form(v)
 
+    def test_overflowing_correlation_product_is_invalid_input(self):
+        # S1 = diag(1e-150, 1e150) takes C's 1e300 past the float maximum, which
+        # must raise without a numpy "overflow encountered in matmul" warning.
+        v = np.diag([1e300, 1e-300, 1.0, 1.0])
+        v[1, 3] = v[3, 1] = 1e300
+        with pytest.raises(InvalidInput, match="rotation SVD needs a finite 2x2 matrix"):
+            to_standard_form(v)
+
     def test_symplectic_invariants_preserved(self):
         rng = np.random.default_rng(9)
         transforms = [
@@ -193,17 +205,17 @@ class TestStandardForm:
         for _ in range(100):
             v = random_symmetric(rng, scale=2.0)
             dets = (
-                det2(block_a(v)),
-                det2(block_b(v)),
-                det2(block_c(v)),
+                det2(v[:2, :2]),
+                det2(v[2:, 2:]),
+                det2(v[:2, 2:]),
                 float(np.linalg.det(v)),
             )
             for s1, s2 in transforms:
                 w = apply_symp(v, s1, s2)
                 after = (
-                    det2(block_a(w)),
-                    det2(block_b(w)),
-                    det2(block_c(w)),
+                    det2(w[:2, :2]),
+                    det2(w[2:, 2:]),
+                    det2(w[:2, 2:]),
                     float(np.linalg.det(w)),
                 )
                 for x, y in zip(dets, after):
@@ -301,3 +313,61 @@ def test_as_covariance_asymmetry_bound_is_relative(scale, skew, accepted):
     else:
         with pytest.raises(InvalidInput, match="asymmetry"):
             as_covariance(v)
+
+
+#: Run in a child process with OPENBLAS_CORETYPE set: reads float.hex matrices
+#: and document paths as JSON on stdin, and prints each matrix's standard form
+#: in float.hex and each document's `standard-form` stdout as JSON.
+_STANDARD_FORM_CHILD = """
+import contextlib, io, json, sys
+import numpy as np
+from cvsep import cli
+from cvsep.covariance import to_standard_form
+job = json.load(sys.stdin)
+forms = [_hex_form(to_standard_form(np.array([[float.fromhex(x) for x in row] for row in m])))
+         for m in job["matrices"]]
+texts = []
+for path in job["documents"]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["standard-form", path])
+    texts.append(out.getvalue())
+json.dump({"forms": forms, "texts": texts}, sys.stdout)
+"""
+
+
+def _hex_form(sf):
+    return [x.hex() for x in (sf.a, sf.b, sf.c1, sf.c2, *sf.s1.ravel().tolist(),
+                              *sf.s2.ravel().tolist())]
+
+
+def test_standard_form_bits_do_not_depend_on_the_blas_kernel(tmp_path, capsys):
+    # numpy sends 2x2 products to BLAS, whose FMA kernels round a dot product
+    # differently from the SSE-only Prescott kernel; the reduction makes none.
+    # Where the BLAS is not OpenBLAS the variable does nothing and this passes.
+    rng = np.random.default_rng(55)
+    matrices = [statezoo.random_correlated_physical(rng) for _ in range(12)]
+    matrices += [apply_symp(standard_matrix(1.5, 0.8, 0.6, -0.2),
+                            squeezed_symp(rng, 3.0), squeezed_symp(rng, -2.0))]
+    documents = []
+    for k, v in enumerate(matrices):
+        path = tmp_path / f"state{k}.json"
+        path.write_text(json.dumps({"matrix": v.tolist()}))  # repr round-trips
+        documents.append(str(path))
+    job = {"matrices": [[[x.hex() for x in row] for row in v.tolist()] for v in matrices],
+           "documents": documents}
+    src = str(Path(cvsep.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", inspect.getsource(_hex_form) + _STANDARD_FORM_CHILD],
+        input=json.dumps(job), capture_output=True, text=True, env=env, check=True,
+    )
+    got = json.loads(child.stdout)
+    assert got["forms"] == [_hex_form(to_standard_form(v)) for v in matrices]
+    for path, text in zip(documents, got["texts"]):
+        cli.main(["standard-form", path])
+        # The first six lines print a, b, c1, c2, s1 and s2. The determinant
+        # lines after them check the transforms with apply_symp's 4x4 products
+        # and np.linalg.det, which still go through BLAS and LAPACK.
+        assert text.splitlines()[:6] == capsys.readouterr().out.splitlines()[:6]

@@ -12,6 +12,7 @@ from cvsep.covariance import (
     as_covariance,
     is_physical,
     p_rep_ensemble,
+    partial_transpose,
     standard_matrix,
     to_standard_form,
 )
@@ -30,7 +31,7 @@ from cvsep.criteria import (
 )
 from cvsep.audit import run_audit
 from cvsep.errors import InvalidEnsembleMatrix, InvalidInput, NotPRepresentable, OutOfDomain
-from cvsep.prep import PWeight, p_moment_residual, p_sample, p_weight
+from cvsep.prep import PWeight, char_fn, p_moment_residual, p_sample, p_weight
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze
 from cvsep.covariance import J2, StandardForm
@@ -41,6 +42,7 @@ def params(d, f, g, h):
 
 
 ZERO = np.zeros((4, 4))
+UNIT_PARAMS = params([1, 0], [0, 1], [0, 1], [1, 0])
 
 
 def _one_sided(v, i, j, x):
@@ -194,8 +196,6 @@ class TestSimon:
     def test_equals_transposed_physicality(self):
         # The sigma = -1 branch is physicality of the partial transpose, so
         # the overall margin is the smaller of the two physicality margins.
-        from cvsep.covariance import is_physical, partial_transpose
-
         rng = np.random.default_rng(4)
         for i in range(50):
             v = mixed_physical_state(rng, i)
@@ -568,9 +568,18 @@ class TestClassify:
         p_weight,
         p_moment_residual,
         lambda m: p_sample(PWeight(m, 1.0), 1, 0),
+        lambda v: gap_general(v, None, UNIT_PARAMS),
+        lambda ens: gap_general(statezoo.vacuum(), ens, UNIT_PARAMS),
+        lambda v: gap_separable(v, None, UNIT_PARAMS),
+        lambda ens: gap_separable(statezoo.vacuum(), ens, UNIT_PARAMS),
+        lambda v: apply_symp(v, np.eye(2), np.eye(2)),
+        partial_transpose,
+        lambda v: char_fn(v, np.ones(4)),
     ],
     ids=["is_physical", "simon", "duan", "stringent_v", "stringent_ens", "weak_gap_v",
-         "weak_gap_ens", "p_rep_ensemble", "p_weight", "p_moment_residual", "p_sample"],
+         "weak_gap_ens", "p_rep_ensemble", "p_weight", "p_moment_residual", "p_sample",
+         "gap_general_v", "gap_general_ens", "gap_separable_v", "gap_separable_ens",
+         "apply_symp", "partial_transpose", "char_fn"],
 )
 @pytest.mark.parametrize("bad", BAD_MATRICES)
 def test_public_criteria_reject_bad_matrices(criterion, bad):

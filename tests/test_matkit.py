@@ -160,9 +160,33 @@ def test_check_tol_rejects_everything_else(tol):
         check_tol(tol)
 
 
+def svd2(c):
+    """svd2_rotations of an array, with the rotation rows back as arrays."""
+    r1, r2, c1, c2 = svd2_rotations(np.asarray(c, dtype=float).tolist())
+    return np.array(r1), np.array(r2), c1, c2
+
+
+def test_svd2_takes_and_returns_rows_of_python_floats():
+    r1, r2, c1, c2 = svd2_rotations(((0.5, -0.2), (0.9, 0.3)))
+    for rows in (r1, r2):
+        (a, b), (c, d) = rows
+        assert all(type(x) is float for x in (a, b, c, d))
+        assert (a, b) == (d, -c)
+    assert type(c1) is float and type(c2) is float
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", range(4))
+def test_svd2_rejects_nonfinite_entries(bad, at):
+    entries = [0.5, -0.2, 0.9, 0.3]
+    entries[at] = bad
+    with pytest.raises(InvalidInput, match="rotation SVD needs a finite 2x2 matrix"):
+        svd2_rotations((entries[:2], entries[2:]))
+
+
 def test_svd2_diagonal_input():
     c = np.diag([0.5, -0.3])
-    r1, r2, c1, c2 = svd2_rotations(c)
+    r1, r2, c1, c2 = svd2(c)
     assert c1 == pytest.approx(0.5, abs=1e-14)
     assert c2 == pytest.approx(-0.3, abs=1e-14)
     np.testing.assert_allclose(r1 @ c @ r2.T, np.diag([c1, c2]), atol=1e-14)
@@ -174,13 +198,13 @@ def test_svd2_rotated_input_recovers():
         [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
     )
     c = rot @ np.diag([0.5, -0.3]) @ rot.T
-    _, _, c1, c2 = svd2_rotations(c)
+    _, _, c1, c2 = svd2(c)
     assert c1 == pytest.approx(0.5, abs=1e-12)
     assert c2 == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_svd2_zero_matrix():
-    r1, r2, c1, c2 = svd2_rotations(np.zeros((2, 2)))
+    r1, r2, c1, c2 = svd2(np.zeros((2, 2)))
     assert c1 == 0.0 and c2 == 0.0
     assert np.linalg.det(r1) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.det(r2) == pytest.approx(1.0, abs=1e-12)
@@ -211,7 +235,7 @@ _GENERIC_SV = tuple(np.linalg.svd(_GENERIC, compute_uv=False))
     ids=["scaled_rotation", "scaled_reflection", "rank_one", "scale_1e150", "scale_1e-150"],
 )
 def test_svd2_edge_cases(c, expected):
-    r1, r2, c1, c2 = svd2_rotations(c)
+    r1, r2, c1, c2 = svd2(c)
     scale = np.abs(c).max()
     assert (c1, c2) == pytest.approx(expected, rel=1e-14, abs=1e-15 * scale)
     assert np.linalg.det(r1) == pytest.approx(1.0, abs=1e-14)
@@ -222,7 +246,7 @@ def test_svd2_edge_cases(c, expected):
 @given(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
 def test_svd2_properties(entries):
     c = np.array(entries).reshape(2, 2)
-    r1, r2, c1, c2 = svd2_rotations(c)
+    r1, r2, c1, c2 = svd2(c)
     assert c1 >= 0.0
     assert c1 >= abs(c2)
     assert np.linalg.det(r1) == pytest.approx(1.0, abs=1e-12)

@@ -7,7 +7,7 @@ from cvsep import statezoo
 from cvsep.covariance import apply_symp, p_rep_ensemble
 from cvsep.errors import BoundaryPRep, InvalidInput, NotPRepresentable, OutOfDomain
 from cvsep.matkit import is_psd_herm
-from cvsep.prep import char_fn, p_density, p_moment_residual, p_sample, p_weight
+from cvsep.prep import PWeight, char_fn, p_density, p_moment_residual, p_sample, p_weight
 
 
 def random_p_representable(rng):
@@ -154,6 +154,15 @@ class TestSampling:
         w = p_weight(np.eye(4))
         with pytest.raises(InvalidInput):
             p_sample(w, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "pmat", [-np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])], ids=["indefinite", "singular"]
+    )
+    def test_rejects_a_weight_matrix_that_is_not_positive_definite(self, pmat):
+        # The spectral root of P^(-1) used to give NaN samples after "invalid
+        # value in sqrt", or inf samples after "divide by zero".
+        with pytest.raises(InvalidInput, match="positive definite"):
+            p_sample(PWeight(pmat, 1.0), 2, 0)
 
     def test_sample_covariance_converges(self):
         n = 100_000
