@@ -21,13 +21,16 @@ from .errors import (
     NotPRepresentable,
     OutOfDomain,
 )
-from .matkit import DEFAULT_TOL
+from .matkit import DEFAULT_TOL, _mul2
 
 #: Single-mode symplectic form.
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 #: Block determinant floor below which standard-form reduction refuses.
 DET_FLOOR = 1e-12
+
+#: Tolerance of is_symplectic2 on det S - 1, relative to the two products of det.
+SYMPLECTIC_TOL = 1e-12
 
 _PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -81,28 +84,37 @@ def det2(m) -> float:
     return m00 * m11 - m01 * m10
 
 
-def is_symplectic2(s, tol: float = 1e-12) -> bool:
+def is_symplectic2(s) -> bool:
     """A real 2x2 matrix is symplectic exactly when its determinant is one;
-    tol is relative to the two products of det, which round at that scale."""
+    SYMPLECTIC_TOL is relative to the two products of det, which round at that scale."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (2, 2) or not np.all(np.isfinite(s)):
+    if s.shape != (2, 2):
         return False
-    scale = max(1.0, abs(float(s[0, 0] * s[1, 1])) + abs(float(s[0, 1] * s[1, 0])))
-    return bool(abs(det2(s) - 1.0) <= tol * scale)
+    (s00, s01), (s10, s11) = s.tolist()
+    p, q = s00 * s11, s01 * s10  # a non-finite entry or an overflow leaves one non-finite
+    return (math.isfinite(p) and math.isfinite(q)
+            and abs(p - q - 1.0) <= SYMPLECTIC_TOL * max(1.0, abs(p) + abs(q)))
 
 
 def apply_symp(v, s1, s2) -> np.ndarray:
     """Congruence action of a local (per-mode) symplectic pair.
 
-    Blocks map as A -> S1 A S1^T, B -> S2 B S2^T, C -> S1 C S2^T. Raises
-    InvalidInput unless v passes as_covariance.
+    Blocks map as A -> S1 A S1^T, B -> S2 B S2^T, C -> S1 C S2^T, each computed
+    once by matkit._mul2 on Python floats; the lower triangle mirrors the upper
+    one, so the result is exactly symmetric and has the same bits on any BLAS.
+    Raises InvalidInput unless v passes as_covariance.
     """
     if not is_symplectic2(s1) or not is_symplectic2(s2):
         raise InvalidTransform("each factor must be a 2x2 symplectic matrix")
-    s = np.zeros((4, 4))
-    s[:2, :2] = s1
-    s[2:, 2:] = s2
-    return s @ as_covariance(v) @ s.T
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (*_, b00, b01), (*_, b10, b11) = (
+        as_covariance(v).tolist())
+    s1, s2 = np.asarray(s1, dtype=float).tolist(), np.asarray(s2, dtype=float).tolist()
+    s1t, s2t = tuple(zip(*s1)), tuple(zip(*s2))
+    (p00, p01), (_, p11) = _mul2(_mul2(s1, ((a00, a01), (a10, a11))), s1t)
+    (q00, q01), (_, q11) = _mul2(_mul2(s2, ((b00, b01), (b10, b11))), s2t)
+    (r00, r01), (r10, r11) = _mul2(_mul2(s1, ((c00, c01), (c10, c11))), s2t)
+    return np.array([[p00, p01, r00, r01], [p01, p11, r10, r11],
+                     [r00, r10, q00, q01], [r01, r11, q01, q11]])
 
 
 def partial_transpose(v) -> np.ndarray:
@@ -136,16 +148,6 @@ class StandardForm:
         if abs(self.c1) < 1e-300:
             return 0.0
         return min(1.0, abs(self.c2) / abs(self.c1))
-
-
-def _mul2(p, q):
-    """Product p @ q of 2x2 matrices given as rows of Python floats. Each entry
-    is p_i0 * q_0j + p_i1 * q_1j with every operation rounded on its own, where
-    a BLAS kernel may fuse one product into the sum and change the last bit."""
-    (p00, p01), (p10, p11) = p
-    (q00, q01), (q10, q11) = q
-    return ((p00 * q00 + p01 * q10, p00 * q01 + p01 * q11),
-            (p10 * q00 + p11 * q10, p10 * q01 + p11 * q11))
 
 
 def _isotropize(block, name: str):

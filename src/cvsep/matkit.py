@@ -2,8 +2,9 @@
 
 One PSD kernel, is_psd_herm, makes every positive-semidefinite decision: a
 tolerance-aware wrapper around one LAPACK eigh call that takes a whole stack.
-The 2x2 rotation SVD is closed-form, on Python floats; clear conventions matter
-more than speed.
+The 2x2 rotation SVD and every 2x2 product of a local symplectic are
+closed-form, on Python floats, so their bits do not depend on the BLAS kernel;
+clear conventions matter more than speed.
 """
 
 from __future__ import annotations
@@ -67,13 +68,19 @@ def real_embedding(h) -> np.ndarray:
 
 
 def _rotation_rows(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Proper rotation [[cos, sin], [-sin, cos]] of angle theta, as rows of Python floats."""
     c, s = math.cos(theta), math.sin(theta)
     return (c, s), (-s, c)
 
 
-def rotation(theta: float) -> np.ndarray:
-    """Proper rotation [[cos, sin], [-sin, cos]] of angle theta."""
-    return np.array(_rotation_rows(theta))
+def _mul2(p, q):
+    """Product p @ q of 2x2 matrices given as rows of Python floats. Each entry
+    is p_i0 * q_0j + p_i1 * q_1j with every operation rounded on its own, where
+    a BLAS kernel may fuse one product into the sum and change the last bit."""
+    (p00, p01), (p10, p11) = p
+    (q00, q01), (q10, q11) = q
+    return ((p00 * q00 + p01 * q10, p00 * q01 + p01 * q11),
+            (p10 * q00 + p11 * q10, p10 * q01 + p11 * q11))
 
 
 def svd2_rotations(c) -> tuple[tuple, tuple, float, float]:

@@ -26,6 +26,9 @@ _DOMAIN_EPS = 1e-12
 #: overflows past a * b of about 1.7e153 and turns results into inf or nan.
 _AB_MAX = 1e150
 
+#: Absolute slack of prep_conditions, so exact boundary cases count as satisfied.
+PREP_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class SqueezeParams:
@@ -98,22 +101,21 @@ def apply_squeeze(sf: StandardForm, p: SqueezeParams) -> np.ndarray:
     )
 
 
-def prep_conditions(sf: StandardForm, p: SqueezeParams, slack: float = 1e-12):
+def prep_conditions(sf: StandardForm, p: SqueezeParams):
     """The four scalar conditions equivalent to (squeezed V) - I/2 >= 0.
 
     Returns (c1 determinant bound, c2 determinant bound, and the two trace
-    conditions), each reported with a small absolute slack so exact boundary
-    cases count as satisfied.
+    conditions), each with the absolute slack PREP_SLACK.
     """
     q1 = sf.a - 0.5 / p.r1
     q2 = sf.b - 0.5 / p.r2
     p1 = sf.a - 0.5 * p.r1
     p2 = sf.b - 0.5 * p.r2
     return (
-        bool(q1 * q2 >= sf.c1 * sf.c1 - slack),
-        bool(p1 * p2 >= sf.c2 * sf.c2 - slack),
-        bool(q1 + q2 >= -slack),
-        bool(p1 + p2 >= -slack),
+        bool(q1 * q2 >= sf.c1 * sf.c1 - PREP_SLACK),
+        bool(p1 * p2 >= sf.c2 * sf.c2 - PREP_SLACK),
+        bool(q1 + q2 >= -PREP_SLACK),
+        bool(p1 + p2 >= -PREP_SLACK),
     )
 
 

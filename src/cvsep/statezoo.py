@@ -1,4 +1,6 @@
-"""Deterministic and seeded covariance-matrix generators for tests and audits."""
+"""Deterministic and seeded covariance-matrix generators for tests and audits;
+their products run on Python floats, so every state is exactly symmetric and
+has the same bits on any BLAS kernel."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import numpy as np
 
 from .covariance import apply_symp, is_physical, standard_matrix
 from .errors import InvalidSpec
-from .matkit import rotation
+from .matkit import _mul2, _rotation_rows
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -25,7 +27,7 @@ def thermal(n1: float, n2: float) -> np.ndarray:
     """Uncorrelated thermal state diag(n1, n1, n2, n2); needs n1, n2 >= 1/2."""
     if not (n1 >= 0.5 and n2 >= 0.5):
         raise InvalidSpec(f"thermal occupations ({n1}, {n2}) must be >= 1/2")
-    return np.diag([n1, n1, n2, n2]).astype(float)
+    return standard_matrix(n1, n2, 0.0, 0.0)
 
 
 def two_mode_squeezed(r: float) -> np.ndarray:
@@ -44,7 +46,9 @@ def random_symp2(seed) -> np.ndarray:
     rng = _as_rng(seed)
     t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
     x = math.exp(rng.uniform(-1.0, 1.0))
-    return rotation(t2) @ np.diag([x, 1.0 / x]) @ rotation(t1)
+    y = 1.0 / x
+    (r00, r01), (r10, r11) = _rotation_rows(t2)
+    return np.array(_mul2(((r00 * x, r01 * y), (r10 * x, r11 * y)), _rotation_rows(t1)))
 
 
 def random_physical(seed) -> np.ndarray:
@@ -66,8 +70,15 @@ def random_separable(seed) -> np.ndarray:
     conditioning, so weight-matrix round trips stay near machine precision.
     """
     rng = _as_rng(seed)
-    g = 0.5 * rng.standard_normal((4, 4))
-    return g @ g.T + 0.05 * np.eye(4) + 0.5 * np.eye(4)
+    g = (0.5 * rng.standard_normal((4, 4))).tolist()
+    # g g^T with each dot product written out left to right: builtin sum
+    # compensates its rounding from Python 3.12 on, which would tie the bits
+    # to the interpreter.
+    v = [[p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3 for q0, q1, q2, q3 in g]
+         for p0, p1, p2, p3 in g]
+    for i in range(4):
+        v[i][i] = v[i][i] + 0.05 + 0.5
+    return np.array(v)
 
 
 def random_correlated_physical(seed) -> np.ndarray:

@@ -181,6 +181,19 @@ class TestStandardFormCommand:
         assert float(out.split("c2 = ")[1].splitlines()[0]) == pytest.approx(-0.2, abs=1e-9)
         assert "det C: before=" in out
 
+    def test_generated_states_need_no_symmetrizing(self, tmp_path, capsys):
+        rng = np.random.default_rng(55)
+        for k in range(40):
+            v = statezoo.random_correlated_physical(rng)
+            assert main(["standard-form", matrix_doc(tmp_path, f"s{k}.json", v)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            # det V is a closed form in 2x2 minors; LAPACK's LU agrees to rounding.
+            line = captured.out.splitlines()[-1]  # "det V: before=... after=..."
+            before, after = (float(field.split("=")[1]) for field in line.split()[2:])
+            assert before == pytest.approx(np.linalg.det(v), rel=1e-12)
+            assert after == pytest.approx(before, rel=1e-10)
+
     def test_vacuum(self, tmp_path, capsys):
         path = matrix_doc(tmp_path, "vac.json", statezoo.vacuum())
         assert main(["standard-form", path]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_symmetric
+from conftest import random_symmetric, rotation, squeezed_symp
 import cvsep
 from cvsep import cli, statezoo
 from cvsep.covariance import (
@@ -37,18 +38,6 @@ from cvsep.matkit import is_psd_herm
 
 def det2(m):
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def rotation(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def squeezed_symp(rng, log_x):
-    """rotation * diag(x, 1/x) * rotation with random angles and x = e^log_x."""
-    t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    x = math.exp(log_x)
-    return rotation(t2) @ np.diag([x, 1.0 / x]) @ rotation(t1)
 
 
 class TestApplySymp:
@@ -81,6 +70,16 @@ class TestApplySymp:
         v = statezoo.vacuum()
         with pytest.raises(InvalidTransform):
             apply_symp(v, np.array([[1.0, 1.0], [0.0, 2.0]]), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "s1",
+        [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 0.0]],
+         [[1e200, 0.0], [0.0, 1e200]]],
+        ids=["nan", "inf_times_zero", "overflowing_det"],
+    )
+    def test_rejects_non_finite_factors(self, s1):
+        with pytest.raises(InvalidTransform):
+            apply_symp(statezoo.vacuum(), np.array(s1), np.eye(2))
 
     @pytest.mark.parametrize("log_x", [6.0, 8.0])
     def test_accepts_strongly_squeezed_symplectics(self, log_x):
@@ -316,12 +315,13 @@ def test_as_covariance_asymmetry_bound_is_relative(scale, skew, accepted):
 
 
 #: Run in a child process with OPENBLAS_CORETYPE set: reads float.hex matrices
-#: and document paths as JSON on stdin, and prints each matrix's standard form
-#: in float.hex and each document's `standard-form` stdout as JSON.
+#: and document paths as JSON on stdin, and prints as JSON each matrix's
+#: standard form in float.hex, each document's `standard-form` stdout, the
+#: statezoo pool digest and the FMA probe.
 _STANDARD_FORM_CHILD = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
 import numpy as np
-from cvsep import cli
+from cvsep import cli, statezoo
 from cvsep.covariance import to_standard_form
 job = json.load(sys.stdin)
 forms = [_hex_form(to_standard_form(np.array([[float.fromhex(x) for x in row] for row in m])))
@@ -332,7 +332,8 @@ for path in job["documents"]:
     with contextlib.redirect_stdout(out):
         cli.main(["standard-form", path])
     texts.append(out.getvalue())
-json.dump({"forms": forms, "texts": texts}, sys.stdout)
+json.dump({"forms": forms, "texts": texts, "pool": _pool_digest(), "probe": _fma_probe()},
+          sys.stdout)
 """
 
 
@@ -341,10 +342,37 @@ def _hex_form(sf):
                               *sf.s2.ravel().tolist())]
 
 
+def _pool_digest():
+    """SHA-256 of a fixed statezoo pool: seed-55 audit-pool states, then
+    random_separable draws from the same generator."""
+    rng = np.random.default_rng(55)
+    pool = [statezoo.mixed_physical_state(rng, i) for i in range(40)]
+    pool += [statezoo.random_separable(rng) for _ in range(10)]
+    return hashlib.sha256(np.asarray(pool).tobytes()).hexdigest()
+
+
+def _fma_probe():
+    """A 2x2 @ product with entries a * a - a * a, a = 1 + 2**-30: 0.0 when
+    each product rounds on its own, -2**-60 or 2**-60 when the kernel fuses
+    one of them into the sum."""
+    a = 1.0 + 2.0 ** -30
+    return (np.array([[a, -a], [a, -a]]) @ np.array([[a, a], [a, a]])).ravel().tolist()
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return "unknown"
+
+
 def test_standard_form_bits_do_not_depend_on_the_blas_kernel(tmp_path, capsys):
     # numpy sends 2x2 products to BLAS, whose FMA kernels round a dot product
-    # differently from the SSE-only Prescott kernel; the reduction makes none.
-    # Where the BLAS is not OpenBLAS the variable does nothing and this passes.
+    # differently from the SSE-only Prescott kernel; the standard form, the
+    # `standard-form` text and statezoo's states take none.
+    blas = _blas_name()
+    if "openblas" not in blas.lower():
+        pytest.skip(f"OPENBLAS_CORETYPE selects nothing in BLAS {blas!r}")
     rng = np.random.default_rng(55)
     matrices = [statezoo.random_correlated_physical(rng) for _ in range(12)]
     matrices += [apply_symp(standard_matrix(1.5, 0.8, 0.6, -0.2),
@@ -359,15 +387,16 @@ def test_standard_form_bits_do_not_depend_on_the_blas_kernel(tmp_path, capsys):
     src = str(Path(cvsep.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    program = "".join(inspect.getsource(f) for f in (_hex_form, _pool_digest, _fma_probe))
     child = subprocess.run(
-        [sys.executable, "-c", inspect.getsource(_hex_form) + _STANDARD_FORM_CHILD],
+        [sys.executable, "-c", program + _STANDARD_FORM_CHILD],
         input=json.dumps(job), capture_output=True, text=True, env=env, check=True,
     )
     got = json.loads(child.stdout)
+    if got["probe"] == _fma_probe():
+        pytest.skip("OPENBLAS_CORETYPE=Prescott rounds 2x2 products as this CPU's kernel does")
     assert got["forms"] == [_hex_form(to_standard_form(v)) for v in matrices]
+    assert got["pool"] == _pool_digest()
     for path, text in zip(documents, got["texts"]):
         cli.main(["standard-form", path])
-        # The first six lines print a, b, c1, c2, s1 and s2. The determinant
-        # lines after them check the transforms with apply_symp's 4x4 products
-        # and np.linalg.det, which still go through BLAS and LAPACK.
-        assert text.splitlines()[:6] == capsys.readouterr().out.splitlines()[:6]
+        assert text == capsys.readouterr().out

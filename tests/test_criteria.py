@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import squeezed_symp
 import cvsep.covariance
 import cvsep.criteria
 from cvsep import statezoo
@@ -378,6 +379,21 @@ class TestVerdictInvariance:
                 ens_w = apply_symp(ens, s1, s2)
                 assert simon_criterion(w).satisfied == simon_before
                 assert stringent_criterion(w, ens_w).satisfied == stringent_before
+
+    def test_outcome_stable_under_strong_local_squeezing(self):
+        # Factors x with |log x| <= 3 on each mode, away from the boundary.
+        # Past |log x| of about 9, x near eps^(-1/4) (about 1e4), the block
+        # determinants of S A S^T lose every digit in float64.
+        rng = np.random.default_rng(55)
+        states = [mixed_physical_state(rng, i) for i in range(400)]
+        away = [(v, verdict.outcome) for v, verdict in zip(states, map(classify, states))
+                if abs(verdict.reports["p_rep_bound"].margin) >= 1e-6][:300]
+        assert len(away) == 300
+        for v, outcome in away:
+            for _ in range(5):
+                s1 = squeezed_symp(rng, rng.uniform(-3.0, 3.0))
+                s2 = squeezed_symp(rng, rng.uniform(-3.0, 3.0))
+                assert classify(apply_symp(v, s1, s2)).outcome is outcome
 
 
 class TestClassify:

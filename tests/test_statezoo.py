@@ -41,6 +41,13 @@ def test_random_symp2_is_symplectic():
         np.testing.assert_allclose(s @ j @ s.T, j, atol=1e-12)
 
 
+def test_generated_states_are_exactly_symmetric():
+    rng = np.random.default_rng(55)
+    for i in range(400):
+        v = statezoo.mixed_physical_state(rng, i)
+        np.testing.assert_array_equal(v, v.T)
+
+
 def test_random_physical_always_physical():
     rng = np.random.default_rng(1)
     for _ in range(10_000):
