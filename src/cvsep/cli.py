@@ -101,16 +101,15 @@ def load_document(path: str) -> tuple[np.ndarray, float | None]:
             raise InvalidInput(f"matrix entries must be numbers: {exc}") from exc
         if mat.shape == (16,):
             mat = mat.reshape(4, 4)
-        # The same relative asymmetry bound as the API; below it, symmetrize.
-        mat = as_covariance(mat)
+        # as_covariance bounds and averages any asymmetry; the CLI also warns.
+        sym = as_covariance(mat)
         asym = float(np.abs(mat - mat.T).max())
         if asym > 0.0:
             print(
                 f"warning: symmetrizing input (max asymmetry {asym:.3e})",
                 file=sys.stderr,
             )
-            mat = 0.5 * (mat + mat.T)
-        return mat, tol
+        return sym, tol
 
     sf = doc["standard_form"]
     if not isinstance(sf, dict) or set(sf) != {"a", "b", "c1", "c2"}:
@@ -222,8 +221,7 @@ def cmd_scan(args) -> int:
     b_values = _parse_values(args.b, "--b")
     if args.t_steps < 1:
         raise InvalidInput("--t-steps must be at least 1")
-    t_values = [0.0] if args.t_steps == 1 else np.linspace(0.0, 1.0, args.t_steps)
-    text = _csv_text(scan_table(a_values, b_values, t_values))
+    text = _csv_text(scan_table(a_values, b_values, np.linspace(0.0, 1.0, args.t_steps)))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -311,7 +309,3 @@ def main(argv=None) -> int:
     except CvsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _ERROR_EXIT if isinstance(exc, kind)), EXIT_SOFTWARE)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -32,7 +32,7 @@ DET_FLOOR = 1e-12
 #: Tolerance of is_symplectic2 on det S - 1, relative to the two products of det.
 SYMPLECTIC_TOL = 1e-12
 
-_PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
+_PT_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
 def symplectic_form(sign: int = 1) -> np.ndarray:
@@ -48,10 +48,10 @@ _UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
 
 
 def as_covariance(v) -> np.ndarray:
-    """v as a float array; raises InvalidInput unless it is a finite, symmetric
-    4x4 matrix: max |v - v^T| at most 1e-9 * norm_scale(v). Eigensolvers read
-    one triangle only, so an asymmetric matrix would be judged by half of its
-    entries."""
+    """The symmetric float matrix every criterion judges: v as is when it is
+    exactly symmetric, else 0.5 * v + 0.5 * v^T, which cannot overflow where
+    (v + v^T) / 2 can. Raises InvalidInput unless v is a finite 4x4 matrix
+    with max |v - v^T| at most 1e-9 * norm_scale(v)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (4, 4) or not np.isfinite(v).all():
         raise InvalidInput("covariance must be a finite 4x4 matrix")
@@ -64,7 +64,7 @@ def as_covariance(v) -> np.ndarray:
                abs(v12 - v21), abs(v13 - v31), abs(v23 - v32))
     if asym > 1e-9 and asym / 4 > 1e-9 * np.abs(v / 4).sum(axis=1).max():  # norm_scale >= 1
         raise InvalidInput(f"covariance asymmetry {asym:.3e} exceeds 1e-9 relative")
-    return v
+    return v if asym == 0.0 else 0.5 * v + 0.5 * v.T
 
 
 def standard_matrix(a: float, b: float, c1: float, c2: float) -> np.ndarray:
@@ -100,9 +100,9 @@ def apply_symp(v, s1, s2) -> np.ndarray:
     """Congruence action of a local (per-mode) symplectic pair.
 
     Blocks map as A -> S1 A S1^T, B -> S2 B S2^T, C -> S1 C S2^T, each computed
-    once by matkit._mul2 on Python floats; the lower triangle mirrors the upper
-    one, so the result is exactly symmetric and has the same bits on any BLAS.
-    Raises InvalidInput unless v passes as_covariance.
+    once by matkit._mul2 on the Python floats of as_covariance(v), which
+    raises InvalidInput on a bad v; the lower triangle mirrors the upper one,
+    so the result is exactly symmetric and has the same bits on any BLAS.
     """
     if not is_symplectic2(s1) or not is_symplectic2(s2):
         raise InvalidTransform("each factor must be a 2x2 symplectic matrix")
@@ -119,9 +119,9 @@ def apply_symp(v, s1, s2) -> np.ndarray:
 
 def partial_transpose(v) -> np.ndarray:
     """Momentum sign flip on the second mode, the covariance-level partial
-    transpose: B -> S3 B S3 and C -> C S3 with S3 = diag(1, -1). Raises
-    InvalidInput unless v passes as_covariance."""
-    return _PT_FLIP @ as_covariance(v) @ _PT_FLIP
+    transpose: B -> S3 B S3 and C -> C S3 with S3 = diag(1, -1), applied as
+    entry signs to as_covariance(v), which raises InvalidInput on a bad v."""
+    return as_covariance(v) * _PT_SIGNS
 
 
 @dataclass(frozen=True, eq=False)

@@ -215,15 +215,15 @@ def simon_bound(a: float, b: float, t: float) -> float:
 
 def _epr_blocks(rows: list, sign: int) -> list:
     """Rows of the block matrix [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]] of a
-    4x4 matrix given as nested lists, written out from J X J^T = [[x11, -x10],
-    [-x01, x00]]. Antisymmetric entries are x10 - x01 and x01 - x10, never
-    -(x01 - x10), which is -0.0 on a symmetric block."""
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (*_, b00, b01), (*_, b10, b11) = rows
+    symmetric 4x4 matrix given as nested lists, written out from J X J^T =
+    [[x11, -x10], [-x01, x00]]; on a symmetric block X + JXJ^T is tr(X) * I."""
+    (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
+    ta, tb = a00 + a11, b00 + b11
     return [
-        [a00 + a11, a01 - a10, c00 + sign * c11, c01 - sign * c10],
-        [a10 - a01, a11 + a00, c10 - sign * c01, c11 + sign * c00],
-        [c00 + sign * c11, c10 - sign * c01, b00 + b11, b01 - b10],
-        [c01 - sign * c10, c11 + sign * c00, b10 - b01, b11 + b00],
+        [ta, 0.0, c00 + sign * c11, c01 - sign * c10],
+        [0.0, ta, c10 - sign * c01, c11 + sign * c00],
+        [c00 + sign * c11, c10 - sign * c01, tb, 0.0],
+        [c01 - sign * c10, c11 + sign * c00, 0.0, tb],
     ]
 
 

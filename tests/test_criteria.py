@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -31,7 +32,13 @@ from cvsep.criteria import (
     weak_gap,
 )
 from cvsep.audit import run_audit
-from cvsep.errors import InvalidEnsembleMatrix, InvalidInput, NotPRepresentable, OutOfDomain
+from cvsep.errors import (
+    CvsepError,
+    InvalidEnsembleMatrix,
+    InvalidInput,
+    NotPRepresentable,
+    OutOfDomain,
+)
 from cvsep.prep import PWeight, char_fn, p_moment_residual, p_sample, p_weight
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze
@@ -570,37 +577,70 @@ class TestClassify:
             assert verdict.consistent
 
 
-@pytest.mark.parametrize(
-    "criterion",
-    [
-        is_physical,
-        simon_criterion,
-        duan_criterion,
-        lambda v: stringent_criterion(v, ZERO),
-        lambda ens: stringent_criterion(statezoo.vacuum(), ens),
-        lambda v: weak_gap(v, ZERO, 1),
-        lambda ens: weak_gap(statezoo.vacuum(), ens, -1),
-        p_rep_ensemble,
-        p_weight,
-        p_moment_residual,
-        lambda m: p_sample(PWeight(m, 1.0), 1, 0),
-        lambda v: gap_general(v, None, UNIT_PARAMS),
-        lambda ens: gap_general(statezoo.vacuum(), ens, UNIT_PARAMS),
-        lambda v: gap_separable(v, None, UNIT_PARAMS),
-        lambda ens: gap_separable(statezoo.vacuum(), ens, UNIT_PARAMS),
-        lambda v: apply_symp(v, np.eye(2), np.eye(2)),
-        partial_transpose,
-        lambda v: char_fn(v, np.ones(4)),
-    ],
-    ids=["is_physical", "simon", "duan", "stringent_v", "stringent_ens", "weak_gap_v",
-         "weak_gap_ens", "p_rep_ensemble", "p_weight", "p_moment_residual", "p_sample",
-         "gap_general_v", "gap_general_ens", "gap_separable_v", "gap_separable_ens",
-         "apply_symp", "partial_transpose", "char_fn"],
-)
+#: Every public entry point that takes a covariance matrix, called on one.
+ENTRY_POINTS = {
+    "is_physical": is_physical,
+    "simon": simon_criterion,
+    "duan": duan_criterion,
+    "stringent_v": lambda v: stringent_criterion(v, ZERO),
+    "stringent_ens": lambda ens: stringent_criterion(statezoo.vacuum(), ens),
+    "weak_gap_v": lambda v: weak_gap(v, ZERO, 1),
+    "weak_gap_ens": lambda ens: weak_gap(statezoo.vacuum(), ens, -1),
+    "p_rep_ensemble": p_rep_ensemble,
+    "p_weight": p_weight,
+    "p_moment_residual": p_moment_residual,
+    "p_sample": lambda m: p_sample(PWeight(m, 1.0), 1, 0),
+    "gap_general_v": lambda v: gap_general(v, None, UNIT_PARAMS),
+    "gap_general_ens": lambda ens: gap_general(statezoo.vacuum(), ens, UNIT_PARAMS),
+    "gap_separable_v": lambda v: gap_separable(v, None, UNIT_PARAMS),
+    "gap_separable_ens": lambda ens: gap_separable(statezoo.vacuum(), ens, UNIT_PARAMS),
+    "apply_symp": lambda v: apply_symp(v, np.eye(2), np.eye(2)),
+    "partial_transpose": partial_transpose,
+    "char_fn": lambda v: char_fn(v, np.ones(4)),
+    "classify": classify,
+    "to_standard_form": to_standard_form,
+}
+
+
+@pytest.mark.parametrize("criterion", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 @pytest.mark.parametrize("bad", BAD_MATRICES)
 def test_public_criteria_reject_bad_matrices(criterion, bad):
     with pytest.raises(InvalidInput):
         criterion(bad)
+
+
+def _bits(x):
+    """x as nested tuples that compare equal exactly when every bit agrees:
+    floats and arrays by their bytes, dataclasses and dicts field by field."""
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, dict):
+        return tuple((key, _bits(val)) for key, val in x.items())
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(item) for item in x)
+    if isinstance(x, (float, np.ndarray)):
+        return np.asarray(x).dtype.str, np.shape(x), np.asarray(x).tobytes()
+    return x
+
+
+def _result_bits(call, v):
+    """_bits of call(v), or the kind and message of the CvsepError it raises."""
+    try:
+        return _bits(call(v))
+    except CvsepError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("criterion", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_public_criteria_judge_either_triangle_alike(criterion):
+    # An accepted asymmetry in v[0, 2] only, in v[2, 0] only, and the two
+    # averaged: each entry point judges the one matrix as_covariance returns,
+    # so the triangle that carries the asymmetry changes no bit of its result.
+    upper = standard_matrix(1.0, 1.0, 0.6, -0.6)
+    upper[0, 2] += 4e-10
+    lower = upper.T.copy()
+    first, *rest = (_result_bits(criterion, v) for v in (upper, lower, 0.5 * (upper + lower)))
+    assert rest == [first, first]
 
 
 #: Every public function that takes tol, called with a valid state and a tol.
