@@ -44,8 +44,11 @@ def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
     the random ensemble is evaluated here. Returns the count of violations
     (expected zero) and how often the nonzero ensemble makes the stringent
     margin strictly smaller than Simon's. Raises InvalidInput unless samples
-    is positive, seed nonnegative and tol passes check_tol.
+    is a positive integer, seed a nonnegative one and tol passes check_tol.
     """
+    for name, n in (("samples", samples), ("seed", seed)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise InvalidInput(f"audit {name} must be an integer, got {n!r}")
     if samples < 1:
         raise InvalidInput("audit needs at least one sample")
     if seed < 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -73,32 +74,40 @@ def tolerance(raw: str) -> float:
         raise argparse.ArgumentTypeError(f"{raw} is not in (0, 1)") from exc
 
 
+def _floats(x, what: str, depth: int):
+    """x, if its entries (in lists up to depth levels deep) are finite floats;
+    a string, a boolean or a number read as inf raises InvalidInput."""
+    if isinstance(x, list) and depth > 0:
+        return [_floats(item, what, depth - 1) for item in x]
+    if type(x) is float and math.isfinite(x):
+        return x
+    raise InvalidInput(f"{what} entries must be finite JSON numbers, got {x!r:.40}")
+
+
 def load_document(path: str) -> tuple[np.ndarray, float | None]:
     """Read an input document; returns (covariance matrix, tol override)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=float)  # an integer past the float range is inf
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInput("input document must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise InvalidInput(f"unsupported schema_version {version!r}")
     if ("matrix" in doc) == ("standard_form" in doc):
         raise InvalidInput("provide exactly one of 'matrix' or 'standard_form'")
 
-    tol = doc.get("tol")
-    if tol is not None:
-        tol = check_tol(tol)
+    tol = None if doc.get("tol") is None else check_tol(doc["tol"])
 
     if "matrix" in doc:
         try:
-            mat = np.asarray(doc["matrix"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"matrix entries must be numbers: {exc}") from exc
+            mat = np.asarray(_floats(doc["matrix"], "matrix", 2), dtype=float)
+        except ValueError as exc:
+            raise InvalidInput(f"matrix rows must be equally long: {exc}") from exc
         if mat.shape == (16,):
             mat = mat.reshape(4, 4)
         # as_covariance bounds and averages any asymmetry; the CLI also warns.
@@ -114,12 +123,7 @@ def load_document(path: str) -> tuple[np.ndarray, float | None]:
     sf = doc["standard_form"]
     if not isinstance(sf, dict) or set(sf) != {"a", "b", "c1", "c2"}:
         raise InvalidInput("standard_form needs exactly the keys a, b, c1, c2")
-    try:
-        vals = [float(sf[k]) for k in ("a", "b", "c1", "c2")]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"standard_form entries must be numbers: {exc}") from exc
-    if not all(np.isfinite(vals)):
-        raise InvalidInput("standard_form entries must be finite")
+    vals = [_floats(sf[k], "standard_form", 0) for k in ("a", "b", "c1", "c2")]
     return standard_matrix(*vals), tol
 
 

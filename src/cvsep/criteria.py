@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import J2, StandardForm, _standard_form, as_covariance
-from .covariance import _UNCERTAINTY_SHIFT
+from .covariance import _UNCERTAINTY_SHIFT, J2, StandardForm, _standard_form, as_covariance
 from .errors import InvalidEnsembleMatrix, InvalidInput
 from .matkit import DEFAULT_TOL
-from .squeezing import _check_domain, _check_ratio, optimal_squeeze
+from .squeezing import optimal_squeeze, simon_bound  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,23 +195,6 @@ def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionRepo
     return CriterionReport(bool(margin >= -tol), float(margin))
 
 
-def simon_bound(a: float, b: float, t: float) -> float:
-    """Largest |c1| the algebraic Simon conditions admit at ratio t = |c2|/|c1|.
-
-    The smaller root of the quadratic that the quartic condition becomes once
-    c2 = t*c1, evaluated through the larger root so it stays stable down to
-    t = 0, where the equation degenerates to linear.
-    """
-    _check_domain(a, b)
-    _check_ratio(t)
-    quad_a = 4.0 * t * t
-    quad_b = 4.0 * a * b * (1.0 + t * t) + 2.0 * t
-    quad_c = (2.0 * a * a - 0.5) * (2.0 * b * b - 0.5)
-    disc = quad_b * quad_b - 4.0 * quad_a * quad_c
-    big = 0.5 * (quad_b + math.sqrt(max(disc, 0.0)))
-    return math.sqrt(quad_c / big)
-
-
 def _epr_blocks(rows: list, sign: int) -> list:
     """Rows of the block matrix [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]] of a
     symmetric 4x4 matrix given as nested lists, written out from J X J^T =
@@ -247,7 +229,7 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     h = sign * J^T f; with ens = 0 it coincides with the matching branch of
     duan_criterion. v and ens (unless None) are checked as in stringent_criterion.
     """
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
         raise InvalidInput("sign branch must be +1 or -1")
     ens = None if ens is None else _as_ensemble(ens, tol)
     m = np.array(_epr_blocks(as_covariance(v).tolist(), sign))

@@ -4,9 +4,10 @@ Squeezing a standard-form state (a, b, c1, c2) by factors r1, r2 >= 1 turns
 the coherent-excess condition V - I/2 >= 0 into two determinant constraints
 on (c1, c2) plus two trace conditions. Extremizing over the factors yields a
 closed-form bound on |c1| at fixed ratio t = |c2|/|c1|. The same bound
-reappears on the equality surfaces of the Simon and the Duan-type criteria,
-and this module exposes each route separately so their agreement can be
-checked numerically rather than assumed.
+reappears on the equality surfaces of the Simon and the Duan-type criteria;
+each route is one elementwise formula, run at a point by p_rep_bound_at,
+simon_bound or duan_bound_at and on whole grids by scan_table, so their
+agreement is checked numerically rather than assumed.
 """
 
 from __future__ import annotations
@@ -141,12 +142,25 @@ def optimal_squeeze(a: float, b: float, t: float) -> SqueezeSolution:
     return SqueezeSolution(SqueezeParams(r1, r2), d_aux, c1, t * c1, t)
 
 
+# Factors far outside [1, 2a] x [1, 2b] give inf or nan without a warning, as floats do.
+@np.errstate(over="ignore", invalid="ignore")
 def p_rep_bound_at(a: float, b: float, p: SqueezeParams) -> float:
     """Correlation bound sqrt((a r1 - 1/2)(b r2 - 1/2)) / sqrt(r1 r2) read off
     the squeezed q-sector determinant condition at the given factors."""
     _check_domain(a, b)
-    num = max(a * p.r1 - 0.5, 0.0) * max(b * p.r2 - 0.5, 0.0)
-    return math.sqrt(num / (p.r1 * p.r2))
+    return float(_prep_bound(a, b, p.r1, p.r2))
+
+
+def simon_bound(a: float, b: float, t: float) -> float:
+    """Largest |c1| the algebraic Simon conditions admit at ratio t = |c2|/|c1|.
+
+    The smaller root of the quadratic that the quartic condition becomes once
+    c2 = t*c1, evaluated through the larger root so it stays stable down to
+    t = 0, where the equation degenerates to linear.
+    """
+    _check_domain(a, b)
+    _check_ratio(t)
+    return float(_simon_bound(a, b, t))
 
 
 def extremality_residual(a: float, b: float, p: SqueezeParams) -> float:
@@ -203,11 +217,7 @@ def duan_bound_at(a: float, b: float, t: float, p: SqueezeParams) -> float:
     _check_ratio(t)
     if a / p.r1 - 0.5 < -_DOMAIN_EPS or b / p.r2 - 0.5 < -_DOMAIN_EPS:
         raise OutOfDomain("squeezing exceeds the window [1, 2a] x [1, 2b]")
-    num = math.sqrt(
-        max(a * p.r1 + a / p.r1 - 1.0, 0.0) * max(b * p.r2 + b / p.r2 - 1.0, 0.0)
-    )
-    root = math.sqrt(p.r1 * p.r2)
-    return num / (root + t / root)
+    return float(_duan_bound(a, b, t, p.r1, p.r2))
 
 
 #: Columns of scan_table, in order.
@@ -234,6 +244,24 @@ def _min(x, y):
     return np.where(y < x, y, x)
 
 
+# The bound formulas, elementwise: scan_table's columns and the scalar routes.
+def _prep_bound(a, b, r1, r2):
+    return np.sqrt(_max(a * r1 - 0.5, 0.0) * _max(b * r2 - 0.5, 0.0) / (r1 * r2))
+
+
+def _simon_bound(a, b, t):
+    quad_b = 4.0 * a * b * (1.0 + t * t) + 2.0 * t
+    quad_c = (2.0 * a * a - 0.5) * (2.0 * b * b - 0.5)
+    disc = quad_b * quad_b - 4.0 * (4.0 * t * t) * quad_c
+    return np.sqrt(quad_c / (0.5 * (quad_b + np.sqrt(_max(disc, 0.0)))))
+
+
+def _duan_bound(a, b, t, r1, r2):
+    num = np.sqrt(_max(a * r1 + a / r1 - 1.0, 0.0) * _max(b * r2 + b / r2 - 1.0, 0.0))
+    root = np.sqrt(r1 * r2)
+    return num / (root + t / root)
+
+
 def _snap_all(x: np.ndarray, lo: float, hi: np.ndarray) -> np.ndarray:
     """_snap over arrays, with the lo window taking precedence as in _snap."""
     out = _min(_max(x, lo), hi)
@@ -248,12 +276,13 @@ def scan_table(a_values, b_values, t_values) -> np.ndarray:
     among the bounds (relative with a unit floor, so degenerate rows with
     all-zero bounds stay meaningful).
 
-    Each route repeats, on whole columns, the operations of its scalar
-    function in the same order: optimal_squeeze, p_rep_bound_at,
-    criteria.simon_bound and duan_bound_at. Every entry is therefore bit for
-    bit what those functions return for its row. Raises OutOfDomain with the
-    scalar functions' message for the first row, in output order, that they
-    reject.
+    The bound columns come from the kernels that p_rep_bound_at, simon_bound
+    and duan_bound_at run at one point. The factors repeat optimal_squeeze's
+    operations on whole columns, in its order: classify's only squeeze call
+    stays on Python floats, about six times faster than on numpy scalars. So
+    every entry is bit for bit what those functions return for its row. Raises
+    OutOfDomain with their message for the first row, in output order, that
+    they reject.
     """
     if len(a_values) * len(b_values) * len(t_values):
         # The first row to fail is at the first (a, b) pair, or at its first
@@ -264,15 +293,8 @@ def scan_table(a_values, b_values, t_values) -> np.ndarray:
         for a in a_values:
             for b in b_values:
                 _check_domain(a, b)
-    a, b, t = (
-        g.ravel()
-        for g in np.meshgrid(
-            np.asarray(a_values, dtype=float),
-            np.asarray(b_values, dtype=float),
-            np.asarray(t_values, dtype=float),
-            indexing="ij",
-        )
-    )
+    grids = (np.asarray(g, dtype=float) for g in (a_values, b_values, t_values))
+    a, b, t = (g.ravel() for g in np.meshgrid(*grids, indexing="ij"))
 
     # optimal_squeeze. Its x ** 2 on a float calls the C pow, which can
     # differ in the last bit from the x * x that ndarray ** 2 computes;
@@ -285,22 +307,9 @@ def scan_table(a_values, b_values, t_values) -> np.ndarray:
     # a * b <= _AB_MAX keeps r1 and r2 finite, so SqueezeParams accepts every
     # row; r1 <= 2a and r2 <= 2b, so duan_bound_at's window check always passes.
 
-    # p_rep_bound_at
-    c1_prep = np.sqrt(_max(a * r1 - 0.5, 0.0) * _max(b * r2 - 0.5, 0.0) / (r1 * r2))
-
-    # criteria.simon_bound
-    quad_a = 4.0 * t * t
-    quad_b = 4.0 * a * b * (1.0 + t * t) + 2.0 * t
-    quad_c = (2.0 * a * a - 0.5) * (2.0 * b * b - 0.5)
-    disc = quad_b * quad_b - 4.0 * quad_a * quad_c
-    c1_simon = np.sqrt(quad_c / (0.5 * (quad_b + np.sqrt(_max(disc, 0.0)))))
-
-    # duan_bound_at
-    num = np.sqrt(
-        _max(a * r1 + a / r1 - 1.0, 0.0) * _max(b * r2 + b / r2 - 1.0, 0.0)
-    )
-    root = np.sqrt(r1 * r2)
-    c1_duan = num / (root + t / root)
+    c1_prep = _prep_bound(a, b, r1, r2)
+    c1_simon = _simon_bound(a, b, t)
+    c1_duan = _duan_bound(a, b, t, r1, r2)
 
     top = _max(_max(c1_prep, c1_simon), c1_duan)
     bottom = _min(_min(c1_prep, c1_simon), c1_duan)

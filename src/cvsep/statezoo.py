@@ -24,9 +24,9 @@ def vacuum() -> np.ndarray:
 
 
 def thermal(n1: float, n2: float) -> np.ndarray:
-    """Uncorrelated thermal state diag(n1, n1, n2, n2); needs n1, n2 >= 1/2."""
-    if not (n1 >= 0.5 and n2 >= 0.5):
-        raise InvalidSpec(f"thermal occupations ({n1}, {n2}) must be >= 1/2")
+    """Uncorrelated thermal state diag(n1, n1, n2, n2); needs finite n1, n2 >= 1/2."""
+    if not (0.5 <= n1 < math.inf and 0.5 <= n2 < math.inf):
+        raise InvalidSpec(f"thermal occupations ({n1}, {n2}) must be finite and >= 1/2")
     return standard_matrix(n1, n2, 0.0, 0.0)
 
 
@@ -35,8 +35,10 @@ def two_mode_squeezed(r: float) -> np.ndarray:
     c1 = -c2 = sinh(2r)/2; entangled for every r > 0."""
     if not (math.isfinite(r) and r >= 0.0):
         raise InvalidSpec(f"squeezing r = {r} must be nonnegative")
-    a = 0.5 * math.cosh(2.0 * r)
-    c = 0.5 * math.sinh(2.0 * r)
+    try:
+        a, c = 0.5 * math.cosh(2.0 * r), 0.5 * math.sinh(2.0 * r)
+    except OverflowError:
+        raise InvalidSpec(f"squeezing r = {r} overflows cosh(2r)") from None
     return standard_matrix(a, a, c, -c)
 
 

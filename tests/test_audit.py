@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import cvsep.audit
@@ -32,6 +33,26 @@ def test_audit_runs_classify_once_per_state_and_one_random_ensemble(monkeypatch)
 def test_audit_needs_a_sample():
     with pytest.raises(InvalidInput, match="at least one sample"):
         run_audit(0, 0)
+
+
+@pytest.mark.parametrize(
+    "samples, seed, name",
+    [(2.5, 0, "samples"), (2.0, 0, "samples"), (True, 0, "samples"), ("2", 0, "samples"),
+     (2, 1.5, "seed"), (2, False, "seed"), (2, None, "seed")],
+)
+def test_audit_needs_integer_samples_and_seed(monkeypatch, samples, seed, name):
+    # Rejected before any state is drawn, instead of a TypeError from range
+    # or from numpy's SeedSequence.
+    draws = counting(monkeypatch, "classify")
+    with pytest.raises(InvalidInput, match=f"audit {name} must be an integer"):
+        run_audit(samples, seed)
+    assert draws == []
+
+
+def test_audit_accepts_numpy_integers():
+    result = run_audit(np.int64(3), np.int32(5))
+    assert (result.samples, result.seed) == (3, 5)
+    assert result == run_audit(3, 5)
 
 
 def test_audit_needs_a_nonnegative_seed():

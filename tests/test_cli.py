@@ -145,6 +145,67 @@ def test_document_tol_outside_unit_interval_is_rejected(tmp_path, capsys, tol):
     assert capsys.readouterr().err.startswith("error: tol must be a finite number in (0, 1)")
 
 
+#: A 400-digit JSON integer, past the float range.
+HUGE = "9" * 400
+VACUUM_ROWS = "[0.5,0,0,0],[0,0.5,0,0],[0,0,0.5,0]"
+UNIT_SF = '"a": 1, "b": 1, "c1": 0, "c2": 0'
+
+#: Documents whose numbers are not all finite JSON numbers.
+NOT_JSON_NUMBERS = {
+    "strings_and_bool_in_matrix":
+        '{"matrix": [["0.5",0,0,0],[0,0.5,0,0],[0,0,0.5,0],[0,0,0,true]]}',
+    "bool_in_matrix": '{"matrix": [%s,[0,0,0,true]]}' % VACUUM_ROWS,
+    "string_in_flat_matrix": '{"matrix": [0.5,0,0,0,0,0.5,0,0,0,0,0.5,0,0,0,0,"0.5"]}',
+    "null_in_matrix": '{"matrix": [%s,[0,0,0,null]]}' % VACUUM_ROWS,
+    "huge_integer_in_matrix": '{"matrix": [%s,[0,0,0,%s]]}' % (VACUUM_ROWS, HUGE),
+    "float_past_the_range_in_matrix": '{"matrix": [%s,[0,0,0,1e400]]}' % VACUUM_ROWS,
+    "strings_and_bool_in_standard_form":
+        '{"standard_form": {"a": "1.0", "b": true, "c1": "0.5", "c2": 0}}',
+    "huge_integer_in_standard_form":
+        '{"standard_form": {"a": 1, "b": 1, "c1": %s, "c2": 0}}' % HUGE,
+    "nan_in_standard_form": '{"standard_form": {"a": 1, "b": 1, "c1": NaN, "c2": 0}}',
+    "bool_schema_version": '{"schema_version": true, "standard_form": {%s}}' % UNIT_SF,
+    "string_schema_version": '{"schema_version": "1", "standard_form": {%s}}' % UNIT_SF,
+    "huge_integer_schema_version":
+        '{"schema_version": %s, "standard_form": {%s}}' % (HUGE, UNIT_SF),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "standard-form"])
+@pytest.mark.parametrize("text", NOT_JSON_NUMBERS.values(), ids=NOT_JSON_NUMBERS.keys())
+def test_document_numbers_must_be_finite_json_numbers(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"matrix": \xff}', b'{"matrix": [%s]}' % (b"9" * 5000)],
+    ids=["not_utf8", "integer_past_the_digit_limit"],
+)
+def test_unreadable_documents_are_parse_failures(tmp_path, capsys, raw):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    assert main(["classify", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integer_entries_read_as_their_floats(tmp_path, capsys):
+    as_ints = tmp_path / "ints.json"
+    as_ints.write_text(
+        '{"schema_version": 1, "standard_form": {"a": 2, "b": 1, "c1": 1, "c2": -1}}'
+    )
+    as_floats = write_doc(
+        tmp_path, "floats.json", {"standard_form": {"a": 2.0, "b": 1.0, "c1": 1.0, "c2": -1.0}}
+    )
+    assert main(["classify", str(as_ints)]) == main(["classify", as_floats])
+    first, second = capsys.readouterr().out.split("verdict:")[1:]
+    assert first == second
+
+
 def test_usage_error_leaves_the_parser_usable(tmp_path, capsys):
     # The parser is built once per process; a failed parse must not leak
     # into the next call.

@@ -318,6 +318,15 @@ class TestWeakGap:
             rep = weak_gap(np.eye(4), 0.5 * np.eye(4), sign)
             assert rep.margin == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("sign", [0, 2, -2, True, False, 1.0, -1.0, "1", None])
+    def test_rejects_a_sign_that_is_not_the_integer_plus_or_minus_one(self, sign):
+        with pytest.raises(InvalidInput, match=r"sign branch must be \+1 or -1"):
+            weak_gap(statezoo.vacuum(), None, sign)
+
+    def test_numpy_integer_signs_are_accepted(self):
+        for sign in (np.int64(1), np.int32(-1)):
+            assert weak_gap(statezoo.vacuum(), None, sign).sign_branch == sign
+
 
 class TestWitnesses:
     def test_every_failure_produces_negative_gap(self):

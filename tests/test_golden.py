@@ -1,6 +1,7 @@
 """Golden CLI outputs: classify text for a few reference states, an audit
 report and the digests of the default scan CSV and of further scans (other
-t-step counts, an asymmetric a/b grid) must stay byte-identical.
+t-step counts, an asymmetric a/b grid, a grid up to the a * b bound) must stay
+byte-identical.
 
 golden_outputs.json holds what capture_outputs() returned on the code the
 goldens were taken from; a refactor that changes any byte fails here.
@@ -32,6 +33,8 @@ SCAN_ARGS = {
     "t_steps_8": ["--t-steps", "8"],
     "t_steps_16": ["--t-steps", "16"],
     "asymmetric_grid_t_steps_9": ["--a", "0.5,1.5,7", "--b", "0.75,3", "--t-steps", "9"],
+    "t_steps_1001": ["--t-steps", "1001"],
+    "ab_bound_grid_t_steps_101": ["--a", "0.5,1e75,1e150", "--b", "1,0.5", "--t-steps", "101"],
 }
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import cvsep
 from cvsep.covariance import StandardForm, apply_symp
-from cvsep.criteria import simon_bound
 from cvsep.errors import OutOfDomain
 from cvsep.matkit import is_psd_herm
 from cvsep.squeezing import (
@@ -17,6 +17,7 @@ from cvsep.squeezing import (
     p_rep_bound_at,
     prep_conditions,
     r2_of_r1,
+    simon_bound,
     superadditivity_gap,
 )
 
@@ -315,8 +316,6 @@ class TestDuanSplit:
 
 class TestBoundEquivalence:
     def test_three_routes_agree_on_grid(self):
-        from cvsep.criteria import simon_bound
-
         for a in GRID_AB:
             for b in GRID_AB:
                 for t in GRID_T:
@@ -389,3 +388,37 @@ class TestProductBound:
         for route in routes:
             with pytest.raises(OutOfDomain, match=r"must have a \* b <= 1e\+150"):
                 route()
+
+
+class TestScalarRoutes:
+    """p_rep_bound_at, simon_bound and duan_bound_at evaluate scan_table's
+    column kernels at one point and hand back a plain float."""
+
+    def test_simon_bound_is_one_function_in_every_namespace(self):
+        assert cvsep.simon_bound is cvsep.criteria.simon_bound is cvsep.squeezing.simon_bound
+
+    @pytest.mark.parametrize(
+        "a, b", [(a, b) for a in GRID_AB for b in GRID_AB] + AT_THE_AB_BOUND
+    )
+    def test_routes_return_python_floats(self, a, b):
+        for t in (*GRID_T, 0.0, 1.0):
+            sol = optimal_squeeze(a, b, t)
+            bounds = (
+                p_rep_bound_at(a, b, sol.params),
+                simon_bound(a, b, t),
+                duan_bound_at(a, b, t, sol.params),
+            )
+            assert [type(x) for x in bounds] == [float] * 3
+
+    def test_numpy_scalar_arguments_still_give_python_floats(self):
+        a, b, t = np.float64(1.5), np.float64(0.8), np.float64(0.4)
+        p = SqueezeParams(np.float64(1.7), np.float64(1.2))
+        assert type(p_rep_bound_at(a, b, p)) is float
+        assert type(simon_bound(a, b, t)) is float
+        assert type(duan_bound_at(a, b, t, p)) is float
+
+    def test_factors_far_outside_the_window_overflow_without_a_warning(self):
+        # Python floats overflow to inf, and inf / inf is nan, silently; the
+        # kernel on numpy scalars must do the same (warnings are errors here).
+        assert math.isnan(p_rep_bound_at(1.0, 1.0, SqueezeParams(1e200, 1e200)))
+        assert p_rep_bound_at(1e100, 1.0, SqueezeParams(1e250, 1.0)) == math.inf

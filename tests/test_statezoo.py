@@ -33,6 +33,29 @@ def test_parameter_validation():
         statezoo.two_mode_squeezed(-0.1)
 
 
+@pytest.mark.parametrize(
+    "n1, n2", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -math.inf)]
+)
+def test_thermal_rejects_non_finite_occupations(n1, n2):
+    with pytest.raises(InvalidSpec, match="must be finite and >= 1/2"):
+        statezoo.thermal(n1, n2)
+
+
+@pytest.mark.parametrize("r", [400.0, 355.3, 1e300])
+def test_two_mode_squeezed_rejects_overflowing_squeezing(r):
+    with pytest.raises(InvalidSpec, match="overflows cosh"):
+        statezoo.two_mode_squeezed(r)
+
+
+def test_two_mode_squeezed_keeps_its_values_up_to_the_overflow():
+    # cosh(2r) overflows between r = 355.2 and 355.3; below that the entries
+    # are the closed form, bit for bit.
+    for r in (0.0, 0.7, 100.0, 355.2):
+        v = statezoo.two_mode_squeezed(r)
+        a, c = 0.5 * math.cosh(2.0 * r), 0.5 * math.sinh(2.0 * r)
+        assert v.tolist() == statezoo.standard_matrix(a, a, c, -c).tolist()
+
+
 def test_random_symp2_is_symplectic():
     rng = np.random.default_rng(0)
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
