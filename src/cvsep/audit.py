@@ -8,8 +8,7 @@ import numpy as np
 
 from . import statezoo
 from .criteria import classify, stringent_criterion
-from .errors import InvalidInput
-from .matkit import DEFAULT_TOL, check_tol
+from .matkit import DEFAULT_TOL, _check_count_and_seed, check_tol
 
 
 @dataclass
@@ -46,13 +45,7 @@ def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
     margin strictly smaller than Simon's. Raises InvalidInput unless samples
     is a positive integer, seed a nonnegative one and tol passes check_tol.
     """
-    for name, n in (("samples", samples), ("seed", seed)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise InvalidInput(f"audit {name} must be an integer, got {n!r}")
-    if samples < 1:
-        raise InvalidInput("audit needs at least one sample")
-    if seed < 0:
-        raise InvalidInput(f"audit seed {seed} must be nonnegative")
+    samples, seed = _check_count_and_seed(samples, seed, "audit")
     tol = check_tol(tol)
     rng = np.random.default_rng(seed)
     prep_count = 0

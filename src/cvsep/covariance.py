@@ -67,6 +67,14 @@ def as_covariance(v) -> np.ndarray:
     return v if asym == 0.0 else 0.5 * v + 0.5 * v.T
 
 
+def _as_vector(x, n: int, name: str) -> np.ndarray:
+    """x as a float n-vector; raises InvalidInput unless it is one with finite entries."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,) or not np.isfinite(x).all():
+        raise InvalidInput(f"{name} must be a finite {n}-vector")
+    return x
+
+
 def standard_matrix(a: float, b: float, c1: float, c2: float) -> np.ndarray:
     """Standard-form covariance: isotropic diagonal blocks, diagonal correlations."""
     return np.array(
@@ -204,7 +212,9 @@ def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 def ensemble_matrix(weights, deviations) -> np.ndarray:
     """Second-moment matrix sum_k P_k m_k m_k^T of per-component mean deviations.
 
-    PSD by construction; weights must be nonnegative and sum to one.
+    PSD by construction; weights must be nonnegative and sum to one. Raises
+    InvalidEnsemble on malformed or non-finite input and OutOfDomain when a
+    second moment overflows.
     """
     w = np.asarray(weights, dtype=float)
     m = np.asarray(deviations, dtype=float)
@@ -214,10 +224,16 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
         raise InvalidEnsemble("ensemble entries must be finite")
     if np.any(w < 0.0):
         raise InvalidEnsemble("weights must be nonnegative")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
+    with np.errstate(over="ignore"):  # a sum past the float maximum is inf and fails
+        total = float(w.sum())
+    if abs(total - 1.0) > 1e-12:
         raise InvalidEnsemble("weights must sum to one")
-    out = (w[:, None] * m).T @ m
-    return 0.5 * (out + out.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (w[:, None] * m).T @ m
+        out = 0.5 * (out + out.T)
+    if not np.isfinite(out).all():
+        raise OutOfDomain("ensemble_matrix: a second moment overflows")
+    return out
 
 
 def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:

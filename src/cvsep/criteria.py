@@ -29,10 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import _UNCERTAINTY_SHIFT, J2, StandardForm, _standard_form, as_covariance
-from .errors import InvalidEnsembleMatrix, InvalidInput
+from .covariance import (
+    _UNCERTAINTY_SHIFT,
+    J2,
+    StandardForm,
+    _as_vector,
+    _standard_form,
+    as_covariance,
+)
+from .errors import InvalidEnsembleMatrix, InvalidInput, OutOfDomain
 from .matkit import DEFAULT_TOL
-from .squeezing import optimal_squeeze, simon_bound  # noqa: F401 (re-exported)
+from .squeezing import _c1_bound, simon_bound  # noqa: F401 (simon_bound re-exported)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,35 +106,46 @@ def _quad(m: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
     return float(u @ m[:2, :2] @ u + w @ m[2:, 2:] @ w + 2.0 * (u @ m[:2, 2:] @ w))
 
 
-def _pair_quads(v, ens, p: ParamSet) -> float:
+def _pair_quads(v, ens, p: ParamSet) -> tuple:
+    """The pair's quadratic forms in v less those in ens (unless None), and
+    p's four vectors, each checked to be a finite 2-vector."""
     v = as_covariance(v)
-    total = _quad(v, p.d, p.f) + _quad(v, p.g, p.h)
+    ens = None if ens is None else as_covariance(ens)
+    d, f, g, h = (_as_vector(getattr(p, name), 2, f"witness {name}") for name in "dfgh")
+    total = _quad(v, d, f) + _quad(v, g, h)
     if ens is not None:
-        ens = as_covariance(ens)
-        total -= _quad(ens, p.d, p.f) + _quad(ens, p.g, p.h)
-    return total
+        total -= _quad(ens, d, f) + _quad(ens, g, h)
+    return total, d, f, g, h
 
 
+def _finite_gap(gap: float) -> float:
+    """gap, which is non-finite only where a form of finite inputs overflowed."""
+    if not math.isfinite(gap):
+        raise OutOfDomain("gap: a quadratic form or commutator term overflows")
+    return gap
+
+
+# Forms past the float maximum give inf or nan without a warning, as floats do.
+@np.errstate(over="ignore", invalid="ignore")
 def gap_general(v, ens, p: ParamSet) -> float:
     """Uncertainty gap with the combined commutator bound |d.Jg + f.Jh|.
 
     Nonnegative for every physical state and every PSD ensemble matrix drawn
     from one of its decompositions; ens=None means no ensemble refinement.
-    Raises InvalidInput unless v, and ens unless None, pass as_covariance.
+    Raises InvalidInput unless v, and ens unless None, pass as_covariance and
+    p's vectors are finite 2-vectors, and OutOfDomain when a term overflows.
     """
-    comm = float(p.d @ J2 @ p.g + p.f @ J2 @ p.h)
-    return _pair_quads(v, ens, p) - abs(comm)
+    total, d, f, g, h = _pair_quads(v, ens, p)
+    return _finite_gap(total - abs(float(d @ J2 @ g + f @ J2 @ h)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gap_separable(v, ens, p: ParamSet) -> float:
     """Separability gap: the two commutator terms are bounded separately,
     |d.Jg| + |f.Jh|, which is what separable states must satisfy. Inputs are
     checked as in gap_general."""
-    return (
-        _pair_quads(v, ens, p)
-        - abs(float(p.d @ J2 @ p.g))
-        - abs(float(p.f @ J2 @ p.h))
-    )
+    total, d, f, g, h = _pair_quads(v, ens, p)
+    return _finite_gap(total - abs(float(d @ J2 @ g)) - abs(float(f @ J2 @ h)))
 
 
 def _witness(vec: np.ndarray, sign: int) -> ParamSet:
@@ -291,8 +309,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     reports["simon_algebraic"] = simon_algebraic(sf, tol)
 
     # Physicality guarantees a, b >= 1/2; clamp away rounding dips below.
-    sol = optimal_squeeze(max(sf.a, 0.5), max(sf.b, 0.5), sf.t)
-    prep_margin = sol.c1_bound - abs(sf.c1)
+    prep_margin = _c1_bound(max(sf.a, 0.5), max(sf.b, 0.5), sf.t) - abs(sf.c1)
     separable = bool(prep_margin >= -tol)
     reports["p_rep_bound"] = CriterionReport(separable, float(prep_margin))
 

@@ -28,6 +28,19 @@ def check_tol(tol) -> float:
     return float(tol)
 
 
+def _check_count_and_seed(n, seed, caller: str) -> tuple[int, int]:
+    """(n, seed) as ints; raises InvalidInput, naming the caller, unless both
+    are Python or numpy integers (not bools) with n >= 1 and seed >= 0."""
+    for name, k in (("samples", n), ("seed", seed)):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise InvalidInput(f"{caller} {name} must be an integer, got {k!r}")
+    if n < 1:
+        raise InvalidInput(f"{caller} needs at least one sample")
+    if seed < 0:
+        raise InvalidInput(f"{caller} seed {seed} must be nonnegative")
+    return int(n), int(seed)
+
+
 def norm_scale(m: np.ndarray):
     """Tolerance scale max(1, max absolute row sum), per matrix of a stack (..., n, n)."""
     return np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))

@@ -13,16 +13,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import as_covariance, p_rep_ensemble
+from .covariance import _as_vector, as_covariance, p_rep_ensemble
 from .errors import BoundaryPRep, InvalidInput, OutOfDomain
 from .matkit import DEFAULT_TOL
 
 
+def _quadratic_form(m: np.ndarray, x: np.ndarray, name: str) -> float:
+    """x^T m x, or OutOfDomain where it overflows, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(x @ m @ x)
+    if not math.isfinite(q):
+        raise OutOfDomain(f"{name}: the quadratic form overflows")
+    return q
+
+
 def char_fn(v, lam) -> float:
     """Symmetric-ordering characteristic function exp(-lam^T V lam / 2).
-    Raises InvalidInput unless v passes as_covariance."""
-    lam = np.asarray(lam, dtype=float)
-    return float(np.exp(-0.5 * float(lam @ as_covariance(v) @ lam)))
+    Raises InvalidInput unless lam is a finite 4-vector and v passes
+    as_covariance, and OutOfDomain when the quadratic form or the
+    exponential overflows."""
+    lam = _as_vector(lam, 4, "lam")
+    q = _quadratic_form(as_covariance(v), lam, "char_fn")
+    with np.errstate(over="ignore"):
+        value = float(np.exp(-0.5 * q))
+    if value == math.inf:
+        raise OutOfDomain("char_fn: the exponential overflows")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +72,18 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
 
 
 def p_density(w: PWeight, z) -> float:
-    """Weight density at a phase-space point; integrates to one over R^4."""
-    z = np.asarray(z, dtype=float)
-    return float(w.normalization * math.exp(-0.5 * float(z @ w.pmat @ z)))
+    """Weight density at a phase-space point; integrates to one over R^4.
+    Raises InvalidInput unless z is a finite 4-vector and w.pmat passes
+    as_covariance, and OutOfDomain when the quadratic form or the density
+    overflows."""
+    q = _quadratic_form(as_covariance(w.pmat), _as_vector(z, 4, "z"), "p_density")
+    try:
+        value = float(w.normalization) * math.exp(-0.5 * q)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise OutOfDomain("p_density: the density overflows")
+    return value
 
 
 def p_moment_residual(v, tol: float = DEFAULT_TOL) -> float:
@@ -80,14 +105,14 @@ def p_sample(w: PWeight, n: int, seed) -> np.ndarray:
 
     Applies the spectral square root of P^(-1) to standard normal variates
     from numpy's seeded PCG64 generator, so equal seeds give equal samples
-    and the sample covariance converges to P^(-1). Raises InvalidInput unless
-    n is positive and w.pmat passes as_covariance and is positive definite.
+    and the sample covariance converges to P^(-1). Raises InvalidInput before
+    any draw unless n is a positive integer, seed a nonnegative one (bools
+    refused) and w.pmat passes as_covariance and is positive definite.
     """
-    if n < 1:
-        raise InvalidInput("need at least one sample")
+    n, seed = matkit._check_count_and_seed(n, seed, "p_sample")
     values, vectors = np.linalg.eigh(as_covariance(w.pmat))
     if not values[0] > 0.0:
         raise InvalidInput("weight matrix must be positive definite")
     root = (vectors / np.sqrt(values)) @ vectors.T
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((int(n), 4)) @ root
+    return rng.standard_normal((n, 4)) @ root

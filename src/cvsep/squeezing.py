@@ -5,9 +5,9 @@ the coherent-excess condition V - I/2 >= 0 into two determinant constraints
 on (c1, c2) plus two trace conditions. Extremizing over the factors yields a
 closed-form bound on |c1| at fixed ratio t = |c2|/|c1|. The same bound
 reappears on the equality surfaces of the Simon and the Duan-type criteria;
-each route is one elementwise formula, run at a point by p_rep_bound_at,
-simon_bound or duan_bound_at and on whole grids by scan_table, so their
-agreement is checked numerically rather than assumed.
+each route (p_rep_bound_at, simon_bound, duan_bound_at), like the factors of
+optimal_squeeze, is one elementwise formula run at a point and by scan_table
+on whole grids, so their agreement is checked numerically, not assumed.
 """
 
 from __future__ import annotations
@@ -72,21 +72,6 @@ def _check_ratio(t: float) -> None:
         raise OutOfDomain(f"correlation ratio t = {t} outside [0, 1]")
 
 
-def _snap(x: float, lo: float, hi: float) -> float:
-    """Snap ulp-level rounding residue onto the exact analytic endpoints.
-
-    The extremal factors live in [lo, hi] with the endpoints attained exactly
-    at t = 1 and t = 0 (and everywhere when the range collapses); interior
-    solutions approach the endpoints no faster than O(distance to those t),
-    so an 8-ulp window cannot swallow a genuine interior value.
-    """
-    if abs(x - lo) <= 8e-16 * max(1.0, lo):
-        return lo
-    if abs(x - hi) <= 8e-16 * max(1.0, hi):
-        return hi
-    return min(max(x, lo), hi)
-
-
 def apply_squeeze(sf: StandardForm, p: SqueezeParams) -> np.ndarray:
     """Covariance of the standard form squeezed by diag(sqrt(r), 1/sqrt(r))
     per mode: diagonal (a r1, a/r1, b r2, b/r2), correlations scaled by
@@ -120,6 +105,15 @@ def prep_conditions(sf: StandardForm, p: SqueezeParams):
     )
 
 
+def _c1_bound(a: float, b: float, t: float) -> float:
+    """optimal_squeeze's c1_bound on Python floats, after its domain checks."""
+    _check_domain(a, b)
+    _check_ratio(t)
+    d_aux = (a * b * (1.0 - t * t)) ** 2 + t * (a + b * t) * (a * t + b)
+    denom = 2.0 * a * b * (1.0 + t * t) + t + 2.0 * math.sqrt(d_aux)
+    return math.sqrt((2.0 * a * a - 0.5) * (2.0 * b * b - 0.5) / denom)
+
+
 def optimal_squeeze(a: float, b: float, t: float) -> SqueezeSolution:
     """Extremal squeezing factors and correlation bound for block sizes (a, b)
     at correlation ratio t = |c2|/|c1|.
@@ -129,16 +123,12 @@ def optimal_squeeze(a: float, b: float, t: float) -> SqueezeSolution:
     2 sqrt(D))), an algebraic rationalization of the usual (1/2t) * sqrt(...)
     expression that stays accurate down to t = 0, where it coincides with
     sqrt((a r1 - 1/2)(b r2 - 1/2) / (r1 r2)) at r1 = 2a, r2 = 2b.
+
+    The factors and D come from scan_table's kernel, on numpy scalars (tens of
+    microseconds a call); classify reads only the bound, through _c1_bound.
     """
-    _check_domain(a, b)
-    _check_ratio(t)
-    d_aux = (a * b * (1.0 - t * t)) ** 2 + t * (a + b * t) * (a * t + b)
-    root_d = math.sqrt(d_aux)
-    core = a * b * (1.0 - t * t) + root_d
-    r1 = _snap(core / (a * t + b), 1.0, 2.0 * a)
-    r2 = _snap(core / (a + b * t), 1.0, 2.0 * b)
-    denom = 2.0 * a * b * (1.0 + t * t) + t + 2.0 * root_d
-    c1 = math.sqrt((2.0 * a * a - 0.5) * (2.0 * b * b - 0.5) / denom)
+    c1 = _c1_bound(a, b, t)
+    d_aux, r1, r2 = (float(x) for x in _extremal_factors(a, b, t))
     return SqueezeSolution(SqueezeParams(r1, r2), d_aux, c1, t * c1, t)
 
 
@@ -263,10 +253,27 @@ def _duan_bound(a, b, t, r1, r2):
 
 
 def _snap_all(x: np.ndarray, lo: float, hi: np.ndarray) -> np.ndarray:
-    """_snap over arrays, with the lo window taking precedence as in _snap."""
+    """Snap ulp-level rounding residue onto the exact endpoints lo and hi,
+    elementwise (lo wins where both windows hold). The extremal factors attain
+    them exactly at t = 1 and t = 0 (everywhere when the range collapses);
+    interior solutions approach them no faster than O(distance to those t),
+    so an 8-ulp window cannot swallow a genuine interior value."""
     out = _min(_max(x, lo), hi)
     out = np.where(np.abs(x - hi) <= 8e-16 * _max(1.0, hi), hi, out)
     return np.where(np.abs(x - lo) <= 8e-16 * max(1.0, lo), lo, out)
+
+
+def _extremal_factors(a, b, t):
+    """(d_aux, r1, r2) of optimal_squeeze, elementwise. D stays written twice:
+    also on floats in _c1_bound, classify's per-state bound. float_power calls
+    the C pow of a float's x ** 2; ndarray ** 2 computes x * x, which can
+    differ in the last bit."""
+    x = a * b * (1.0 - t * t)
+    d_aux = np.float_power(x, 2.0) + t * (a + b * t) * (a * t + b)
+    core = x + np.sqrt(d_aux)
+    r1 = _snap_all(core / (a * t + b), 1.0, 2.0 * a)
+    r2 = _snap_all(core / (a + b * t), 1.0, 2.0 * b)
+    return d_aux, r1, r2
 
 
 def scan_table(a_values, b_values, t_values) -> np.ndarray:
@@ -276,13 +283,10 @@ def scan_table(a_values, b_values, t_values) -> np.ndarray:
     among the bounds (relative with a unit floor, so degenerate rows with
     all-zero bounds stay meaningful).
 
-    The bound columns come from the kernels that p_rep_bound_at, simon_bound
-    and duan_bound_at run at one point. The factors repeat optimal_squeeze's
-    operations on whole columns, in its order: classify's only squeeze call
-    stays on Python floats, about six times faster than on numpy scalars. So
-    every entry is bit for bit what those functions return for its row. Raises
-    OutOfDomain with their message for the first row, in output order, that
-    they reject.
+    Each column runs the kernel of its scalar route (optimal_squeeze,
+    p_rep_bound_at, simon_bound, duan_bound_at), so every entry is bit for bit
+    what those return for its row. Raises OutOfDomain with their message for
+    the first row, in output order, that they reject.
     """
     if len(a_values) * len(b_values) * len(t_values):
         # The first row to fail is at the first (a, b) pair, or at its first
@@ -296,14 +300,7 @@ def scan_table(a_values, b_values, t_values) -> np.ndarray:
     grids = (np.asarray(g, dtype=float) for g in (a_values, b_values, t_values))
     a, b, t = (g.ravel() for g in np.meshgrid(*grids, indexing="ij"))
 
-    # optimal_squeeze. Its x ** 2 on a float calls the C pow, which can
-    # differ in the last bit from the x * x that ndarray ** 2 computes;
-    # float_power calls pow for every element.
-    x = a * b * (1.0 - t * t)
-    root_d = np.sqrt(np.float_power(x, 2.0) + t * (a + b * t) * (a * t + b))
-    core = x + root_d
-    r1 = _snap_all(core / (a * t + b), 1.0, 2.0 * a)
-    r2 = _snap_all(core / (a + b * t), 1.0, 2.0 * b)
+    _, r1, r2 = _extremal_factors(a, b, t)
     # a * b <= _AB_MAX keeps r1 and r2 finite, so SqueezeParams accepts every
     # row; r1 <= 2a and r2 <= 2b, so duan_bound_at's window check always passes.
 

@@ -32,6 +32,7 @@ from cvsep.errors import (
     InvalidInput,
     InvalidTransform,
     NotPRepresentable,
+    OutOfDomain,
 )
 from cvsep.matkit import is_psd_herm
 
@@ -286,6 +287,17 @@ class TestEnsembleMatrix:
             ensemble_matrix([0.5, 0.6], np.zeros((2, 4)))
         with pytest.raises(InvalidEnsemble):
             ensemble_matrix([1.0], np.zeros((2, 4)))
+        with pytest.raises(InvalidEnsemble, match="sum to one"):  # without a warning
+            ensemble_matrix([1e308, 1e308], np.zeros((2, 4)))
+
+    @pytest.mark.parametrize(
+        "weights, deviations",
+        [([1.0], [[1e200, 0.0, 0.0, 0.0]]), ([0.5, 0.5], [[0.0, 1e155, 1e155, 0.0], [0.0] * 4])],
+    )
+    def test_overflowing_second_moments_raise_out_of_domain(self, weights, deviations):
+        # numpy used to warn "overflow encountered in matmul" and return inf.
+        with pytest.raises(OutOfDomain, match="second moment overflows"):
+            ensemble_matrix(weights, deviations)
 
 
 class TestPRepEnsemble:

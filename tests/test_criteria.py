@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import squeezed_symp
+import cvsep
 import cvsep.covariance
 import cvsep.criteria
+import cvsep.squeezing
 from cvsep import statezoo
 from cvsep.covariance import (
     apply_symp,
@@ -39,9 +41,9 @@ from cvsep.errors import (
     NotPRepresentable,
     OutOfDomain,
 )
-from cvsep.prep import PWeight, char_fn, p_moment_residual, p_sample, p_weight
+from cvsep.prep import PWeight, char_fn, p_density, p_moment_residual, p_sample, p_weight
 from cvsep.statezoo import mixed_physical_state
-from cvsep.squeezing import SqueezeParams, apply_squeeze
+from cvsep.squeezing import SqueezeParams, apply_squeeze, optimal_squeeze
 from cvsep.covariance import J2, StandardForm
 
 
@@ -137,6 +139,25 @@ class TestGaps:
             p = params(d, [0, 0], [0, 0], [0, 0])
             direct = d @ (v[:2, :2] - ens[:2, :2]) @ d
             assert gap_separable(v, ens, p) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("gap", [gap_general, gap_separable])
+    @pytest.mark.parametrize("field", "dfgh")
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0], [1.0, 0.0, 0.0], [1.0], [[1.0, 0.0]]],
+                             ids=["nan", "three", "one", "matrix"])
+    def test_witness_vectors_must_be_finite_2_vectors(self, gap, field, bad):
+        vectors = {name: [1.0, 0.0] for name in "dfgh"} | {field: bad}
+        with pytest.raises(InvalidInput, match=f"witness {field} must be a finite 2-vector"):
+            gap(statezoo.vacuum(), None, ParamSet(*(np.asarray(vectors[n]) for n in "dfgh")))
+
+    @pytest.mark.parametrize("gap", [gap_general, gap_separable])
+    @pytest.mark.parametrize("ens", [None, ZERO])
+    def test_overflowing_terms_raise_out_of_domain(self, gap, ens):
+        # 1e200 squared passes the float maximum, which made numpy warn
+        # "overflow encountered in matmul" and the gap inf or nan.
+        big, zero = np.array([1e200, 1e200]), np.zeros(2)
+        for p in (ParamSet(big, big, big, big), ParamSet(big, zero, zero, zero)):
+            with pytest.raises(OutOfDomain, match="overflows"):
+                gap(statezoo.vacuum(), ens, p)
 
 
 class TestStringent:
@@ -577,6 +598,27 @@ class TestClassify:
                     assert verdict.reports["stringent"].margin == expected.margin
         assert zero_seen > 0
 
+    def test_classify_makes_no_optimal_squeeze_call(self, monkeypatch):
+        # classify needs only the bound, so the factors are never computed.
+        def fail(*args):
+            raise AssertionError("classify called optimal_squeeze")
+
+        for module in (cvsep, cvsep.squeezing, cvsep.criteria):
+            if hasattr(module, "optimal_squeeze"):
+                monkeypatch.setattr(module, "optimal_squeeze", fail)
+        rng = np.random.default_rng(7)
+        outcomes = {classify(mixed_physical_state(rng, i)).outcome for i in range(40)}
+        assert outcomes == {Outcome.SEPARABLE, Outcome.ENTANGLED}
+
+    def test_p_rep_bound_margin_is_optimal_squeezes_bound_bitwise(self):
+        rng = np.random.default_rng(55)
+        for i in range(300):
+            verdict = classify(mixed_physical_state(rng, i))
+            sf = verdict.standard_form
+            bound = optimal_squeeze(max(sf.a, 0.5), max(sf.b, 0.5), sf.t).c1_bound
+            margin = verdict.reports["p_rep_bound"].margin
+            assert np.float64(margin).tobytes() == np.float64(bound - abs(sf.c1)).tobytes()
+
     def test_consistent_on_mixed_pool(self):
         rng = np.random.default_rng(37)
         for i in range(2000):
@@ -599,6 +641,7 @@ ENTRY_POINTS = {
     "p_weight": p_weight,
     "p_moment_residual": p_moment_residual,
     "p_sample": lambda m: p_sample(PWeight(m, 1.0), 1, 0),
+    "p_density": lambda m: p_density(PWeight(m, 1.0), np.ones(4)),
     "gap_general_v": lambda v: gap_general(v, None, UNIT_PARAMS),
     "gap_general_ens": lambda ens: gap_general(statezoo.vacuum(), ens, UNIT_PARAMS),
     "gap_separable_v": lambda v: gap_separable(v, None, UNIT_PARAMS),

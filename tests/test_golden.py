@@ -1,6 +1,7 @@
 """Golden CLI outputs: classify text for a few reference states, an audit
-report and the digests of the default scan CSV and of further scans (other
-t-step counts, an asymmetric a/b grid, a grid up to the a * b bound) must stay
+report, the digests of the default scan CSV and of further scans (other
+t-step counts, an asymmetric a/b grid, a grid up to the a * b bound) and the
+squeeze text at points from the unit grid to the t and a * b edges must stay
 byte-identical.
 
 golden_outputs.json holds what capture_outputs() returned on the code the
@@ -37,6 +38,24 @@ SCAN_ARGS = {
     "ab_bound_grid_t_steps_101": ["--a", "0.5,1e75,1e150", "--b", "1,0.5", "--t-steps", "101"],
 }
 
+#: Arguments of cvsep squeeze: a, b, t.
+SQUEEZE_ARGS = [
+    "1 1 0",
+    "1 1 1",
+    "0.5 0.5 0.5",
+    "2 0.75 0.3",
+    "1.5 0.8 0.4",
+    "7 3 1e-17",
+    "1.3 0.9 0.9999999999999999",
+    "1e13 1 0.3",
+    "1e75 1e75 1",
+    "0.5 1e150 0.25",
+]
+
+#: SHA-256 of the squeeze entries as json.dumps(..., sort_keys=True) writes them,
+#: so the stored texts cannot drift from the ones first taken.
+SQUEEZE_DIGEST = "9c422bd031f81583f1d1f19a8c2c8d9a05d05ddfab0662e064869b921c32c90e"
+
 
 def _run(argv):
     out = io.StringIO()
@@ -64,9 +83,20 @@ def capture_outputs(work_dir: Path) -> dict:
         "audit_samples200_seed55": {"exit": code, "stdout": audit},
         "scan_default": scan([]),
         "scan_digests": {name: scan(args) for name, args in SCAN_ARGS.items()},
+        "squeeze": {
+            args: dict(zip(("exit", "stdout"), _run(["squeeze", *args.split()])))
+            for args in SQUEEZE_ARGS
+        },
     }
 
 
 def test_cli_outputs_match_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert capture_outputs(tmp_path) == expected
+
+
+def test_squeeze_goldens_match_their_digest():
+    squeeze = json.loads(GOLDEN.read_text(encoding="utf-8"))["squeeze"]
+    assert set(squeeze) == set(SQUEEZE_ARGS)
+    text = json.dumps(squeeze, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SQUEEZE_DIGEST

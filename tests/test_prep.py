@@ -30,6 +30,20 @@ class TestCharFn:
             lam = rng.standard_normal(4)
             assert char_fn(v, lam) == char_fn(v, -lam)
 
+    @pytest.mark.parametrize(
+        "lam", [[1.0, 0.0], [1.0] * 5, [[1.0] * 4], [math.nan, 0, 0, 0], [0, math.inf, 0, 0]]
+    )
+    def test_rejects_a_vector_that_is_not_a_finite_4_vector(self, lam):
+        with pytest.raises(InvalidInput, match="lam must be a finite 4-vector"):
+            char_fn(np.eye(4), lam)
+
+    def test_overflow_raises_out_of_domain(self):
+        # numpy warned "overflow encountered in matmul" or "in exp" instead.
+        with pytest.raises(OutOfDomain, match="quadratic form overflows"):
+            char_fn(np.eye(4), [1e200] * 4)
+        with pytest.raises(OutOfDomain, match="exponential overflows"):
+            char_fn(np.diag([-1.0, 1.0, 1.0, 1.0]), [40.0, 0.0, 0.0, 0.0])
+
 
 class TestPWeight:
     def test_unit_covariance(self):
@@ -100,6 +114,20 @@ class TestPDensity:
             math.exp(-1.0) / math.pi**2, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "z", [[1.0, 0.0], [1.0] * 5, [[1.0] * 4], [math.nan, 0, 0, 0], [0, -math.inf, 0, 0]]
+    )
+    def test_rejects_a_point_that_is_not_a_finite_4_vector(self, z):
+        with pytest.raises(InvalidInput, match="z must be a finite 4-vector"):
+            p_density(p_weight(np.eye(4)), z)
+
+    def test_overflow_raises_out_of_domain(self):
+        with pytest.raises(OutOfDomain, match="quadratic form overflows"):
+            p_density(p_weight(np.eye(4)), [1e200] * 4)
+        # A hand-made indefinite weight grows without bound along its negative axis.
+        with pytest.raises(OutOfDomain, match="density overflows"):
+            p_density(PWeight(np.diag([-1.0, 1.0, 1.0, 1.0]), 1.0), [40.0, 0.0, 0.0, 0.0])
+
 
 class TestMomentIdentity:
     def test_unit_covariance_exact(self):
@@ -154,6 +182,34 @@ class TestSampling:
         w = p_weight(np.eye(4))
         with pytest.raises(InvalidInput):
             p_sample(w, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (2.5, 0, "samples must be an integer"),
+            (2.0, 0, "samples must be an integer"),
+            (True, 0, "samples must be an integer"),
+            ("2", 0, "samples must be an integer"),
+            (2, 1.5, "seed must be an integer"),
+            (2, False, "seed must be an integer"),
+            (2, None, "seed must be an integer"),
+            (2, -1, "seed -1 must be nonnegative"),
+        ],
+    )
+    def test_rejects_bad_counts_and_seeds_before_drawing(self, monkeypatch, n, seed, message):
+        # 2.5 and True gave 2 and 1 rows, 1.5 and -1 numpy's TypeError and
+        # ValueError, and None a draw from OS entropy.
+        def no_draw(*args):
+            raise AssertionError("p_sample drew before checking its arguments")
+
+        w = p_weight(np.eye(4))
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(InvalidInput, match=message):
+            p_sample(w, n, seed)
+
+    def test_accepts_numpy_integers(self):
+        w = p_weight(np.eye(4))
+        np.testing.assert_array_equal(p_sample(w, np.int64(3), np.int32(5)), p_sample(w, 3, 5))
 
     @pytest.mark.parametrize(
         "pmat", [-np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])], ids=["indefinite", "singular"]

@@ -8,7 +8,9 @@ from cvsep.covariance import StandardForm, apply_symp
 from cvsep.errors import OutOfDomain
 from cvsep.matkit import is_psd_herm
 from cvsep.squeezing import (
+    SCAN_HEADER,
     SqueezeParams,
+    _extremal_factors,
     apply_squeeze,
     duan_bound_at,
     duan_split_residual,
@@ -17,6 +19,7 @@ from cvsep.squeezing import (
     p_rep_bound_at,
     prep_conditions,
     r2_of_r1,
+    scan_table,
     simon_bound,
     superadditivity_gap,
 )
@@ -422,3 +425,31 @@ class TestScalarRoutes:
         # kernel on numpy scalars must do the same (warnings are errors here).
         assert math.isnan(p_rep_bound_at(1.0, 1.0, SqueezeParams(1e200, 1e200)))
         assert p_rep_bound_at(1e100, 1.0, SqueezeParams(1e250, 1.0)) == math.inf
+
+
+#: Ratios at and next to the ends of [0, 1], where the factors snap.
+EDGE_T = [0.0, 5e-324, 1e-17, 1e-8, 0.3, 1.0 - 1e-8, 0.9999999999999999, 1.0]
+EDGE_AB = [(0.5, 0.5), (1.0, 1.0), (7.0, 3.0), (1.3, 0.9), (1e13, 1.0), (1e75, 1e75),
+           *AT_THE_AB_BOUND, (0.5, 2e150)]
+
+
+class TestOneFactorKernel:
+    """optimal_squeeze and scan_table take their factors from one kernel."""
+
+    @pytest.mark.parametrize("a, b", EDGE_AB)
+    def test_point_equals_the_scan_row_bitwise(self, a, b):
+        for t in EDGE_T:
+            sol = optimal_squeeze(a, b, t)
+            row = scan_table([a], [b], [t])[0]
+            (d_aux,), _, _ = _extremal_factors(np.array([a]), np.array([b]), np.array([t]))
+            expected = [row[SCAN_HEADER.index("r1")], row[SCAN_HEADER.index("r2")], d_aux]
+            got = [sol.params.r1, sol.params.r2, sol.d_aux]
+            assert [type(x) for x in got] == [float] * 3
+            np.testing.assert_array_equal(
+                np.array(got).view(np.int64), np.array(expected).view(np.int64)
+            )
+
+    @pytest.mark.parametrize("a, b", EDGE_AB)
+    def test_factors_snap_onto_the_endpoints(self, a, b):
+        assert optimal_squeeze(a, b, 0.0).params == SqueezeParams(2.0 * a, 2.0 * b)
+        assert optimal_squeeze(a, b, 1.0).params == SqueezeParams(1.0, 1.0)
