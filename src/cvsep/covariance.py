@@ -47,12 +47,23 @@ def symplectic_form(sign: int = 1) -> np.ndarray:
 _UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
 
 
+def _as_real(x, what: str) -> np.ndarray:
+    """x as a float array; raises InvalidInput unless numpy reads it with a
+    real number dtype (float or integer): complex, bool, string and object
+    entries are refused rather than cast, which would drop an imaginary part
+    or read True and "1" as 1.0."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "fiu":
+        raise InvalidInput(f"{what} must have real number entries, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 def as_covariance(v) -> np.ndarray:
     """The symmetric float matrix every criterion judges: v as is when it is
     exactly symmetric, else 0.5 * v + 0.5 * v^T, which cannot overflow where
     (v + v^T) / 2 can. Raises InvalidInput unless v is a finite 4x4 matrix
-    with max |v - v^T| at most 1e-9 * norm_scale(v)."""
-    v = np.asarray(v, dtype=float)
+    of real numbers (_as_real) with max |v - v^T| at most 1e-9 * norm_scale(v)."""
+    v = _as_real(v, "covariance")
     if v.shape != (4, 4) or not np.isfinite(v).all():
         raise InvalidInput("covariance must be a finite 4x4 matrix")
     # Python floats overflow to inf without a warning and cost less here than
@@ -68,8 +79,9 @@ def as_covariance(v) -> np.ndarray:
 
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
-    """x as a float n-vector; raises InvalidInput unless it is one with finite entries."""
-    x = np.asarray(x, dtype=float)
+    """x as a float n-vector; raises InvalidInput unless it is one with finite
+    real entries (_as_real)."""
+    x = _as_real(x, name)
     if x.shape != (n,) or not np.isfinite(x).all():
         raise InvalidInput(f"{name} must be a finite {n}-vector")
     return x
@@ -94,8 +106,9 @@ def det2(m) -> float:
 
 def is_symplectic2(s) -> bool:
     """A real 2x2 matrix is symplectic exactly when its determinant is one;
-    SYMPLECTIC_TOL is relative to the two products of det, which round at that scale."""
-    s = np.asarray(s, dtype=float)
+    SYMPLECTIC_TOL is relative to the two products of det, which round at that
+    scale. Raises InvalidInput unless s has real entries (_as_real)."""
+    s = _as_real(s, "symplectic factor")
     if s.shape != (2, 2):
         return False
     (s00, s01), (s10, s11) = s.tolist()
@@ -213,11 +226,12 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
     """Second-moment matrix sum_k P_k m_k m_k^T of per-component mean deviations.
 
     PSD by construction; weights must be nonnegative and sum to one. Raises
-    InvalidEnsemble on malformed or non-finite input and OutOfDomain when a
-    second moment overflows.
+    InvalidInput unless both have real entries (_as_real), InvalidEnsemble on
+    malformed or non-finite input and OutOfDomain when a second moment
+    overflows.
     """
-    w = np.asarray(weights, dtype=float)
-    m = np.asarray(deviations, dtype=float)
+    w = _as_real(weights, "ensemble weights")
+    m = _as_real(deviations, "ensemble deviations")
     if w.ndim != 1 or m.shape != (w.size, 4):
         raise InvalidEnsemble("expected weights (k,) and deviations (k, 4)")
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m))):

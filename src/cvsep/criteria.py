@@ -213,30 +213,37 @@ def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionRepo
     return CriterionReport(bool(margin >= -tol), float(margin))
 
 
-def _epr_blocks(rows: list, sign: int) -> list:
-    """Rows of the block matrix [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]] of a
-    symmetric 4x4 matrix given as nested lists, written out from J X J^T =
-    [[x11, -x10], [-x01, x00]]; on a symmetric block X + JXJ^T is tr(X) * I."""
+def _epr_entries(rows: list, shift: float) -> list:
+    """The distinct entries of EPR(+1) - shift * I and EPR(-1) - shift * I of a
+    symmetric 4x4 matrix given as rows, each computed once: 0.0, tr A - shift,
+    tr B - shift, then c00 + c11, c01 - c10, c10 - c01 (sigma = +1) and
+    c00 - c11, c11 - c00, c01 + c10 (sigma = -1). _REAL_INDEX[k] places them as
+    EPR(sigma) - shift * I, sigma = 1 - 2k, where EPR(sigma) = [[A + JAJ^T,
+    C + sigma*JCJ^T], [.., B + JBJ^T]] is written out from J X J^T =
+    [[x11, -x10], [-x01, x00]]; on a symmetric block X + JXJ^T is tr(X) * I.
+    Python floats overflow to inf without a warning."""
     (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
-    ta, tb = a00 + a11, b00 + b11
-    return [
-        [ta, 0.0, c00 + sign * c11, c01 - sign * c10],
-        [0.0, ta, c10 - sign * c01, c11 + sign * c00],
-        [c00 + sign * c11, c10 - sign * c01, tb, 0.0],
-        [c01 - sign * c10, c11 + sign * c00, 0.0, tb],
-    ]
+    return [0.0, a00 + a11 - shift, b00 + b11 - shift, c00 + c11, c01 - c10, c10 - c01,
+            c00 - c11, c11 - c00, c01 + c10]
 
 
-#: Subtracted from [EPR(+1), EPR(-1), V]: I, I and I/2. Off the diagonal it
-#: subtracts 0.0, which changes no bit, so each matrix is what X - c * I gives.
-_REAL_SHIFT = np.array([np.eye(4), np.eye(4), 0.5 * np.eye(4)])
+#: Positions in [*_epr_entries(rows, 1.0), V - I/2 row by row] of the entries
+#: of [EPR(+1) - I, EPR(-1) - I, V - I/2].
+_REAL_INDEX = np.array([
+    [[1, 0, 3, 4], [0, 1, 5, 3], [3, 5, 2, 0], [4, 3, 0, 2]],
+    [[1, 0, 6, 8], [0, 1, 8, 7], [6, 8, 2, 0], [8, 7, 0, 2]],
+    np.arange(9, 25).reshape(4, 4),
+])
 
 
 def _real_stack(v: np.ndarray) -> np.ndarray:
     """[EPR(+1) - I, EPR(-1) - I, V - I/2] of v as one (3, 4, 4) stack: Duan's
     two branches, sigma = +1 then -1, and the coherent excess."""
     rows = v.tolist()
-    return np.array([_epr_blocks(rows, 1), _epr_blocks(rows, -1), rows]) - _REAL_SHIFT
+    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
+    return np.array(_epr_entries(rows, 1.0) + [
+        v00 - 0.5, v01, v02, v03, v10, v11 - 0.5, v12, v13,
+        v20, v21, v22 - 0.5, v23, v30, v31, v32, v33 - 0.5])[_REAL_INDEX]
 
 
 def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -250,9 +257,10 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
         raise InvalidInput("sign branch must be +1 or -1")
     ens = None if ens is None else _as_ensemble(ens, tol)
-    m = np.array(_epr_blocks(as_covariance(v).tolist(), sign))
+    entries = np.array(_epr_entries(as_covariance(v).tolist(), 0.0))
     if ens is not None:
-        m = m - np.array(_epr_blocks(ens.tolist(), sign))
+        entries = entries - np.array(_epr_entries(ens.tolist(), 0.0))
+    m = entries[_REAL_INDEX[(1 - sign) // 2]]
     ok, lam, vec = matkit.is_psd_herm(m - np.eye(4), tol)
     return CriterionReport(ok, lam, None if ok else _witness(vec, sign), sign)
 

@@ -23,27 +23,46 @@ DEFAULT_TOL = 1e-10
 
 def check_tol(tol) -> float:
     """tol as a float; raises InvalidInput unless it is a finite number in (0, 1)."""
+    if type(tol) is float and 0.0 < tol < 1.0:  # the common case, before the ABC check
+        return tol
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):  # nan and inf fail too
         raise InvalidInput(f"tol must be a finite number in (0, 1), got {tol!r}")
     return float(tol)
 
 
-def _check_count_and_seed(n, seed, caller: str) -> tuple[int, int]:
-    """(n, seed) as ints; raises InvalidInput, naming the caller, unless both
-    are Python or numpy integers (not bools) with n >= 1 and seed >= 0."""
-    for name, k in (("samples", n), ("seed", seed)):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise InvalidInput(f"{caller} {name} must be an integer, got {k!r}")
-    if n < 1:
-        raise InvalidInput(f"{caller} needs at least one sample")
+def _check_int(k, what: str) -> int:
+    """k as an int; raises InvalidInput unless it is a Python or numpy integer, not a bool."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidInput(f"{what} must be an integer, got {k!r}")
+    return int(k)
+
+
+def _check_seed(seed, caller: str) -> int:
+    """seed as an int; raises InvalidInput, naming the caller, unless it is a
+    Python or numpy integer (not a bool) >= 0, so every draw is reproducible."""
+    seed = _check_int(seed, f"{caller} seed")
     if seed < 0:
         raise InvalidInput(f"{caller} seed {seed} must be nonnegative")
-    return int(n), int(seed)
+    return seed
+
+
+def _check_count_and_seed(n, seed, caller: str) -> tuple[int, int]:
+    """(n, seed) as ints; raises InvalidInput, naming the caller, unless n is
+    a Python or numpy integer (not a bool) >= 1 and seed passes _check_seed."""
+    n = _check_int(n, f"{caller} samples")
+    if n < 1:
+        raise InvalidInput(f"{caller} needs at least one sample")
+    return n, _check_seed(seed, caller)
 
 
 def norm_scale(m: np.ndarray):
     """Tolerance scale max(1, max absolute row sum), per matrix of a stack (..., n, n)."""
-    return np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
+    return _row_scale(np.abs(m))
+
+
+def _row_scale(magnitudes: np.ndarray):
+    """norm_scale of a matrix or stack, given its entrywise magnitudes."""
+    return np.maximum(1.0, magnitudes.sum(axis=-1).max(axis=-1))
 
 
 def is_psd_herm(h, tol: float = DEFAULT_TOL):
@@ -54,17 +73,19 @@ def is_psd_herm(h, tol: float = DEFAULT_TOL):
     InvalidInput on a non-finite entry and OutOfDomain on an overflowing row sum."""
     tol = check_tol(tol)
     h = np.asarray(h)
-    # n entries of at most max / n cannot sum past the float maximum, so only
-    # larger (or non-finite) entries need their norm_scale checked.
-    top = np.abs(h).max()
+    # One |h| pass serves the guard and the scale. n entries of at most
+    # max / n cannot sum past the float maximum, so only larger (or
+    # non-finite) entries need their row sums checked.
+    magnitudes = np.abs(h)
+    top = magnitudes.max()
     if not top <= sys.float_info.max / h.shape[-1]:
         if not top < math.inf:  # nan fails both comparisons
             raise InvalidInput("PSD test needs finite entries")
         with np.errstate(over="ignore"):
-            if norm_scale(h).max() == math.inf:
+            if _row_scale(magnitudes).max() == math.inf:
                 raise OutOfDomain("PSD test: a row sum of the matrix overflows")
     values, vectors = np.linalg.eigh(h)
-    ok = values[..., 0] >= -tol * norm_scale(h)
+    ok = values[..., 0] >= -tol * _row_scale(magnitudes)
     if h.ndim == 2:
         return bool(ok), float(values[0]), vectors[:, 0]
     return ok, values[..., 0], vectors[..., 0]

@@ -1,6 +1,7 @@
 """Deterministic and seeded covariance-matrix generators for tests and audits;
 their products run on Python floats, so every state is exactly symmetric and
-has the same bits on any BLAS kernel."""
+has the same bits on any BLAS kernel. A seed is a numpy Generator, used as is,
+or a nonnegative integer; anything else raises InvalidInput before any draw."""
 
 from __future__ import annotations
 
@@ -10,13 +11,15 @@ import numpy as np
 
 from .covariance import apply_symp, is_physical, standard_matrix
 from .errors import InvalidSpec
-from .matkit import _mul2, _rotation_rows
+from .matkit import _check_seed, _mul2, _rotation_rows
 
 
-def _as_rng(seed) -> np.random.Generator:
+def _as_rng(seed, caller: str) -> np.random.Generator:
+    """seed itself if it is a Generator, else numpy's seeded PCG64 generator of
+    a seed that passes matkit._check_seed (InvalidInput before any draw)."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_check_seed(seed, caller))
 
 
 def vacuum() -> np.ndarray:
@@ -45,7 +48,7 @@ def two_mode_squeezed(r: float) -> np.ndarray:
 def random_symp2(seed) -> np.ndarray:
     """Random 2x2 symplectic: rotation * diag(x, 1/x) * rotation with
     log x uniform in [-1, 1], so conditioning stays bounded."""
-    rng = _as_rng(seed)
+    rng = _as_rng(seed, "random_symp2")
     t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
     x = math.exp(rng.uniform(-1.0, 1.0))
     y = 1.0 / x
@@ -60,7 +63,7 @@ def random_physical(seed) -> np.ndarray:
     modes since local transforms cannot create cross-mode terms; see
     random_correlated_physical for states with nonzero correlations.
     """
-    rng = _as_rng(seed)
+    rng = _as_rng(seed, "random_physical")
     n1, n2 = rng.uniform(0.5, 3.0, size=2)
     return apply_symp(thermal(n1, n2), random_symp2(rng), random_symp2(rng))
 
@@ -71,7 +74,7 @@ def random_separable(seed) -> np.ndarray:
     The small ridge keeps the coherent excess invertible at bounded
     conditioning, so weight-matrix round trips stay near machine precision.
     """
-    rng = _as_rng(seed)
+    rng = _as_rng(seed, "random_separable")
     g = (0.5 * rng.standard_normal((4, 4))).tolist()
     # g g^T with each dot product written out left to right: builtin sum
     # compensates its rounding from Python 3.12 on, which would tie the bits
@@ -87,7 +90,7 @@ def random_correlated_physical(seed) -> np.ndarray:
     """Rejection-sampled physical standard form with nonzero correlations,
     optionally conjugated by a random local pair. Yields a mix of separable
     and entangled states."""
-    rng = _as_rng(seed)
+    rng = _as_rng(seed, "random_correlated_physical")
     while True:
         a, b = rng.uniform(0.5, 2.5, size=2)
         c1 = rng.uniform(0.0, math.sqrt(a * b))
@@ -102,6 +105,7 @@ def random_correlated_physical(seed) -> np.ndarray:
 
 def mixed_physical_state(rng: np.random.Generator, index: int) -> np.ndarray:
     """Audit pool state number index; index % 4 picks the kind, in the order below."""
+    rng = _as_rng(rng, "mixed_physical_state")
     kind = index % 4
     if kind < 3:
         return (random_physical, random_separable, random_correlated_physical)[kind](rng)

@@ -45,6 +45,7 @@ from cvsep.prep import PWeight, char_fn, p_density, p_moment_residual, p_sample,
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze, optimal_squeeze
 from cvsep.covariance import J2, StandardForm
+from cvsep.matkit import DEFAULT_TOL
 
 
 def params(d, f, g, h):
@@ -297,6 +298,21 @@ class TestDuan:
         for call in (duan_criterion, lambda v: weak_gap(v, None, -1), classify):
             with pytest.raises(InvalidInput, match="finite entries"):
                 call(v)
+
+    def test_overflowing_correlation_sum_is_invalid_input_without_a_warning(self):
+        # c00 + c11 and c01 - c10 pass the float maximum on Python floats,
+        # which give inf silently; the PSD test then refuses the sigma = +1
+        # matrix. (classify stops earlier, at its complex stack's row sums.)
+        v = standard_matrix(1.0, 1.0, 0.0, 0.0)
+        v[0, 2] = v[2, 0] = v[1, 3] = v[3, 1] = 1e308
+        v[0, 3] = v[3, 0] = 1e308
+        v[1, 2] = v[2, 1] = -1e308
+        for call in (duan_criterion, lambda v: weak_gap(v, None, 1)):
+            with pytest.raises(InvalidInput, match="finite entries"):
+                call(v)
+        # On sigma = -1 the same entries cancel to zero: EPR(-1) - I is 1 * I.
+        rep = weak_gap(v, None, -1)
+        assert rep.satisfied and rep.margin == 1.0
 
     @pytest.mark.parametrize("c2, branch", [(1e-15, 0), (-1e-15, 0), (1e-3, 1), (-1e-3, -1)])
     def test_witness_comes_from_the_plus_branch_unless_minus_binds(self, c2, branch):
@@ -628,6 +644,85 @@ class TestClassify:
             assert verdict.consistent
 
 
+def _nested_epr(rows, sign):
+    """Reference for criteria._epr_entries: the EPR block matrix
+    [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]] written out entry by entry
+    as nested lists."""
+    (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
+    ta, tb = a00 + a11, b00 + b11
+    return [
+        [ta, 0.0, c00 + sign * c11, c01 - sign * c10],
+        [0.0, ta, c10 - sign * c01, c11 + sign * c00],
+        [c00 + sign * c11, c10 - sign * c01, tb, 0.0],
+        [c01 - sign * c10, c11 + sign * c00, 0.0, tb],
+    ]
+
+
+def _nested_real_stack(v):
+    """[EPR(+1) - I, EPR(-1) - I, V - I/2] as one nested list less a constant stack."""
+    rows = v.tolist()
+    shift = np.array([np.eye(4), np.eye(4), 0.5 * np.eye(4)])
+    return np.array([_nested_epr(rows, 1), _nested_epr(rows, -1), rows]) - shift
+
+
+def _nested_weak_gap(v, ens, sign, tol):
+    """weak_gap's report from the nested-list EPR matrices."""
+    m = np.array(_nested_epr(as_covariance(v).tolist(), sign))
+    if ens is not None:
+        m = m - np.array(_nested_epr(as_covariance(ens).tolist(), sign))
+    ok, lam, vec = cvsep.matkit.is_psd_herm(m - np.eye(4), tol)
+    return cvsep.criteria.CriterionReport(
+        ok, lam, None if ok else cvsep.criteria._witness(vec, sign), sign)
+
+
+def _scaled_pool(seed, n):
+    """Audit-pool states with one in five scaled by 0.8, so nonphysical."""
+    rng = np.random.default_rng(seed)
+    return [(0.8 if i % 5 == 4 else 1.0) * mixed_physical_state(rng, i) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", [7, 13, 31])
+def test_real_stack_and_epr_reports_match_the_nested_lists_bitwise(seed):
+    # The stacks are built from each distinct entry once and one constant
+    # index; every bit must stay what the nested lists gave, for both the
+    # stack classify decides and the reports of duan_criterion and weak_gap.
+    erng = np.random.default_rng(seed + 1)
+    for i, v in enumerate(_scaled_pool(seed, 4000)):
+        expected = _nested_real_stack(v)
+        assert cvsep.criteria._real_stack(v).tobytes() == expected.tobytes()
+        if i % 8:
+            continue
+        duan = cvsep.criteria._branch_report(*cvsep.matkit.is_psd_herm(expected[:2], DEFAULT_TOL))
+        assert _bits(duan_criterion(v)) == _bits(duan)
+        g = 0.3 * erng.standard_normal((4, 4))
+        for ens in (None, g @ g.T):
+            for sign in (1, -1):
+                assert _bits(weak_gap(v, ens, sign)) == _bits(
+                    _nested_weak_gap(v, ens, sign, DEFAULT_TOL))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 2): -0.0, (1, 3): -0.0, (0, 3): -0.0, (1, 2): -0.0},
+        {(0, 2): -0.0, (1, 3): 0.0, (0, 3): 0.0, (1, 2): -0.0},
+        {(0, 2): 5e-324, (1, 3): -5e-324, (0, 3): 2.2e-308, (1, 2): -1e-310},
+        {(0, 1): -0.0, (2, 3): 5e-324, (0, 2): 1e-320, (1, 3): 1e-320},
+        {(0, 2): 1e300, (1, 3): -1e300, (0, 3): 3e-310, (1, 2): 3e-310},
+    ],
+    ids=["negative-zeros", "mixed-zeros", "subnormals", "subnormal-blocks", "huge-and-tiny"],
+)
+def test_real_stack_keeps_signed_zeros_and_subnormals(entries):
+    # Signed zeros and subnormals pass through each sum and difference as the
+    # nested lists gave them, including the sign of every zero.
+    v = standard_matrix(1.0, 1.5, 0.0, 0.0)
+    for (i, j), x in entries.items():
+        v[i, j] = v[j, i] = x
+    assert cvsep.criteria._real_stack(v).tobytes() == _nested_real_stack(v).tobytes()
+    for sign in (1, -1):
+        assert _bits(weak_gap(v, None, sign)) == _bits(_nested_weak_gap(v, None, sign, DEFAULT_TOL))
+
+
 #: Every public entry point that takes a covariance matrix, called on one.
 ENTRY_POINTS = {
     "is_physical": is_physical,
@@ -693,6 +788,45 @@ def test_public_criteria_judge_either_triangle_alike(criterion):
     lower = upper.T.copy()
     first, *rest = (_result_bits(criterion, v) for v in (upper, lower, 0.5 * (upper + lower)))
     assert rest == [first, first]
+
+
+#: Every public entry point that reads a real array, with a valid argument
+#: of integer values, so that casting it to int keeps every value.
+REAL_ARRAY_TAKERS = {
+    **{name: (call, np.eye(4)) for name, call in ENTRY_POINTS.items()},
+    "as_covariance": (as_covariance, np.eye(4)),
+    "char_fn_lam": (lambda lam: char_fn(np.eye(4), lam), np.ones(4)),
+    "p_density_z": (lambda z: p_density(p_weight(np.eye(4)), z), np.ones(4)),
+    "gap_general_d": (lambda d: gap_general(np.eye(4), None, dataclasses.replace(UNIT_PARAMS, d=d)),
+                      np.array([1.0, 0.0])),
+    "gap_separable_h": (lambda h: gap_separable(np.eye(4), None,
+                                                dataclasses.replace(UNIT_PARAMS, h=h)),
+                        np.array([1.0, 0.0])),
+    "is_symplectic2": (cvsep.covariance.is_symplectic2, np.eye(2)),
+    "apply_symp_s2": (lambda s: apply_symp(np.eye(4), np.eye(2), s), np.eye(2)),
+    "ensemble_weights": (lambda w: cvsep.covariance.ensemble_matrix(w, np.ones((1, 4))), np.ones(1)),
+    "ensemble_deviations": (lambda m: cvsep.covariance.ensemble_matrix([1.0], m), np.ones((1, 4))),
+}
+
+#: Arguments numpy would once have cast to float: an imaginary part dropped
+#: with a ComplexWarning, True and "1" read as 1.0.
+NOT_REAL = {
+    "complex": lambda a: a + 1e-3j,
+    "complex-zero-imaginary": lambda a: a.astype(complex),
+    "bool": lambda a: a.astype(bool),
+    "string-list": lambda a: a.astype(str).tolist(),
+    "object": lambda a: a.astype(object),
+}
+
+
+@pytest.mark.parametrize("call, arg", REAL_ARRAY_TAKERS.values(), ids=REAL_ARRAY_TAKERS.keys())
+def test_entry_points_take_real_numbers_only(call, arg):
+    for cast in NOT_REAL.values():
+        with pytest.raises(InvalidInput, match="must have real number entries"):
+            call(cast(arg))
+    # Integers stay accepted, with the bits of the float argument.
+    for dtype in (int, np.int32, np.uint8):
+        assert _bits(call(arg.astype(dtype))) == _bits(call(arg))
 
 
 #: Every public function that takes tol, called with a valid state and a tol.

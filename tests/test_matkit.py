@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,13 +149,25 @@ def test_norm_scale_is_per_matrix():
     assert norm_scale(m[1]) == 5.0
 
 
-@pytest.mark.parametrize("tol", [5e-324, 1e-10, 0.5, 0.9999999999999999, np.float64(1e-3)])
+class _Float(float):
+    """A float subclass, which check_tol must hand back as an exact float."""
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-10, 0.5, 0.9999999999999999,
+                                 np.float64(1e-3), np.float32(1e-3), _Float(0.25),
+                                 Fraction(1, 2)])
 def test_check_tol_accepts_finite_numbers_inside_the_unit_interval(tol):
+    # Exact floats take the fast path, everything else the numbers.Real check;
+    # both return the value as an exact float.
     assert check_tol(tol) == tol and type(check_tol(tol)) is float
 
 
 @pytest.mark.parametrize("tol", [0, 0.0, -0.0, -1e-10, 1, 1.0, 5, math.nan, math.inf, -math.inf,
-                                 "0.1", None, True])
+                                 pytest.param(np.float64(math.nan), id="float64-nan"),
+                                 pytest.param(np.float32(1.0), id="float32-1.0"),
+                                 pytest.param(_Float(math.nan), id="subclass-nan"),
+                                 pytest.param(_Float(1.0), id="subclass-1.0"),
+                                 Fraction(3, 2), "0.1", None, True, False])
 def test_check_tol_rejects_everything_else(tol):
     with pytest.raises(InvalidInput):
         check_tol(tol)

@@ -6,7 +6,7 @@ import pytest
 from cvsep import statezoo
 from cvsep.covariance import is_physical, p_rep_ensemble
 from cvsep.criteria import simon_criterion
-from cvsep.errors import InvalidSpec
+from cvsep.errors import InvalidInput, InvalidSpec
 
 
 def test_vacuum():
@@ -107,3 +107,47 @@ def test_random_correlated_physical_mixes_verdicts():
             entangled += 1
     assert correlated > 150
     assert 0 < entangled < 200
+
+
+SEEDED = {
+    "random_symp2": statezoo.random_symp2,
+    "random_physical": statezoo.random_physical,
+    "random_separable": statezoo.random_separable,
+    "random_correlated_physical": statezoo.random_correlated_physical,
+    # Kind 3, whose draw is its own: an integer seed raised AttributeError.
+    "mixed_physical_state": lambda seed: statezoo.mixed_physical_state(seed, 3),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed -1 must be nonnegative"),
+        (1.5, "seed must be an integer"),
+        (2.0, "seed must be an integer"),
+        (True, "seed must be an integer"),
+        (None, "seed must be an integer"),
+        ("3", "seed must be an integer"),
+    ],
+)
+def test_seeds_follow_the_shared_rule_before_any_draw(monkeypatch, name, seed, message):
+    # -1 and 1.5 raised numpy's ValueError and TypeError, True drew with
+    # seed 1, and None drew from OS entropy.
+    def no_draw(*args):
+        raise AssertionError(f"{name} drew before checking its seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(InvalidInput, match=f"{name} {message}"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_integer_seeds_and_generators_draw_alike(name):
+    # A Generator passes through unchanged, so the pools built from one keep
+    # their bits; a Python or numpy integer seeds numpy's PCG64.
+    make = SEEDED[name]
+    expected = make(np.random.default_rng(5)).tobytes()
+    assert make(5).tobytes() == expected
+    assert make(np.int64(5)).tobytes() == expected
+    assert make(np.uint8(5)).tobytes() == expected
