@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .audit import run_audit
-from .covariance import apply_symp, as_covariance, det2, standard_matrix, to_standard_form
+from .covariance import apply_symp, as_covariance, invariants, standard_matrix, to_standard_form
 from .criteria import Outcome, classify
 from .errors import CvsepError, DegenerateBlock, InvalidInput, OutOfDomain
 from .matkit import DEFAULT_TOL, check_tol
@@ -161,19 +161,6 @@ def cmd_classify(args) -> int:
     return _OUTCOME_EXIT[verdict.outcome]
 
 
-def _det4(m: np.ndarray) -> float:
-    """Determinant of a 4x4 matrix by Laplace expansion along its first two
-    rows: six products of complementary 2x2 minors, summed left to right on
-    Python floats, so its bits do not depend on the BLAS or LAPACK kernel."""
-    (t0, t1, t2, t3), (u0, u1, u2, u3), (w0, w1, w2, w3), (z0, z1, z2, z3) = m.tolist()
-    return ((t0 * u1 - t1 * u0) * (w2 * z3 - w3 * z2)
-            - (t0 * u2 - t2 * u0) * (w1 * z3 - w3 * z1)
-            + (t0 * u3 - t3 * u0) * (w1 * z2 - w2 * z1)
-            + (t1 * u2 - t2 * u1) * (w0 * z3 - w3 * z0)
-            - (t1 * u3 - t3 * u1) * (w0 * z2 - w2 * z0)
-            + (t2 * u3 - t3 * u2) * (w0 * z1 - w1 * z0))
-
-
 def cmd_standard_form(args) -> int:
     mat, _ = load_document(args.input)
     sf = to_standard_form(mat)
@@ -186,12 +173,8 @@ def cmd_standard_form(args) -> int:
           f"[{_g17(sf.s1[1, 0])}, {_g17(sf.s1[1, 1])}]]")
     print(f"s2 = [[{_g17(sf.s2[0, 0])}, {_g17(sf.s2[0, 1])}], "
           f"[{_g17(sf.s2[1, 0])}, {_g17(sf.s2[1, 1])}]]")
-    for label, before, after in (
-        ("det A", det2(mat[:2, :2]), det2(reduced[:2, :2])),
-        ("det B", det2(mat[2:, 2:]), det2(reduced[2:, 2:])),
-        ("det C", det2(mat[:2, 2:]), det2(reduced[:2, 2:])),
-        ("det V", _det4(mat), _det4(reduced)),
-    ):
+    for label, before, after in zip(("det A", "det B", "det C", "det V"),
+                                    invariants(mat), invariants(reduced)):
         print(f"{label}: before={_g17(before)} after={_g17(after)}")
     return 0
 

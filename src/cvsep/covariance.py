@@ -99,11 +99,6 @@ def standard_matrix(a: float, b: float, c1: float, c2: float) -> np.ndarray:
     )
 
 
-def det2(m) -> float:
-    (m00, m01), (m10, m11) = m.tolist()  # Python floats overflow to inf without a warning
-    return m00 * m11 - m01 * m10
-
-
 def is_symplectic2(s) -> bool:
     """A real 2x2 matrix is symplectic exactly when its determinant is one;
     SYMPLECTIC_TOL is relative to the two products of det, which round at that
@@ -171,12 +166,36 @@ class StandardForm:
         return min(1.0, abs(self.c2) / abs(self.c1))
 
 
-def _isotropize(block, name: str):
-    """Symplectic S with S @ block @ S.T == sqrt(det block) * I, and sqrt(det block),
-    on the rows of Python floats of a 2x2 block, S as rows too: the rotation SVD
-    gives diag(a1, det / a1), and x^2 = sqrt(det) / a1 in diag(x, 1/x)."""
-    (m00, m01), (m10, m11) = block
-    det = m00 * m11 - m01 * m10  # Python floats overflow to inf without a warning
+def _block_dets(rows) -> tuple[float, float, float]:
+    """(det A, det B, det C) of a 4x4 matrix given as rows of Python floats,
+    which overflow to inf without a warning."""
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
+    return a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
+
+
+def invariants(v) -> tuple[float, float, float, float]:
+    """The local-symplectic invariants (det A, det B, det C, det V) of
+    as_covariance(v), which raises InvalidInput on a bad v. det V is the
+    Laplace expansion along the first two rows, six products of complementary
+    2x2 minors summed left to right on Python floats (the same bits on any
+    BLAS); past the float maximum it is inf or nan, without a warning."""
+    rows = as_covariance(v).tolist()
+    (t0, t1, t2, t3), (u0, u1, u2, u3), (w0, w1, w2, w3), (z0, z1, z2, z3) = rows
+    det_a, det_b, det_c = _block_dets(rows)
+    det_v = (det_a * det_b
+             - (t0 * u2 - t2 * u0) * (w1 * z3 - w3 * z1)
+             + (t0 * u3 - t3 * u0) * (w1 * z2 - w2 * z1)
+             + (t1 * u2 - t2 * u1) * (w0 * z3 - w3 * z0)
+             - (t1 * u3 - t3 * u1) * (w0 * z2 - w2 * z0)
+             + det_c * (w0 * z1 - w1 * z0))
+    return det_a, det_b, det_c, det_v
+
+
+def _isotropize(block, det: float, name: str):
+    """Symplectic S with S @ block @ S.T == sqrt(det) * I, and sqrt(det), on the
+    rows of Python floats of a 2x2 block of determinant det, S as rows too: the
+    rotation SVD gives diag(a1, det / a1), and x^2 = sqrt(det) / a1 in diag(x, 1/x)."""
+    (m00, _), (_, m11) = block
     if det < DET_FLOOR:
         raise DegenerateBlock(f"{name} block determinant {det:.3e} below {DET_FLOOR:.0e}")
     # A positive determinant leaves both eigenvalues of one sign; the trace picks it.
@@ -194,11 +213,16 @@ def _isotropize(block, name: str):
 def _standard_form(v: np.ndarray) -> StandardForm:
     """to_standard_form of a matrix that already passed as_covariance, on the
     Python floats of v.tolist(); only the returned s1 and s2 are arrays."""
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (*_, b00, b01), (*_, b10, b11) = v.tolist()
-    s1, a = _isotropize(((a00, a01), (a10, a11)), "A")
-    s2, b = _isotropize(((b00, b01), (b10, b11)), "B")
+    rows = v.tolist()
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
+    det_a, det_b, _ = _block_dets(rows)
+    s1, a = _isotropize(((a00, a01), (a10, a11)), det_a, "A")
+    s2, b = _isotropize(((b00, b01), (b10, b11)), det_b, "B")
     s1c = _mul2(s1, ((c00, c01), (c10, c11)))
-    r1, r2, c1, c2 = matkit.svd2_rotations(_mul2(s1c, zip(*s2)))  # zip(*s2) is S2^T
+    try:
+        r1, r2, c1, c2 = matkit.svd2_rotations(_mul2(s1c, zip(*s2)))  # zip(*s2) is S2^T
+    except InvalidInput as exc:  # C is finite, so S1 C S2^T overflowed
+        raise OutOfDomain(f"S1 C S2^T overflows ({exc})") from None
     return StandardForm(a, b, c1, c2, np.array(_mul2(r1, s1)), np.array(_mul2(r2, s2)))
 
 

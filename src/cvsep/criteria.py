@@ -177,6 +177,17 @@ def _as_ensemble(ens, tol: float) -> np.ndarray:
     return ens
 
 
+def _psd_of_built(h, tol: float):
+    """matkit.is_psd_herm(h, tol) of a matrix built from entries that passed
+    as_covariance: once tol is checked, a non-finite entry of h can only be an
+    overflow of that finite input, so the refusal is OutOfDomain."""
+    tol = matkit.check_tol(tol)
+    try:
+        return matkit.is_psd_herm(h, tol)
+    except InvalidInput as exc:
+        raise OutOfDomain(f"an entry computed from finite input overflows ({exc})") from None
+
+
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
@@ -191,8 +202,11 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     Implies Simon's criterion for every admissible ens and reduces to it at
     ens = 0. Both v and ens must pass as_covariance, and ens must be PSD.
     """
-    shifted = as_covariance(v) - _as_ensemble(ens, tol) + _UNCERTAINTY_SHIFT
-    return _branch_report(*matkit.is_psd_herm(shifted, tol))
+    v = as_covariance(v)
+    ens = _as_ensemble(ens, tol)
+    with np.errstate(over="ignore"):  # an inf entry is refused as OutOfDomain
+        shifted = v - ens + _UNCERTAINTY_SHIFT
+    return _branch_report(*_psd_of_built(shifted, tol))
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -258,17 +272,18 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
         raise InvalidInput("sign branch must be +1 or -1")
     ens = None if ens is None else _as_ensemble(ens, tol)
     entries = np.array(_epr_entries(as_covariance(v).tolist(), 0.0))
-    if ens is not None:
-        entries = entries - np.array(_epr_entries(ens.tolist(), 0.0))
-    m = entries[_REAL_INDEX[(1 - sign) // 2]]
-    ok, lam, vec = matkit.is_psd_herm(m - np.eye(4), tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as OutOfDomain below
+        if ens is not None:
+            entries = entries - np.array(_epr_entries(ens.tolist(), 0.0))
+        m = entries[_REAL_INDEX[(1 - sign) // 2]] - np.eye(4)
+    ok, lam, vec = _psd_of_built(m, tol)
     return CriterionReport(ok, lam, None if ok else _witness(vec, sign), sign)
 
 
 def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """EPR-variance separability condition over both sign branches; weaker
     than Simon's criterion."""
-    return _branch_report(*matkit.is_psd_herm(_real_stack(as_covariance(v))[:2], tol))
+    return _branch_report(*_psd_of_built(_real_stack(as_covariance(v))[:2], tol))
 
 
 #: The stringent report at the coherent-excess ensemble: V - (V - I/2) is I/2
@@ -288,7 +303,8 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     Raises InvalidInput unless v passes as_covariance (finite, 4x4,
     symmetric) and tol passes check_tol, DegenerateBlock if the
     standard-form reduction fails, and OutOfDomain if a * b of the standard
-    form exceeds the bound of the squeezing routes.
+    form exceeds the bound of the squeezing routes or a value computed from
+    v overflows.
     """
     v = as_covariance(v)
     ok, lam, vec = matkit.is_psd_herm(v + _UNCERTAINTY_SHIFT, tol)
@@ -300,7 +316,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
         phys_ok, float(lam[0]), None if phys_ok else _witness(vec[0], 1), 1
     )
     reports["simon"] = simon
-    ok, lam, vec = matkit.is_psd_herm(_real_stack(v), tol)
+    ok, lam, vec = _psd_of_built(_real_stack(v), tol)
     reports["duan"] = _branch_report(ok, lam, vec)
 
     # The third matrix is V - I/2: the state is P-representable when it is PSD.

@@ -21,11 +21,24 @@ from .errors import InvalidInput, OutOfDomain
 DEFAULT_TOL = 1e-10
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real number: a float (the common case, before the ABC
+    check) or any other numbers.Real, such as an int, a numpy float or int or
+    a Fraction, but not a bool."""
+    return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
+def _check_real(x, what: str) -> None:
+    """Raise InvalidInput unless x is a real number (_is_real)."""
+    if not _is_real(x):
+        raise InvalidInput(f"{what} must be a real number, got {x!r}")
+
+
 def check_tol(tol) -> float:
     """tol as a float; raises InvalidInput unless it is a finite number in (0, 1)."""
     if type(tol) is float and 0.0 < tol < 1.0:  # the common case, before the ABC check
         return tol
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < 1.0):  # nan and inf fail too
+    if not (_is_real(tol) and 0.0 < tol < 1.0):  # nan and inf fail too
         raise InvalidInput(f"tol must be a finite number in (0, 1), got {tol!r}")
     return float(tol)
 

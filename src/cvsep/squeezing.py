@@ -19,6 +19,7 @@ import numpy as np
 
 from .covariance import StandardForm
 from .errors import OutOfDomain
+from .matkit import _check_real
 
 #: Slack for range checks so exact endpoints survive floating-point rounding.
 _DOMAIN_EPS = 1e-12
@@ -39,6 +40,8 @@ class SqueezeParams:
     r2: float
 
     def __post_init__(self):
+        _check_real(self.r1, "squeezing factor r1")
+        _check_real(self.r2, "squeezing factor r2")
         if not (math.isfinite(self.r1) and math.isfinite(self.r2)):
             raise OutOfDomain("squeezing factors must be finite")
         if self.r1 < 1.0 - _DOMAIN_EPS or self.r2 < 1.0 - _DOMAIN_EPS:
@@ -61,6 +64,9 @@ class SqueezeSolution:
 
 
 def _check_domain(a: float, b: float) -> None:
+    if type(a) is not float or type(b) is not float:  # classify's floats skip the calls
+        _check_real(a, "block size a")
+        _check_real(b, "block size b")
     if not (math.isfinite(a) and math.isfinite(b)) or a < 0.5 or b < 0.5:
         raise OutOfDomain(f"block sizes (a, b) = ({a}, {b}) must be >= 1/2")
     if a * b > _AB_MAX:
@@ -68,6 +74,8 @@ def _check_domain(a: float, b: float) -> None:
 
 
 def _check_ratio(t: float) -> None:
+    if type(t) is not float:
+        _check_real(t, "correlation ratio t")
     if not math.isfinite(t) or not 0.0 <= t <= 1.0:
         raise OutOfDomain(f"correlation ratio t = {t} outside [0, 1]")
 
@@ -182,6 +190,7 @@ def r2_of_r1(a: float, b: float, r1: float) -> float:
     the admissible range for r1 collapses to the single point 1.
     """
     _check_domain(a, b)
+    _check_real(r1, "r1")
     if not 1.0 - _DOMAIN_EPS <= r1 <= 2.0 * a + _DOMAIN_EPS:
         raise OutOfDomain(f"r1 = {r1} outside [1, 2a] = [1, {2.0 * a}]")
     den = 2.0 * a * r1 - 1.0
@@ -224,43 +233,34 @@ SCAN_HEADER = [
 ]
 
 
-def _max(x, y):
-    """Elementwise builtin max(x, y), which keeps x unless y > x, NaNs included."""
-    return np.where(y > x, y, x)
-
-
-def _min(x, y):
-    """Elementwise builtin min(x, y), which keeps x unless y < x."""
-    return np.where(y < x, y, x)
-
-
 # The bound formulas, elementwise: scan_table's columns and the scalar routes.
 def _prep_bound(a, b, r1, r2):
-    return np.sqrt(_max(a * r1 - 0.5, 0.0) * _max(b * r2 - 0.5, 0.0) / (r1 * r2))
+    return np.sqrt(np.maximum(a * r1 - 0.5, 0.0) * np.maximum(b * r2 - 0.5, 0.0) / (r1 * r2))
 
 
 def _simon_bound(a, b, t):
     quad_b = 4.0 * a * b * (1.0 + t * t) + 2.0 * t
     quad_c = (2.0 * a * a - 0.5) * (2.0 * b * b - 0.5)
     disc = quad_b * quad_b - 4.0 * (4.0 * t * t) * quad_c
-    return np.sqrt(quad_c / (0.5 * (quad_b + np.sqrt(_max(disc, 0.0)))))
+    return np.sqrt(quad_c / (0.5 * (quad_b + np.sqrt(np.maximum(disc, 0.0)))))
 
 
 def _duan_bound(a, b, t, r1, r2):
-    num = np.sqrt(_max(a * r1 + a / r1 - 1.0, 0.0) * _max(b * r2 + b / r2 - 1.0, 0.0))
+    num = np.sqrt(np.maximum(a * r1 + a / r1 - 1.0, 0.0)
+                  * np.maximum(b * r2 + b / r2 - 1.0, 0.0))
     root = np.sqrt(r1 * r2)
     return num / (root + t / root)
 
 
-def _snap_all(x: np.ndarray, lo: float, hi: np.ndarray) -> np.ndarray:
-    """Snap ulp-level rounding residue onto the exact endpoints lo and hi,
-    elementwise (lo wins where both windows hold). The extremal factors attain
+def _snap_all(x: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Snap ulp-level rounding residue onto the exact endpoints 1 and hi,
+    elementwise (1 wins where both windows hold). The extremal factors attain
     them exactly at t = 1 and t = 0 (everywhere when the range collapses);
     interior solutions approach them no faster than O(distance to those t),
     so an 8-ulp window cannot swallow a genuine interior value."""
-    out = _min(_max(x, lo), hi)
-    out = np.where(np.abs(x - hi) <= 8e-16 * _max(1.0, hi), hi, out)
-    return np.where(np.abs(x - lo) <= 8e-16 * max(1.0, lo), lo, out)
+    out = np.minimum(np.maximum(x, 1.0), hi)
+    out = np.where(np.abs(x - hi) <= 8e-16 * np.maximum(1.0, hi), hi, out)
+    return np.where(np.abs(x - 1.0) <= 8e-16, 1.0, out)
 
 
 def _extremal_factors(a, b, t):
@@ -271,8 +271,8 @@ def _extremal_factors(a, b, t):
     x = a * b * (1.0 - t * t)
     d_aux = np.float_power(x, 2.0) + t * (a + b * t) * (a * t + b)
     core = x + np.sqrt(d_aux)
-    r1 = _snap_all(core / (a * t + b), 1.0, 2.0 * a)
-    r2 = _snap_all(core / (a + b * t), 1.0, 2.0 * b)
+    r1 = _snap_all(core / (a * t + b), 2.0 * a)
+    r2 = _snap_all(core / (a + b * t), 2.0 * b)
     return d_aux, r1, r2
 
 
@@ -308,10 +308,10 @@ def scan_table(a_values, b_values, t_values) -> np.ndarray:
     c1_simon = _simon_bound(a, b, t)
     c1_duan = _duan_bound(a, b, t, r1, r2)
 
-    top = _max(_max(c1_prep, c1_simon), c1_duan)
-    bottom = _min(_min(c1_prep, c1_simon), c1_duan)
-    scale = _max(1.0, _max(_max(np.abs(c1_prep), np.abs(c1_simon)), np.abs(c1_duan)))
-    rel = (top - bottom) / scale
+    top = np.maximum(np.maximum(c1_prep, c1_simon), c1_duan)
+    bottom = np.minimum(np.minimum(c1_prep, c1_simon), c1_duan)
+    # Every bound is a square root (at worst -0.0), so top is the largest |bound|.
+    rel = (top - bottom) / np.maximum(1.0, top)
     return np.column_stack([a, b, t, c1_prep, c1_simon, c1_duan, r1, r2, rel])
 
 
@@ -325,6 +325,7 @@ def superadditivity_gap(n1: float, n2: float, m1: float, m2: float) -> tuple[flo
     alongside the gap.
     """
     for name, val in (("n1", n1), ("n2", n2), ("m1", m1), ("m2", m2)):
+        _check_real(val, name)
         if not math.isfinite(val) or val < 0.5:
             raise OutOfDomain(f"{name} = {val} must be >= 1/2")
     lhs = math.sqrt((n1 + n2 - 1.0) * (m1 + m2 - 1.0))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .covariance import apply_symp, is_physical, standard_matrix
 from .errors import InvalidSpec
-from .matkit import _check_seed, _mul2, _rotation_rows
+from .matkit import _check_real, _check_seed, _mul2, _rotation_rows
 
 
 def _as_rng(seed, caller: str) -> np.random.Generator:
@@ -28,6 +28,8 @@ def vacuum() -> np.ndarray:
 
 def thermal(n1: float, n2: float) -> np.ndarray:
     """Uncorrelated thermal state diag(n1, n1, n2, n2); needs finite n1, n2 >= 1/2."""
+    _check_real(n1, "thermal occupation n1")
+    _check_real(n2, "thermal occupation n2")
     if not (0.5 <= n1 < math.inf and 0.5 <= n2 < math.inf):
         raise InvalidSpec(f"thermal occupations ({n1}, {n2}) must be finite and >= 1/2")
     return standard_matrix(n1, n2, 0.0, 0.0)
@@ -36,6 +38,7 @@ def thermal(n1: float, n2: float) -> np.ndarray:
 def two_mode_squeezed(r: float) -> np.ndarray:
     """Two-mode squeezed vacuum: standard form with a = b = cosh(2r)/2 and
     c1 = -c2 = sinh(2r)/2; entangled for every r > 0."""
+    _check_real(r, "squeezing r")
     if not (math.isfinite(r) and r >= 0.0):
         raise InvalidSpec(f"squeezing r = {r} must be nonnegative")
     try:

@@ -14,6 +14,7 @@ from cvsep import statezoo
 from cvsep.audit import run_audit
 from cvsep.covariance import (
     apply_symp,
+    invariants,
     p_rep_ensemble,
 )
 from cvsep.criteria import (
@@ -159,6 +160,7 @@ def test_criterion_06_symplectic_invariance():
             det2(v[2:, 2:]),
             det2(v[:2, 2:]),
             float(np.linalg.det(v)),
+            *invariants(v),
         )
         simon_before = simon_criterion(v).satisfied
         for _ in range(100):
@@ -170,6 +172,7 @@ def test_criterion_06_symplectic_invariance():
                 det2(w[2:, 2:]),
                 det2(w[:2, 2:]),
                 float(np.linalg.det(w)),
+                *invariants(w),
             )
             for x, y in zip(dets, after):
                 assert abs(x - y) <= 1e-10 * max(1.0, abs(x))

@@ -20,6 +20,7 @@ from cvsep.covariance import (
     apply_symp,
     as_covariance,
     ensemble_matrix,
+    invariants,
     is_physical,
     p_rep_ensemble,
     partial_transpose,
@@ -38,7 +39,20 @@ from cvsep.matkit import is_psd_herm
 
 
 def det2(m):
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    """The 2x2 determinant as covariance.det2 computed it before invariants."""
+    (m00, m01), (m10, m11) = m.tolist()
+    return m00 * m11 - m01 * m10
+
+
+def det4(m):
+    """The Laplace expansion the CLI used for det V before invariants."""
+    (t0, t1, t2, t3), (u0, u1, u2, u3), (w0, w1, w2, w3), (z0, z1, z2, z3) = m.tolist()
+    return ((t0 * u1 - t1 * u0) * (w2 * z3 - w3 * z2)
+            - (t0 * u2 - t2 * u0) * (w1 * z3 - w3 * z1)
+            + (t0 * u3 - t3 * u0) * (w1 * z2 - w2 * z1)
+            + (t1 * u2 - t2 * u1) * (w0 * z3 - w3 * z0)
+            - (t1 * u3 - t3 * u1) * (w0 * z2 - w2 * z0)
+            + (t2 * u3 - t3 * u2) * (w0 * z1 - w1 * z0))
 
 
 class TestApplySymp:
@@ -198,12 +212,12 @@ class TestStandardForm:
         with pytest.raises(DegenerateBlock):
             to_standard_form(v)
 
-    def test_overflowing_correlation_product_is_invalid_input(self):
+    def test_overflowing_correlation_product_is_out_of_domain(self):
         # S1 = diag(1e-150, 1e150) takes C's 1e300 past the float maximum, which
         # must raise without a numpy "overflow encountered in matmul" warning.
         v = np.diag([1e300, 1e-300, 1.0, 1.0])
         v[1, 3] = v[3, 1] = 1e300
-        with pytest.raises(InvalidInput, match="rotation SVD needs a finite 2x2 matrix"):
+        with pytest.raises(OutOfDomain, match="rotation SVD needs a finite 2x2 matrix"):
             to_standard_form(v)
 
     def test_symplectic_invariants_preserved(self):
@@ -219,6 +233,7 @@ class TestStandardForm:
                 det2(v[2:, 2:]),
                 det2(v[:2, 2:]),
                 float(np.linalg.det(v)),
+                *invariants(v),
             )
             for s1, s2 in transforms:
                 w = apply_symp(v, s1, s2)
@@ -227,9 +242,22 @@ class TestStandardForm:
                     det2(w[2:, 2:]),
                     det2(w[:2, 2:]),
                     float(np.linalg.det(w)),
+                    *invariants(w),
                 )
                 for x, y in zip(dets, after):
                     assert abs(x - y) <= 1e-10 * max(1.0, abs(x))
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("seed", [7, 13, 31])
+    def test_bits_match_the_block_and_laplace_determinants(self, seed):
+        # Audit-pool states, one in five scaled by 0.8: every bit, signed
+        # zeros included, is what det2 and the CLI's det V gave.
+        rng = np.random.default_rng(seed)
+        for i in range(4000):
+            v = (0.8 if i % 5 == 4 else 1.0) * statezoo.mixed_physical_state(rng, i)
+            expected = (det2(v[:2, :2]), det2(v[2:, 2:]), det2(v[:2, 2:]), det4(v))
+            assert np.array(invariants(v)).tobytes() == np.array(expected).tobytes()
 
 
 class TestPhysicality:

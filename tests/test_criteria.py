@@ -14,6 +14,7 @@ from cvsep import statezoo
 from cvsep.covariance import (
     apply_symp,
     as_covariance,
+    invariants,
     is_physical,
     p_rep_ensemble,
     partial_transpose,
@@ -204,6 +205,24 @@ class TestStringent:
         with pytest.raises(InvalidEnsembleMatrix):
             weak_gap(v, ens, sign)
 
+    @pytest.mark.parametrize("call", [
+        stringent_criterion,
+        lambda v, ens, tol=DEFAULT_TOL: weak_gap(v, ens, 1, tol),
+        lambda v, ens, tol=DEFAULT_TOL: weak_gap(v, ens, -1, tol),
+    ], ids=["stringent", "weak_gap_plus", "weak_gap_minus"])
+    def test_overflowing_difference_with_the_ensemble_is_out_of_domain(self, call):
+        # Both matrices are finite and the ensemble is PSD, but V - ens and the
+        # EPR entries of each pass the float maximum: OutOfDomain, without a
+        # numpy overflow warning; a bad tol is still bad input.
+        v = np.eye(4)
+        v[:2, :2] = 1e308
+        ens = np.zeros((4, 4))
+        ens[:2, :2] = [[0.8e308, -0.8e308], [-0.8e308, 0.8e308]]
+        with pytest.raises(OutOfDomain, match="overflows"):
+            call(v, ens)
+        with pytest.raises(InvalidInput, match="tol must be"):
+            call(v, ens, tol=2.0)
+
 
 class TestSimon:
     def test_vacuum(self):
@@ -291,15 +310,15 @@ class TestDuan:
             margins = [weak_gap(v, ZERO, s).margin for s in (1, -1)]
             assert rep.margin == pytest.approx(min(margins), abs=1e-12)
 
-    def test_overflowing_epr_matrix_is_invalid_input(self):
+    def test_overflowing_epr_matrix_is_out_of_domain(self):
         # The EPR blocks add two entries of V; near the float maximum the sum
         # is inf, and the eigensolver would turn it into a nan margin.
         v = 1e308 * np.eye(4)
         for call in (duan_criterion, lambda v: weak_gap(v, None, -1), classify):
-            with pytest.raises(InvalidInput, match="finite entries"):
+            with pytest.raises(OutOfDomain, match="finite entries"):
                 call(v)
 
-    def test_overflowing_correlation_sum_is_invalid_input_without_a_warning(self):
+    def test_overflowing_correlation_sum_is_out_of_domain_without_a_warning(self):
         # c00 + c11 and c01 - c10 pass the float maximum on Python floats,
         # which give inf silently; the PSD test then refuses the sigma = +1
         # matrix. (classify stops earlier, at its complex stack's row sums.)
@@ -308,7 +327,7 @@ class TestDuan:
         v[0, 3] = v[3, 0] = 1e308
         v[1, 2] = v[2, 1] = -1e308
         for call in (duan_criterion, lambda v: weak_gap(v, None, 1)):
-            with pytest.raises(InvalidInput, match="finite entries"):
+            with pytest.raises(OutOfDomain, match="finite entries"):
                 call(v)
         # On sigma = -1 the same entries cancel to zero: EPR(-1) - I is 1 * I.
         rep = weak_gap(v, None, -1)
@@ -463,6 +482,16 @@ class TestClassify:
         verdict = classify(0.4 * np.eye(4))
         assert verdict.outcome is Outcome.NONPHYSICAL
         assert verdict.standard_form is None
+
+    def test_overflowing_epr_sum_of_a_standard_matrix_is_out_of_domain(self):
+        # c00 + c11 = 2e308: every row sum of the complex stack stays finite,
+        # but the real stack's EPR entry overflows; a bad tol is still bad input.
+        v = standard_matrix(1.0, 1.0, 0.0, 0.0)
+        v[0, 2] = v[2, 0] = v[1, 3] = v[3, 1] = 1e308
+        with pytest.raises(OutOfDomain, match="overflows"):
+            classify(v)
+        with pytest.raises(InvalidInput, match="tol must be"):
+            classify(v, math.nan)
 
     def test_boundary_state_separable(self):
         verdict = classify(standard_matrix(1.0, 1.0, 0.75, 0.0))
@@ -746,6 +775,7 @@ ENTRY_POINTS = {
     "char_fn": lambda v: char_fn(v, np.ones(4)),
     "classify": classify,
     "to_standard_form": to_standard_form,
+    "invariants": invariants,
 }
 
 

@@ -1,8 +1,9 @@
 """Golden CLI outputs: classify text for a few reference states, an audit
 report, the digests of the default scan CSV and of further scans (other
-t-step counts, an asymmetric a/b grid, a grid up to the a * b bound) and the
-squeeze text at points from the unit grid to the t and a * b edges must stay
-byte-identical.
+t-step counts, an asymmetric a/b grid, a grid up to the a * b bound), the
+squeeze text at points from the unit grid to the t and a * b edges and the
+standard-form text from reference states to the degenerate and overflowing
+blocks must stay byte-identical.
 
 golden_outputs.json holds what capture_outputs() returned on the code the
 goldens were taken from; a refactor that changes any byte fails here.
@@ -14,8 +15,11 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
+
 from cvsep import statezoo
 from cvsep.cli import main
+from cvsep.covariance import apply_symp
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -57,6 +61,39 @@ SQUEEZE_ARGS = [
 SQUEEZE_DIGEST = "9c422bd031f81583f1d1f19a8c2c8d9a05d05ddfab0662e064869b921c32c90e"
 
 
+def _standard_form_docs() -> dict:
+    """Input documents of cvsep standard-form: reference states, five locally
+    transformed audit-pool states (two rescaled), a state whose det V
+    overflows (printed as nan), a standard_form document, a slightly
+    asymmetric matrix and two blocks the reduction refuses."""
+    docs = {
+        "vacuum": statezoo.vacuum(),
+        "thermal_1_1.5": statezoo.thermal(1.0, 1.5),
+        "two_mode_squeezed_0.5": statezoo.two_mode_squeezed(0.5),
+    }
+    rng = np.random.default_rng(7)
+    for i, scale in enumerate((1.0, 1.0, 1.0, 1e-3, 1e6)):
+        v = statezoo.mixed_physical_state(rng, i)
+        v = apply_symp(v, statezoo.random_symp2(rng), statezoo.random_symp2(rng))
+        docs[f"pool_seed7_{i}_scale_{scale:g}"] = scale * v
+    docs["two_mode_squeezed_0.5_scale_1e100"] = 1e100 * statezoo.two_mode_squeezed(0.5)
+    asym = statezoo.two_mode_squeezed(0.3)
+    asym[0, 2] += 1e-12
+    docs["asymmetry_1e-12"] = asym
+    docs["degenerate_block"] = np.diag([1.0, 0.0, 1.0, 1.0])
+    docs["overflowing_block_determinant"] = np.diag([1e200, 1e200, 1.0, 1.0])
+    docs = {name: {"matrix": v.tolist()} for name, v in docs.items()}
+    docs["standard_form_document"] = {
+        "standard_form": {"a": 1.25, "b": 0.75, "c1": 0.5, "c2": -0.25}}
+    return docs
+
+
+STANDARD_FORM_DOCS = _standard_form_docs()
+
+#: SHA-256 of the standard_form entries as json.dumps(..., sort_keys=True) writes them.
+STANDARD_FORM_DIGEST = "f1baec4ed78ae0ca16971a89daec75d4fa1cc5c8aa2bed9bccccfb9ef76f5245"
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -73,6 +110,11 @@ def capture_outputs(work_dir: Path) -> dict:
         classify[name] = {"exit": code, "stdout": text}
     code, audit = _run(["audit", "--samples", "200", "--seed", "55"])
     csv_path = work_dir / "scan.csv"
+    doc_path = work_dir / "standard_form.json"
+
+    def standard_form(doc):
+        doc_path.write_text(json.dumps(doc))
+        return dict(zip(("exit", "stdout"), _run(["standard-form", str(doc_path)])))
 
     def scan(args):
         scan_code, _ = _run(["scan", *args, "--out", str(csv_path)])
@@ -87,6 +129,7 @@ def capture_outputs(work_dir: Path) -> dict:
             args: dict(zip(("exit", "stdout"), _run(["squeeze", *args.split()])))
             for args in SQUEEZE_ARGS
         },
+        "standard_form": {name: standard_form(doc) for name, doc in STANDARD_FORM_DOCS.items()},
     }
 
 
@@ -100,3 +143,10 @@ def test_squeeze_goldens_match_their_digest():
     assert set(squeeze) == set(SQUEEZE_ARGS)
     text = json.dumps(squeeze, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SQUEEZE_DIGEST
+
+
+def test_standard_form_goldens_match_their_digest():
+    standard_form = json.loads(GOLDEN.read_text(encoding="utf-8"))["standard_form"]
+    assert set(standard_form) == set(STANDARD_FORM_DOCS)
+    text = json.dumps(standard_form, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == STANDARD_FORM_DIGEST

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import cvsep
+from cvsep import statezoo
 from cvsep.covariance import StandardForm, apply_symp
-from cvsep.errors import OutOfDomain
+from cvsep.errors import InvalidInput, OutOfDomain
 from cvsep.matkit import is_psd_herm
 from cvsep.squeezing import (
     SCAN_HEADER,
@@ -453,3 +454,35 @@ class TestOneFactorKernel:
     def test_factors_snap_onto_the_endpoints(self, a, b):
         assert optimal_squeeze(a, b, 0.0).params == SqueezeParams(2.0 * a, 2.0 * b)
         assert optimal_squeeze(a, b, 1.0).params == SqueezeParams(1.0, 1.0)
+
+
+#: Every entry point that checks a scalar parameter, with x in one slot; 1.0
+#: is a valid value in each.
+SCALAR_TAKERS = {
+    "thermal_n1": lambda x: statezoo.thermal(x, 1.0),
+    "thermal_n2": lambda x: statezoo.thermal(1.0, x),
+    "two_mode_squeezed": statezoo.two_mode_squeezed,
+    "optimal_squeeze_a": lambda x: optimal_squeeze(x, 1.0, 0.5),
+    "optimal_squeeze_b": lambda x: optimal_squeeze(1.0, x, 0.5),
+    "optimal_squeeze_t": lambda x: optimal_squeeze(1.0, 1.0, x),
+    "simon_bound_t": lambda x: simon_bound(1.0, 1.0, x),
+    "p_rep_bound_at_a": lambda x: p_rep_bound_at(x, 1.0, SqueezeParams(1.0, 1.0)),
+    "squeeze_params_r1": lambda x: SqueezeParams(x, 1.0),
+    "squeeze_params_r2": lambda x: SqueezeParams(1.0, x),
+    "r2_of_r1": lambda x: r2_of_r1(1.0, 1.0, x),
+    "superadditivity_gap_n1": lambda x: superadditivity_gap(x, 1.0, 1.0, 1.0),
+    "superadditivity_gap_m2": lambda x: superadditivity_gap(1.0, 1.0, 1.0, x),
+    "scan_table_a": lambda x: scan_table([x], [1.0], [0.5]),
+    "scan_table_t": lambda x: scan_table([1.0], [1.0], [0.0, x]),
+}
+
+
+@pytest.mark.parametrize("call", SCALAR_TAKERS.values(), ids=SCALAR_TAKERS.keys())
+def test_scalar_parameters_refuse_bools_and_non_numbers(call):
+    # True and False would be read as 1 and 0, a string or complex number
+    # used to raise a bare TypeError.
+    for x in (True, False, np.bool_(True), "1", 1j, None):
+        with pytest.raises(InvalidInput, match="must be a real number"):
+            call(x)
+    for x in (1.0, 1, np.float64(1.0), np.int64(1), np.uint8(1)):
+        call(x)
