@@ -21,7 +21,7 @@ from .errors import (
     NotPRepresentable,
     OutOfDomain,
 )
-from .matkit import DEFAULT_TOL, _mul2
+from .matkit import DEFAULT_TOL, _check_real, _mul2
 
 #: Single-mode symplectic form.
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -87,8 +87,15 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     return x
 
 
+def _standard_params(a, b, c1, c2) -> tuple[float, float, float, float]:
+    """The standard-form parameters as floats (matkit._check_real)."""
+    return (_check_real(a, "standard-form a"), _check_real(b, "standard-form b"),
+            _check_real(c1, "standard-form c1"), _check_real(c2, "standard-form c2"))
+
+
 def standard_matrix(a: float, b: float, c1: float, c2: float) -> np.ndarray:
     """Standard-form covariance: isotropic diagonal blocks, diagonal correlations."""
+    a, b, c1, c2 = _standard_params(a, b, c1, c2)
     return np.array(
         [
             [a, 0.0, c1, 0.0],
@@ -153,7 +160,7 @@ class StandardForm:
 
     @classmethod
     def from_params(cls, a: float, b: float, c1: float, c2: float) -> "StandardForm":
-        return cls(float(a), float(b), float(c1), float(c2), np.eye(2), np.eye(2))
+        return cls(*_standard_params(a, b, c1, c2), np.eye(2), np.eye(2))
 
     def matrix(self) -> np.ndarray:
         return standard_matrix(self.a, self.b, self.c1, self.c2)

@@ -271,11 +271,10 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
         raise InvalidInput("sign branch must be +1 or -1")
     ens = None if ens is None else _as_ensemble(ens, tol)
-    entries = np.array(_epr_entries(as_covariance(v).tolist(), 0.0))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused as OutOfDomain below
-        if ens is not None:
-            entries = entries - np.array(_epr_entries(ens.tolist(), 0.0))
-        m = entries[_REAL_INDEX[(1 - sign) // 2]] - np.eye(4)
+    entries = _epr_entries(as_covariance(v).tolist(), 0.0)
+    if ens is not None:  # Python floats: an overflow is inf or nan, refused as OutOfDomain below
+        entries = [x - y for x, y in zip(entries, _epr_entries(ens.tolist(), 0.0))]
+    m = np.array(entries)[_REAL_INDEX[(1 - sign) // 2]] - np.eye(4)
     ok, lam, vec = _psd_of_built(m, tol)
     return CriterionReport(ok, lam, None if ok else _witness(vec, sign), sign)
 

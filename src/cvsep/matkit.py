@@ -28,10 +28,19 @@ def _is_real(x) -> bool:
     return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
-def _check_real(x, what: str) -> None:
-    """Raise InvalidInput unless x is a real number (_is_real)."""
+def _check_real(x, what: str) -> float:
+    """x as the float every route computes on; raises InvalidInput unless x is
+    a real number (_is_real). An exact float returns as is. An integer or
+    Fraction past the float range reads as +-inf, as the CLI reads JSON, so
+    the caller's own finiteness check refuses it."""
+    if type(x) is float:
+        return x
     if not _is_real(x):
         raise InvalidInput(f"{what} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def check_tol(tol) -> float:

@@ -73,12 +73,13 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
 
 def p_density(w: PWeight, z) -> float:
     """Weight density at a phase-space point; integrates to one over R^4.
-    Raises InvalidInput unless z is a finite 4-vector and w.pmat passes
-    as_covariance, and OutOfDomain when the quadratic form or the density
-    overflows."""
+    Raises InvalidInput unless z is a finite 4-vector, w.pmat passes
+    as_covariance and w.normalization is a real number (matkit._check_real),
+    and OutOfDomain when the quadratic form or the density overflows."""
+    normalization = matkit._check_real(w.normalization, "weight normalization")
     q = _quadratic_form(as_covariance(w.pmat), _as_vector(z, 4, "z"), "p_density")
     try:
-        value = float(w.normalization) * math.exp(-0.5 * q)
+        value = normalization * math.exp(-0.5 * q)
     except OverflowError:
         value = math.inf
     if value == math.inf:

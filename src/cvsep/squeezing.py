@@ -40,12 +40,14 @@ class SqueezeParams:
     r2: float
 
     def __post_init__(self):
-        _check_real(self.r1, "squeezing factor r1")
-        _check_real(self.r2, "squeezing factor r2")
-        if not (math.isfinite(self.r1) and math.isfinite(self.r2)):
+        r1 = _check_real(self.r1, "squeezing factor r1")
+        r2 = _check_real(self.r2, "squeezing factor r2")
+        if not (math.isfinite(r1) and math.isfinite(r2)):
             raise OutOfDomain("squeezing factors must be finite")
-        if self.r1 < 1.0 - _DOMAIN_EPS or self.r2 < 1.0 - _DOMAIN_EPS:
-            raise OutOfDomain(f"squeezing factors ({self.r1}, {self.r2}) must be >= 1")
+        if r1 < 1.0 - _DOMAIN_EPS or r2 < 1.0 - _DOMAIN_EPS:
+            raise OutOfDomain(f"squeezing factors ({r1}, {r2}) must be >= 1")
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "r2", r2)
 
 
 @dataclass(frozen=True)
@@ -63,21 +65,22 @@ class SqueezeSolution:
     t: float
 
 
-def _check_domain(a: float, b: float) -> None:
-    if type(a) is not float or type(b) is not float:  # classify's floats skip the calls
-        _check_real(a, "block size a")
-        _check_real(b, "block size b")
+def _check_domain(a: float, b: float) -> tuple[float, float]:
+    """(a, b) as floats (_check_real), refused unless both are >= 1/2 with a * b <= _AB_MAX."""
+    a, b = _check_real(a, "block size a"), _check_real(b, "block size b")
     if not (math.isfinite(a) and math.isfinite(b)) or a < 0.5 or b < 0.5:
         raise OutOfDomain(f"block sizes (a, b) = ({a}, {b}) must be >= 1/2")
     if a * b > _AB_MAX:
         raise OutOfDomain(f"block sizes (a, b) = ({a}, {b}) must have a * b <= {_AB_MAX:g}")
+    return a, b
 
 
-def _check_ratio(t: float) -> None:
-    if type(t) is not float:
-        _check_real(t, "correlation ratio t")
+def _check_ratio(t: float) -> float:
+    """t as a float (_check_real), refused unless it is in [0, 1]."""
+    t = _check_real(t, "correlation ratio t")
     if not math.isfinite(t) or not 0.0 <= t <= 1.0:
         raise OutOfDomain(f"correlation ratio t = {t} outside [0, 1]")
+    return t
 
 
 def apply_squeeze(sf: StandardForm, p: SqueezeParams) -> np.ndarray:
@@ -115,8 +118,8 @@ def prep_conditions(sf: StandardForm, p: SqueezeParams):
 
 def _c1_bound(a: float, b: float, t: float) -> float:
     """optimal_squeeze's c1_bound on Python floats, after its domain checks."""
-    _check_domain(a, b)
-    _check_ratio(t)
+    a, b = _check_domain(a, b)
+    t = _check_ratio(t)
     d_aux = (a * b * (1.0 - t * t)) ** 2 + t * (a + b * t) * (a * t + b)
     denom = 2.0 * a * b * (1.0 + t * t) + t + 2.0 * math.sqrt(d_aux)
     return math.sqrt((2.0 * a * a - 0.5) * (2.0 * b * b - 0.5) / denom)
@@ -135,6 +138,8 @@ def optimal_squeeze(a: float, b: float, t: float) -> SqueezeSolution:
     The factors and D come from scan_table's kernel, on numpy scalars (tens of
     microseconds a call); classify reads only the bound, through _c1_bound.
     """
+    a, b = _check_domain(a, b)
+    t = _check_ratio(t)
     c1 = _c1_bound(a, b, t)
     d_aux, r1, r2 = (float(x) for x in _extremal_factors(a, b, t))
     return SqueezeSolution(SqueezeParams(r1, r2), d_aux, c1, t * c1, t)
@@ -145,7 +150,7 @@ def optimal_squeeze(a: float, b: float, t: float) -> SqueezeSolution:
 def p_rep_bound_at(a: float, b: float, p: SqueezeParams) -> float:
     """Correlation bound sqrt((a r1 - 1/2)(b r2 - 1/2)) / sqrt(r1 r2) read off
     the squeezed q-sector determinant condition at the given factors."""
-    _check_domain(a, b)
+    a, b = _check_domain(a, b)
     return float(_prep_bound(a, b, p.r1, p.r2))
 
 
@@ -156,8 +161,8 @@ def simon_bound(a: float, b: float, t: float) -> float:
     c2 = t*c1, evaluated through the larger root so it stays stable down to
     t = 0, where the equation degenerates to linear.
     """
-    _check_domain(a, b)
-    _check_ratio(t)
+    a, b = _check_domain(a, b)
+    t = _check_ratio(t)
     return float(_simon_bound(a, b, t))
 
 
@@ -171,7 +176,7 @@ def extremality_residual(a: float, b: float, p: SqueezeParams) -> float:
     counts as vanishing within 1e-12 * max(1, its mode's a or b), the scale
     at which a / r1 or b / r2 rounds.
     """
-    _check_domain(a, b)
+    a, b = _check_domain(a, b)
     den1 = a / p.r1 - 0.5
     den2 = b / p.r2 - 0.5
     vanish1 = abs(den1) <= 1e-12 * max(1.0, a)
@@ -189,8 +194,8 @@ def r2_of_r1(a: float, b: float, r1: float) -> float:
     Monotone from r2(1) = 1 up to r2(2a) = 2b. Degenerate at a = 1/2, where
     the admissible range for r1 collapses to the single point 1.
     """
-    _check_domain(a, b)
-    _check_real(r1, "r1")
+    a, b = _check_domain(a, b)
+    r1 = _check_real(r1, "r1")
     if not 1.0 - _DOMAIN_EPS <= r1 <= 2.0 * a + _DOMAIN_EPS:
         raise OutOfDomain(f"r1 = {r1} outside [1, 2a] = [1, {2.0 * a}]")
     den = 2.0 * a * r1 - 1.0
@@ -212,8 +217,8 @@ def duan_bound_at(a: float, b: float, t: float, p: SqueezeParams) -> float:
     squeezed state has momentum variances below the vacuum floor and the
     factors are rejected.
     """
-    _check_domain(a, b)
-    _check_ratio(t)
+    a, b = _check_domain(a, b)
+    t = _check_ratio(t)
     if a / p.r1 - 0.5 < -_DOMAIN_EPS or b / p.r2 - 0.5 < -_DOMAIN_EPS:
         raise OutOfDomain("squeezing exceeds the window [1, 2a] x [1, 2b]")
     return float(_duan_bound(a, b, t, p.r1, p.r2))
@@ -324,10 +329,13 @@ def superadditivity_gap(n1: float, n2: float, m1: float, m2: float) -> tuple[flo
     (n2 - 1/2)(m1 - 1/2) == (n1 - 1/2)(m2 - 1/2), whose status is returned
     alongside the gap.
     """
+    checked = []
     for name, val in (("n1", n1), ("n2", n2), ("m1", m1), ("m2", m2)):
-        _check_real(val, name)
+        val = _check_real(val, name)
         if not math.isfinite(val) or val < 0.5:
             raise OutOfDomain(f"{name} = {val} must be >= 1/2")
+        checked.append(val)
+    n1, n2, m1, m2 = checked
     lhs = math.sqrt((n1 + n2 - 1.0) * (m1 + m2 - 1.0))
     rhs = math.sqrt((n1 - 0.5) * (m1 - 0.5)) + math.sqrt((n2 - 0.5) * (m2 - 0.5))
     cross = (n2 - 0.5) * (m1 - 0.5) - (n1 - 0.5) * (m2 - 0.5)
@@ -339,5 +347,6 @@ def duan_split_residual(a: float, b: float, p: SqueezeParams) -> float:
     """How far the Duan-form product term is from splitting into the two
     squeezed P-representation factors; zero exactly at extremal squeezing,
     strictly positive otherwise."""
+    a, b = _check_real(a, "block size a"), _check_real(b, "block size b")
     gap, _ = superadditivity_gap(a * p.r1, a / p.r1, b * p.r2, b / p.r2)
     return gap

@@ -28,8 +28,8 @@ def vacuum() -> np.ndarray:
 
 def thermal(n1: float, n2: float) -> np.ndarray:
     """Uncorrelated thermal state diag(n1, n1, n2, n2); needs finite n1, n2 >= 1/2."""
-    _check_real(n1, "thermal occupation n1")
-    _check_real(n2, "thermal occupation n2")
+    n1 = _check_real(n1, "thermal occupation n1")
+    n2 = _check_real(n2, "thermal occupation n2")
     if not (0.5 <= n1 < math.inf and 0.5 <= n2 < math.inf):
         raise InvalidSpec(f"thermal occupations ({n1}, {n2}) must be finite and >= 1/2")
     return standard_matrix(n1, n2, 0.0, 0.0)
@@ -38,7 +38,7 @@ def thermal(n1: float, n2: float) -> np.ndarray:
 def two_mode_squeezed(r: float) -> np.ndarray:
     """Two-mode squeezed vacuum: standard form with a = b = cosh(2r)/2 and
     c1 = -c2 = sinh(2r)/2; entangled for every r > 0."""
-    _check_real(r, "squeezing r")
+    r = _check_real(r, "squeezing r")
     if not (math.isfinite(r) and r >= 0.0):
         raise InvalidSpec(f"squeezing r = {r} must be nonnegative")
     try:
@@ -112,5 +112,5 @@ def mixed_physical_state(rng: np.random.Generator, index: int) -> np.ndarray:
     kind = index % 4
     if kind < 3:
         return (random_physical, random_separable, random_correlated_physical)[kind](rng)
-    v = two_mode_squeezed(float(rng.uniform(0.0, 1.5)))
+    v = two_mode_squeezed(rng.uniform(0.0, 1.5))
     return apply_symp(v, random_symp2(rng), random_symp2(rng))

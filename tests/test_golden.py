@@ -3,7 +3,8 @@ report, the digests of the default scan CSV and of further scans (other
 t-step counts, an asymmetric a/b grid, a grid up to the a * b bound), the
 squeeze text at points from the unit grid to the t and a * b edges and the
 standard-form text from reference states to the degenerate and overflowing
-blocks must stay byte-identical.
+blocks must stay byte-identical, as must a digest of classify's verdicts on
+three audit pools.
 
 golden_outputs.json holds what capture_outputs() returned on the code the
 goldens were taken from; a refactor that changes any byte fails here.
@@ -13,12 +14,14 @@ import contextlib
 import hashlib
 import io
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from cvsep import statezoo
 from cvsep.cli import main
+from cvsep.criteria import classify
 from cvsep.covariance import apply_symp
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -94,6 +97,40 @@ STANDARD_FORM_DOCS = _standard_form_docs()
 STANDARD_FORM_DIGEST = "f1baec4ed78ae0ca16971a89daec75d4fa1cc5c8aa2bed9bccccfb9ef76f5245"
 
 
+#: Seeds of the audit pools whose verdicts are digested, the size of each pool,
+#: and the tolerances each pool is classified at.
+VERDICT_SEEDS = (7, 13, 31)
+VERDICT_POOL_SIZE = 2000
+VERDICT_TOLS = (1e-10, 1e-3)
+
+
+def _verdicts_digest() -> str:
+    """SHA-256 over every verdict field whose bits do not depend on the BLAS
+    kernel, on audit pools with one state in five scaled by 0.8: outcome,
+    ensemble_used, consistent, each report's satisfied flag, the raw bits of
+    the standard form (a, b, c1, c2, s1, s2) and of the simon_algebraic and
+    p_rep_bound margins. Eigen margins, witnesses and sign_branch follow the
+    LAPACK kernel and are left out."""
+    digest = hashlib.sha256()
+    for seed in VERDICT_SEEDS:
+        rng = np.random.default_rng(seed)
+        pool = [(0.8 if i % 5 == 4 else 1.0) * statezoo.mixed_physical_state(rng, i)
+                for i in range(VERDICT_POOL_SIZE)]
+        for tol in VERDICT_TOLS:
+            for v in pool:
+                verdict = classify(v, tol)
+                flags = " ".join(f"{name}={rep.satisfied}" for name, rep in verdict.reports.items())
+                digest.update(f"{verdict.outcome.value} {verdict.ensemble_used} "
+                              f"{verdict.consistent} {flags}\n".encode())
+                sf = verdict.standard_form
+                if sf is not None:
+                    digest.update(struct.pack(
+                        "<14d", sf.a, sf.b, sf.c1, sf.c2, *sf.s1.ravel(), *sf.s2.ravel(),
+                        verdict.reports["simon_algebraic"].margin,
+                        verdict.reports["p_rep_bound"].margin))
+    return digest.hexdigest()
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -130,6 +167,7 @@ def capture_outputs(work_dir: Path) -> dict:
             for args in SQUEEZE_ARGS
         },
         "standard_form": {name: standard_form(doc) for name, doc in STANDARD_FORM_DOCS.items()},
+        "verdicts": _verdicts_digest(),
     }
 
 

@@ -12,6 +12,7 @@ from cvsep.criteria import _real_stack
 from cvsep.errors import InvalidInput
 from cvsep.matkit import (
     DEFAULT_TOL,
+    _check_real,
     check_tol,
     is_psd_herm,
     norm_scale,
@@ -171,6 +172,31 @@ def test_check_tol_accepts_finite_numbers_inside_the_unit_interval(tol):
 def test_check_tol_rejects_everything_else(tol):
     with pytest.raises(InvalidInput):
         check_tol(tol)
+
+
+@pytest.mark.parametrize("x, expected", [
+    (1.3, 1.3), (math.nan, math.nan), (-math.inf, -math.inf), (np.float64(0.1), 0.1),
+    (np.float32(1.3), 1.2999999523162842), (_Float(0.25), 0.25), (Fraction(13, 10), 1.3),
+    (2, 2.0), (np.int64(-2), -2.0), (np.uint8(7), 7.0), (10**400, math.inf),
+    (-(10**400), -math.inf), (Fraction(10**400, 3), math.inf), (Fraction(-(10**400)), -math.inf),
+])
+def test_check_real_returns_the_float_it_reads(x, expected):
+    # Past the float range an integer or Fraction reads as +-inf, for the
+    # caller's own finiteness check to refuse.
+    got = _check_real(x, "x")
+    assert type(got) is float
+    assert got.hex() == expected.hex()
+
+
+def test_check_real_returns_an_exact_float_as_is():
+    x = 1.3
+    assert _check_real(x, "x") is x
+
+
+@pytest.mark.parametrize("x", [True, np.bool_(False), "1", 1j, None, np.complex128(1.0)])
+def test_check_real_refuses_what_is_not_a_real_number(x):
+    with pytest.raises(InvalidInput, match="^x must be a real number"):
+        _check_real(x, "x")
 
 
 def svd2(c):

@@ -1,13 +1,16 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cvsep
 from cvsep import statezoo
-from cvsep.covariance import StandardForm, apply_symp
-from cvsep.errors import InvalidInput, OutOfDomain
+from cvsep.covariance import StandardForm, apply_symp, standard_matrix
+from cvsep.errors import CvsepError, InvalidInput, InvalidSpec, OutOfDomain
 from cvsep.matkit import is_psd_herm
+from cvsep.prep import PWeight, p_density
 from cvsep.squeezing import (
     SCAN_HEADER,
     SqueezeParams,
@@ -474,6 +477,13 @@ SCALAR_TAKERS = {
     "superadditivity_gap_m2": lambda x: superadditivity_gap(1.0, 1.0, 1.0, x),
     "scan_table_a": lambda x: scan_table([x], [1.0], [0.5]),
     "scan_table_t": lambda x: scan_table([1.0], [1.0], [0.0, x]),
+    "simon_bound_a": lambda x: simon_bound(x, 1.0, 0.5),
+    "duan_bound_at_t": lambda x: duan_bound_at(1.0, 1.0, x, SqueezeParams(1.0, 1.0)),
+    "extremality_residual_a": lambda x: extremality_residual(x, 1.0, SqueezeParams(1.0, 1.0)),
+    "from_params_a": lambda x: StandardForm.from_params(x, 1.0, 0.5, 0.0),
+    "standard_matrix_c2": lambda x: standard_matrix(1.0, 1.0, 0.5, x),
+    "p_density_normalization": lambda x: p_density(PWeight(np.eye(4), x), np.zeros(4)),
+    "duan_split_residual_a": lambda x: duan_split_residual(x, 1.0, SqueezeParams(1.0, 1.0)),
 }
 
 
@@ -484,5 +494,77 @@ def test_scalar_parameters_refuse_bools_and_non_numbers(call):
     for x in (True, False, np.bool_(True), "1", 1j, None):
         with pytest.raises(InvalidInput, match="must be a real number"):
             call(x)
-    for x in (1.0, 1, np.float64(1.0), np.int64(1), np.uint8(1)):
+    for x in (1.0, 1, np.float64(1.0), np.int64(1), np.uint8(1), np.float32(1.0), Fraction(1)):
         call(x)
+
+
+#: The squeeze routes at interior points, with x in an a, b or r slot and x / 2
+#: in a t slot: halving is exact, so x / 2 reads as float(x) / 2.
+SQUEEZE_ROUTES = {
+    "optimal_squeeze_at_a": lambda x: optimal_squeeze(x, 0.9, 0.4),
+    "optimal_squeeze_at_t": lambda x: optimal_squeeze(1.3, 0.9, x / 2),
+    "simon_bound_at_t": lambda x: simon_bound(1.3, 0.9, x / 2),
+    "p_rep_bound_at_r1": lambda x: p_rep_bound_at(1.3, 0.9, SqueezeParams(x, 1.5)),
+    "duan_bound_at_at_t": lambda x: duan_bound_at(1.3, 0.9, x / 2, SqueezeParams(1.2, 1.1)),
+    "extremality_residual_at_b": lambda x: extremality_residual(1.3, x, SqueezeParams(1.2, 1.1)),
+    "r2_of_r1_at_r1": lambda x: r2_of_r1(1.3, 0.9, x),
+    "superadditivity_gap_at_n1_m2": lambda x: superadditivity_gap(x, 0.9, 1.1, x),
+    "duan_split_residual_at_b": lambda x: duan_split_residual(1.3, x, SqueezeParams(1.2, 1.1)),
+    "scan_table_at_t": lambda x: scan_table([1.3, 2.0], [0.9], [0.0, x / 2]),
+}
+
+
+def _exact(value):
+    """value as nested tuples that compare equal only when every type and bit does."""
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return (type(value), *(_exact(getattr(value, f.name)) for f in fields))
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def _outcome(call, x):
+    """_exact of call(x), or the type and message of the package error it raises."""
+    try:
+        return _exact(call(x))
+    except CvsepError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("x", [np.float32(1.3), Fraction(13, 10), 2, np.int64(2)],
+                         ids=["float32", "fraction", "int", "int64"])
+@pytest.mark.parametrize("call", [*SCALAR_TAKERS.values(), *SQUEEZE_ROUTES.values()],
+                         ids=[*SCALAR_TAKERS.keys(), *SQUEEZE_ROUTES.keys()])
+def test_scalar_parameters_compute_on_their_float(call, x):
+    # Every route reads a real scalar as the float it rounds to, without a
+    # warning: a float32 once ran the squeeze formulas in float32 (with an
+    # overflow warning in a cast) and came back as a float32 from r2_of_r1.
+    assert _outcome(call, x) == _outcome(call, float(x))
+
+
+def test_r2_of_r1_returns_a_python_float():
+    assert type(r2_of_r1(1.3, 0.9, np.float32(1.5))) is float
+
+
+@pytest.mark.parametrize("call", SCALAR_TAKERS.values(), ids=SCALAR_TAKERS.keys())
+def test_scalar_parameters_past_the_float_range_read_as_inf(call):
+    # An integer or Fraction past the float range once raised a bare
+    # OverflowError or built an object-dtype matrix.
+    for huge, inf in ((10**400, math.inf), (-(10**400), -math.inf),
+                      (Fraction(10**400, 3), math.inf)):
+        assert _outcome(call, huge) == _outcome(call, inf)
+
+
+#: The takers without a range of their own: an infinite parameter is theirs to hold.
+_UNBOUNDED_TAKERS = ("from_params_a", "standard_matrix_c2")
+
+
+@pytest.mark.parametrize(
+    "call", [c for name, c in SCALAR_TAKERS.items() if name not in _UNBOUNDED_TAKERS],
+    ids=[name for name in SCALAR_TAKERS if name not in _UNBOUNDED_TAKERS])
+def test_scalar_parameters_past_the_float_range_raise_the_range_error(call):
+    with pytest.raises((OutOfDomain, InvalidSpec)):
+        call(10**400)
