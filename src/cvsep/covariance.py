@@ -217,10 +217,10 @@ def _isotropize(block, det: float, name: str):
     return ((x * r00, x * r01), (y * r10, y * r11)), root
 
 
-def _standard_form(v: np.ndarray) -> StandardForm:
-    """to_standard_form of a matrix that already passed as_covariance, on the
-    Python floats of v.tolist(); only the returned s1 and s2 are arrays."""
-    rows = v.tolist()
+def _standard_form(rows: list) -> StandardForm:
+    """to_standard_form of a matrix that already passed as_covariance, given as
+    its rows of Python floats (v.tolist()); only the returned s1 and s2 are
+    arrays."""
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
     det_a, det_b, _ = _block_dets(rows)
     s1, a = _isotropize(((a00, a01), (a10, a11)), det_a, "A")
@@ -241,7 +241,7 @@ def to_standard_form(v) -> StandardForm:
     transforms satisfy apply_symp(v, s1, s2) == standard matrix; the block
     determinants give a = sqrt(det A), b = sqrt(det B) and c1 * c2 = det C.
     """
-    return _standard_form(as_covariance(v))
+    return _standard_form(as_covariance(v).tolist())
 
 
 def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

@@ -18,6 +18,13 @@ sufficient, and classify() cross-checks it against Simon's criterion on
 every call. classify() makes two LAPACK calls: one complex stack for
 physicality and Simon, and one real stack holding Duan's two branches and
 the coherent excess V - I/2, whose PSD verdict is P-representability.
+
+classify, simon_criterion and duan_criterion decide these stacks without
+matkit.is_psd_herm: each reads V's entries once as Python floats, and the
+norm_scale of every matrix comes from them (_uncertainty_pair, _real_scales),
+each row summed left to right as numpy's sum(axis=-1) sums it, so the scales
+and every verdict of matkit.psd_verdict keep is_psd_herm's bits. The other
+criteria judge matrices built with an ensemble through is_psd_herm.
 """
 
 from __future__ import annotations
@@ -157,10 +164,11 @@ def _witness(vec: np.ndarray, sign: int) -> ParamSet:
     return ParamSet(d, f, J2.T @ d, sign * (J2.T @ f))
 
 
-def _branch_report(ok: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> CriterionReport:
+def _branch_report(ok, lam, vec: np.ndarray) -> CriterionReport:
     """Report of "the sigma = +1 and sigma = -1 matrices are PSD" from the first
-    two entries of a stacked is_psd_herm result (verdicts, eigenvalues, vectors)."""
-    plus, minus = lam[:2].tolist()
+    two entries of a stacked PSD result (verdicts, eigenvalues, vectors), as
+    is_psd_herm or _decide gives it."""
+    plus, minus = float(lam[0]), float(lam[1])
     binding = 1 if plus <= minus else -1
     branch = 0 if abs(plus - minus) <= 1e-12 * max(1.0, abs(min(plus, minus))) else binding
     satisfied = bool(ok[0] and ok[1])
@@ -188,10 +196,38 @@ def _psd_of_built(h, tol: float):
         raise OutOfDomain(f"an entry computed from finite input overflows ({exc})") from None
 
 
+def _decide(stack: np.ndarray, scales: list, tol: float):
+    """(verdicts, smallest eigenvalues, their eigenvectors) of every matrix of a
+    stack built from a checked V, in one LAPACK call, given each matrix's
+    norm_scale as a float and a checked tol: matkit.is_psd_herm's result, bit
+    for bit, with lists for the verdicts and eigenvalues. A scale of inf means
+    an entry or a row sum overflowed; that stack goes to _psd_of_built, whose
+    guard raises the refusal."""
+    if math.inf in scales:
+        return _psd_of_built(stack, tol)
+    values, vectors = np.linalg.eigh(stack)
+    lam = values[:, 0].tolist()
+    return [matkit.psd_verdict(x, tol, s) for x, s in zip(lam, scales)], lam, vectors[..., 0]
+
+
+def _uncertainty_pair(v: np.ndarray) -> tuple[np.ndarray, list]:
+    """V + (i/2) diag(J, sigma*J), sigma = +1 then -1, as one (2, 4, 4) stack,
+    and the norm_scale of each, its rows of magnitudes summed left to right as
+    numpy sums them. The two are one float: the matrices differ only in the
+    signs of two imaginary parts, which numpy's complex abs does not see.
+    Every entry of a finite V plus i/2 is finite, so only a row sum overflows."""
+    pair = v + _UNCERTAINTY_SHIFT
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = (
+        np.abs(pair[0]).tolist())
+    scale = max(1.0, a0 + a1 + a2 + a3, b0 + b1 + b2 + b3, c0 + c1 + c2 + c3, d0 + d1 + d2 + d3)
+    return pair, [scale, scale]
+
+
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
-    return _branch_report(*matkit.is_psd_herm(as_covariance(v) + _UNCERTAINTY_SHIFT, tol))
+    v = as_covariance(v)
+    return _branch_report(*_decide(*_uncertainty_pair(v), matkit.check_tol(tol)))
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -250,14 +286,36 @@ _REAL_INDEX = np.array([
 ])
 
 
+def _real_entries(rows: list) -> list:
+    """The entries _REAL_INDEX gathers, of a symmetric 4x4 matrix given as rows."""
+    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
+    return _epr_entries(rows, 1.0) + [
+        v00 - 0.5, v01, v02, v03, v10, v11 - 0.5, v12, v13,
+        v20, v21, v22 - 0.5, v23, v30, v31, v32, v33 - 0.5]
+
+
 def _real_stack(v: np.ndarray) -> np.ndarray:
     """[EPR(+1) - I, EPR(-1) - I, V - I/2] of v as one (3, 4, 4) stack: Duan's
     two branches, sigma = +1 then -1, and the coherent excess."""
-    rows = v.tolist()
-    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
-    return np.array(_epr_entries(rows, 1.0) + [
-        v00 - 0.5, v01, v02, v03, v10, v11 - 0.5, v12, v13,
-        v20, v21, v22 - 0.5, v23, v30, v31, v32, v33 - 0.5])[_REAL_INDEX]
+    return np.array(_real_entries(v.tolist()))[_REAL_INDEX]
+
+
+def _real_scales(entries: list) -> list:
+    """The norm_scale of each matrix of the real stack, from its _real_entries:
+    every row of magnitudes summed left to right as _REAL_INDEX lays it out, its
+    zero entries left out (adding 0.0 to a magnitude changes no bit)."""
+    (_, ta, tb, p0, p1, p2, m0, m1, m2,
+     a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = map(abs, entries)
+    return [max(1.0, ta + p0 + p1, ta + p2 + p0, p0 + p2 + tb, p1 + p0 + tb),
+            max(1.0, ta + m0 + m2, ta + m2 + m1, m0 + m2 + tb, m2 + m1 + tb),
+            max(1.0, a0 + a1 + a2 + a3, b0 + b1 + b2 + b3, c0 + c1 + c2 + c3, d0 + d1 + d2 + d3)]
+
+
+def _real_psd(rows: list, count: int, tol: float):
+    """_decide of the first count matrices of the real stack of a checked V
+    given as rows: Duan's branches, then the coherent excess."""
+    entries = _real_entries(rows)
+    return _decide(np.array(entries)[_REAL_INDEX[:count]], _real_scales(entries)[:count], tol)
 
 
 def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -282,7 +340,8 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
 def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """EPR-variance separability condition over both sign branches; weaker
     than Simon's criterion."""
-    return _branch_report(*_psd_of_built(_real_stack(as_covariance(v))[:2], tol))
+    rows = as_covariance(v).tolist()
+    return _branch_report(*_real_psd(rows, 2, matkit.check_tol(tol)))
 
 
 #: The stringent report at the coherent-excess ensemble: V - (V - I/2) is I/2
@@ -306,16 +365,18 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     v overflows.
     """
     v = as_covariance(v)
-    ok, lam, vec = matkit.is_psd_herm(v + _UNCERTAINTY_SHIFT, tol)
+    tol = matkit.check_tol(tol)
+    ok, lam, vec = _decide(*_uncertainty_pair(v), tol)
     simon = _branch_report(ok, lam, vec)
     # Physicality is the sigma = +1 branch of Simon's criterion.
-    phys_ok = bool(ok[0])
+    phys_ok = ok[0]
     reports: dict[str, CriterionReport] = {}
     reports["physical"] = CriterionReport(
-        phys_ok, float(lam[0]), None if phys_ok else _witness(vec[0], 1), 1
+        phys_ok, lam[0], None if phys_ok else _witness(vec[0], 1), 1
     )
     reports["simon"] = simon
-    ok, lam, vec = _psd_of_built(_real_stack(v), tol)
+    rows = v.tolist()
+    ok, lam, vec = _real_psd(rows, 3, tol)
     reports["duan"] = _branch_report(ok, lam, vec)
 
     # The third matrix is V - I/2: the state is P-representable when it is PSD.
@@ -328,7 +389,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     if not phys_ok:
         return Verdict(Outcome.NONPHYSICAL, reports, None, ens_kind, True)
 
-    sf = _standard_form(v)
+    sf = _standard_form(rows)
     reports["simon_algebraic"] = simon_algebraic(sf, tol)
 
     # Physicality guarantees a, b >= 1/2; clamp away rounding dips below.

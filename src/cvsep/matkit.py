@@ -1,7 +1,10 @@
 """Dense kernels for the small symmetric and Hermitian matrices used throughout.
 
-One PSD kernel, is_psd_herm, makes every positive-semidefinite decision: a
-tolerance-aware wrapper around one LAPACK eigh call that takes a whole stack.
+One rule, psd_verdict, makes every positive-semidefinite decision: the
+smallest eigenvalue against -tol times the matrix's norm_scale. is_psd_herm
+applies it around one LAPACK eigh call that takes a whole stack, for any
+matrix; classify and the Simon and Duan criteria apply it to their own stacks,
+whose scales they read off V's entries as floats (criteria module).
 The 2x2 rotation SVD and every 2x2 product of a local symplectic are
 closed-form, on Python floats, so their bits do not depend on the BLAS kernel;
 clear conventions matter more than speed.
@@ -44,12 +47,16 @@ def _check_real(x, what: str) -> float:
 
 
 def check_tol(tol) -> float:
-    """tol as a float; raises InvalidInput unless it is a finite number in (0, 1)."""
-    if type(tol) is float and 0.0 < tol < 1.0:  # the common case, before the ABC check
-        return tol
-    if not (_is_real(tol) and 0.0 < tol < 1.0):  # nan and inf fail too
+    """tol as the float _check_real reads; raises InvalidInput, with one message
+    for every refusal, unless that float is in (0, 1): a Fraction just below 1
+    or past the float's smallest subnormal rounds to 1.0 or 0.0 and is refused."""
+    try:
+        x = _check_real(tol, "tol")
+    except InvalidInput:
+        x = math.nan
+    if not 0.0 < x < 1.0:  # nan and inf fail too
         raise InvalidInput(f"tol must be a finite number in (0, 1), got {tol!r}")
-    return float(tol)
+    return x
 
 
 def _check_int(k, what: str) -> int:
@@ -87,6 +94,12 @@ def _row_scale(magnitudes: np.ndarray):
     return np.maximum(1.0, magnitudes.sum(axis=-1).max(axis=-1))
 
 
+def psd_verdict(lam, tol: float, scale):
+    """Whether a matrix with smallest eigenvalue lam and norm_scale scale is PSD
+    within tol: lam >= -tol * scale, on Python floats or elementwise on arrays."""
+    return lam >= -tol * scale
+
+
 def is_psd_herm(h, tol: float = DEFAULT_TOL):
     """PSD verdict of a Hermitian or real symmetric matrix, or of each matrix
     of a stack (..., n, n) in one LAPACK call, bit for bit as one call each:
@@ -107,7 +120,7 @@ def is_psd_herm(h, tol: float = DEFAULT_TOL):
             if _row_scale(magnitudes).max() == math.inf:
                 raise OutOfDomain("PSD test: a row sum of the matrix overflows")
     values, vectors = np.linalg.eigh(h)
-    ok = values[..., 0] >= -tol * _row_scale(magnitudes)
+    ok = psd_verdict(values[..., 0], tol, _row_scale(magnitudes))
     if h.ndim == 2:
         return bool(ok), float(values[0]), vectors[:, 0]
     return ok, values[..., 0], vectors[..., 0]

@@ -40,7 +40,7 @@ def two_mode_squeezed(r: float) -> np.ndarray:
     c1 = -c2 = sinh(2r)/2; entangled for every r > 0."""
     r = _check_real(r, "squeezing r")
     if not (math.isfinite(r) and r >= 0.0):
-        raise InvalidSpec(f"squeezing r = {r} must be nonnegative")
+        raise InvalidSpec(f"squeezing r = {r} must be finite and nonnegative")
     try:
         a, c = 0.5 * math.cosh(2.0 * r), 0.5 * math.sinh(2.0 * r)
     except OverflowError:

@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import squeezed_symp
 import cvsep
@@ -45,8 +49,8 @@ from cvsep.errors import (
 from cvsep.prep import PWeight, char_fn, p_density, p_moment_residual, p_sample, p_weight
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze, optimal_squeeze
-from cvsep.covariance import J2, StandardForm
-from cvsep.matkit import DEFAULT_TOL
+from cvsep.covariance import _UNCERTAINTY_SHIFT, J2, StandardForm
+from cvsep.matkit import DEFAULT_TOL, norm_scale
 
 
 def params(d, f, g, h):
@@ -85,10 +89,18 @@ BAD_MATRICES = [
 ]
 
 
+class _LinalgCalls(list):
+    """Names of the np.linalg functions called, in order; is_psd_herm counts
+    the calls to matkit.is_psd_herm, which runs one of them."""
+
+    is_psd_herm = 0
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Names of the np.linalg functions called while the test runs, in order."""
-    calls = []
+    """Names of the np.linalg functions called while the test runs, in order,
+    with the count of matkit.is_psd_herm calls among them (_LinalgCalls)."""
+    calls = _LinalgCalls()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -101,6 +113,13 @@ def linalg_calls(monkeypatch):
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counting(name, fn))
+    kernel = cvsep.matkit.is_psd_herm
+
+    def counting_kernel(*args, **kwargs):
+        calls.is_psd_herm += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cvsep.matkit, "is_psd_herm", counting_kernel)
     return calls
 
 
@@ -589,6 +608,36 @@ class TestClassify:
         classify(v)
         assert linalg_calls == ["eigh", "eigh"]
 
+    @pytest.mark.parametrize(
+        "call, eigh_calls, kernel_calls",
+        [
+            (classify, 2, 0),
+            (simon_criterion, 1, 0),
+            (duan_criterion, 1, 0),
+            (is_physical, 1, 1),  # shows the kernel count counts
+        ],
+        ids=["classify", "simon_criterion", "duan_criterion", "is_physical"],
+    )
+    @pytest.mark.parametrize(
+        "v",
+        [
+            standard_matrix(1.0, 1.0, 0.6, 0.0),
+            statezoo.thermal(1.0, 1.5),
+            statezoo.two_mode_squeezed(0.5),
+            0.4 * np.eye(4),
+        ],
+        ids=["separable", "p_representable", "entangled", "nonphysical"],
+    )
+    def test_decides_its_stacks_without_is_psd_herm(
+        self, linalg_calls, call, eigh_calls, kernel_calls, v
+    ):
+        # classify and the Simon and Duan criteria read their tolerance
+        # scales off V's entries and call eigh directly: the kernel's per-call
+        # numpy work is what they save.
+        call(v)
+        assert linalg_calls == ["eigh"] * eigh_calls
+        assert linalg_calls.is_psd_herm == kernel_calls
+
     def test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria(self):
         # The real stack decides P-representability and Duan together; each
         # must be what the public function alone gives, bit for bit.
@@ -752,6 +801,49 @@ def test_real_stack_keeps_signed_zeros_and_subnormals(entries):
         assert _bits(weak_gap(v, None, sign)) == _bits(_nested_weak_gap(v, None, sign, DEFAULT_TOL))
 
 
+def _assert_scales_are_norm_scale(v):
+    """The tolerance scales classify reads off v's floats, for the Hermitian
+    pair and for the real stack, are matkit.norm_scale's, bit for bit."""
+    pair, scales = cvsep.criteria._uncertainty_pair(v)
+    real = cvsep.criteria._real_scales(cvsep.criteria._real_entries(v.tolist()))
+    with np.errstate(over="ignore"):  # a row sum past the float maximum is inf in both
+        assert np.array(scales).tobytes() == norm_scale(v + _UNCERTAINTY_SHIFT).tobytes()
+        assert np.array(real).tobytes() == norm_scale(cvsep.criteria._real_stack(v)).tobytes()
+    assert pair.tobytes() == (v + _UNCERTAINTY_SHIFT).tobytes()
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([1.0, 0.8]),
+       st.integers(-30, 150))
+def test_scales_are_norm_scale_on_scaled_pool_states(seed, index, factor, k):
+    # numpy's complex abs of v01 + i/2 differs from math.hypot and abs(complex)
+    # in the last bit on about a quarter of random entries, and numpy sums
+    # each row left to right: a scale taken any other way misses its bits.
+    v = factor * mixed_physical_state(np.random.default_rng(seed), index)
+    _assert_scales_are_norm_scale(v)
+    _assert_scales_are_norm_scale(10.0**k * v)
+
+
+#: Entries of every size a finite matrix can hold: signed zeros, subnormals,
+#: halves (V - I/2 and |x + i/2| at the boundary) and entries near 1e308,
+#: whose row sums overflow.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324]),
+    st.floats(-10.0, 10.0),
+    st.floats(1e307, sys.float_info.max),
+    st.floats(-sys.float_info.max, -1e307),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(_ENTRIES, min_size=10, max_size=10))
+def test_scales_are_norm_scale_on_extreme_entries(upper):
+    v, upper_index = np.zeros((4, 4)), np.triu_indices(4)
+    v[upper_index] = v[upper_index[::-1]] = upper  # each entry's sign of zero kept
+    _assert_scales_are_norm_scale(v)
+
+
 #: Every public entry point that takes a covariance matrix, called on one.
 ENTRY_POINTS = {
     "is_physical": is_physical,
@@ -875,10 +967,13 @@ TOL_TAKERS = {
 
 
 @pytest.mark.parametrize("call", TOL_TAKERS.values(), ids=TOL_TAKERS.keys())
-@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 5.0, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 5.0, math.nan, math.inf,
+                                 Fraction(10**20 - 1, 10**20), Fraction(1, 10**400)])
 def test_public_functions_reject_tol_outside_the_unit_interval(call, tol):
     # The CLI rejects these values as usage errors; the API used to judge
-    # the vacuum nonphysical at tol = -1 or nan and accept tol = 5.
+    # the vacuum nonphysical at tol = -1 or nan and accept tol = 5. The two
+    # fractions lie in (0, 1) but round to 1.0 and 0.0, the floats every
+    # test would compute on.
     with pytest.raises(InvalidInput, match=r"tol must be a finite number in \(0, 1\)"):
         call(tol)
     call(1e-3)

@@ -41,6 +41,14 @@ def test_thermal_rejects_non_finite_occupations(n1, n2):
         statezoo.thermal(n1, n2)
 
 
+@pytest.mark.parametrize("r", [math.inf, 10**400, math.nan, -math.inf])
+def test_two_mode_squeezed_names_the_finite_nonnegative_condition(r):
+    # An infinite r (10**400 reads as inf) or nan was refused as if it were
+    # only negative.
+    with pytest.raises(InvalidSpec, match="must be finite and nonnegative"):
+        statezoo.two_mode_squeezed(r)
+
+
 @pytest.mark.parametrize("r", [400.0, 355.3, 1e300])
 def test_two_mode_squeezed_rejects_overflowing_squeezing(r):
     with pytest.raises(InvalidSpec, match="overflows cosh"):
