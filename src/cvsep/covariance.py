@@ -1,5 +1,6 @@
 """Two-mode covariance matrices: block structure, local symplectic action,
-reduction to the four-parameter standard form, and physicality.
+reduction to the four-parameter standard form, and physicality; and the
+matrices the PSD tests decide, with their norm_scales read off as floats.
 
 Conventions: quadrature ordering (q1, p1, q2, p2), units chosen so the vacuum
 covariance is I/2. First moments are assumed to vanish and are not modeled.
@@ -45,6 +46,66 @@ def symplectic_form(sign: int = 1) -> np.ndarray:
 
 #: (i/2) diag(J, sign*J) stacked for sign = +1, then -1 (the partial transpose).
 _UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
+
+
+def _uncertainty_pair(v: np.ndarray) -> tuple[np.ndarray, list]:
+    """V + (i/2) diag(J, sigma*J), sigma = +1 then -1, as one (2, 4, 4) stack,
+    and the norm_scale of each, its rows of magnitudes summed left to right as
+    numpy sums them. The two are one float: the matrices differ only in the
+    signs of two imaginary parts, which numpy's complex abs does not see.
+    An entry of V - ens may have overflowed; its magnitude is inf."""
+    pair = v + _UNCERTAINTY_SHIFT
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = (
+        np.abs(pair[0]).tolist())
+    scale = max(1.0, a0 + a1 + a2 + a3, b0 + b1 + b2 + b3, c0 + c1 + c2 + c3, d0 + d1 + d2 + d3)
+    return pair, [scale, scale]
+
+
+def _epr_entries(rows: list, shift: float) -> list:
+    """The distinct entries of EPR(+1) - shift * I and EPR(-1) - shift * I of a
+    symmetric 4x4 matrix given as rows, each computed once: 0.0, tr A - shift,
+    tr B - shift, then c00 + c11, c01 - c10, c10 - c01 (sigma = +1) and
+    c00 - c11, c11 - c00, c01 + c10 (sigma = -1). _REAL_INDEX[k] places them as
+    EPR(sigma) - shift * I, sigma = 1 - 2k, where EPR(sigma) = [[A + JAJ^T,
+    C + sigma*JCJ^T], [.., B + JBJ^T]] is written out from J X J^T =
+    [[x11, -x10], [-x01, x00]]; on a symmetric block X + JXJ^T is tr(X) * I.
+    Python floats overflow to inf without a warning."""
+    (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
+    return [0.0, a00 + a11 - shift, b00 + b11 - shift, c00 + c11, c01 - c10, c10 - c01,
+            c00 - c11, c11 - c00, c01 + c10]
+
+
+#: Positions in [*_epr_entries(rows, 1.0), V - I/2 row by row] of the entries
+#: of the real stack [EPR(+1) - I, EPR(-1) - I, V - I/2]: Duan's two branches,
+#: sigma = +1 then -1, and the coherent excess.
+_REAL_INDEX = np.array([
+    [[1, 0, 3, 4], [0, 1, 5, 3], [3, 5, 2, 0], [4, 3, 0, 2]],
+    [[1, 0, 6, 8], [0, 1, 8, 7], [6, 8, 2, 0], [8, 7, 0, 2]],
+    np.arange(9, 25).reshape(4, 4),
+])
+
+
+def _real_entries(rows: list) -> list:
+    """The entries _REAL_INDEX gathers, of a symmetric 4x4 matrix given as rows."""
+    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
+    return _epr_entries(rows, 1.0) + [
+        v00 - 0.5, v01, v02, v03, v10, v11 - 0.5, v12, v13,
+        v20, v21, v22 - 0.5, v23, v30, v31, v32, v33 - 0.5]
+
+
+def _real_scales(entries: list) -> list:
+    """The norm_scale of each matrix of the real stack from its _real_entries,
+    or of the two EPR matrices alone from the first nine: every row of
+    magnitudes summed left to right as _REAL_INDEX lays it out, its zero
+    entries left out (adding 0.0 to a magnitude changes no bit)."""
+    _, ta, tb, p0, p1, p2, m0, m1, m2, *excess = map(abs, entries)
+    scales = [max(1.0, ta + p0 + p1, ta + p2 + p0, p0 + p2 + tb, p1 + p0 + tb),
+              max(1.0, ta + m0 + m2, ta + m2 + m1, m0 + m2 + tb, m2 + m1 + tb)]
+    if excess:  # V - I/2
+        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = excess
+        scales.append(max(1.0, a0 + a1 + a2 + a3, b0 + b1 + b2 + b3, c0 + c1 + c2 + c3,
+                          d0 + d1 + d2 + d3))
+    return scales
 
 
 def _as_real(x, what: str) -> np.ndarray:
@@ -158,9 +219,16 @@ class StandardForm:
     s1: np.ndarray
     s2: np.ndarray
 
+    def __post_init__(self):
+        """a, b, c1 and c2 as the floats _standard_params reads."""
+        a, b, c1, c2 = self.a, self.b, self.c1, self.c2
+        if not type(a) is type(b) is type(c1) is type(c2) is float:
+            for name, x in zip(("a", "b", "c1", "c2"), _standard_params(a, b, c1, c2)):
+                object.__setattr__(self, name, x)
+
     @classmethod
     def from_params(cls, a: float, b: float, c1: float, c2: float) -> "StandardForm":
-        return cls(*_standard_params(a, b, c1, c2), np.eye(2), np.eye(2))
+        return cls(a, b, c1, c2, np.eye(2), np.eye(2))
 
     def matrix(self) -> np.ndarray:
         return standard_matrix(self.a, self.b, self.c1, self.c2)
@@ -248,9 +316,12 @@ def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Uncertainty-relation test: V + (i/2) diag(J, J) must be PSD.
 
     Returns (verdict, smallest eigenvalue); pure states sit at zero. Raises
-    InvalidInput unless v passes as_covariance and tol passes check_tol.
+    InvalidInput unless v passes as_covariance and tol passes check_tol, and
+    OutOfDomain when a row sum of that matrix overflows.
     """
-    return matkit.is_psd_herm(as_covariance(v) + _UNCERTAINTY_SHIFT[0], tol)[:2]
+    pair, scales = _uncertainty_pair(as_covariance(v))
+    ok, lam, _ = matkit.decide_psd(pair[:1], scales[:1], matkit.check_tol(tol))
+    return ok[0], lam[0]
 
 
 def ensemble_matrix(weights, deviations) -> np.ndarray:
@@ -281,15 +352,23 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
     return out
 
 
+def _coherent_excess(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """V - I/2 of a checked V and its norm_scale: the third matrix of the real
+    stack and its scale, as classify decides it."""
+    entries = _real_entries(v.tolist())
+    return np.array(entries[9:]).reshape(4, 4), _real_scales(entries)[2]
+
+
 def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ensemble matrix of the coherent-state decomposition, V - I/2.
 
     Defined whenever V - I/2 is PSD, i.e. whenever the state is
     P-representable without further squeezing. Decided as classify decides
-    its ensemble_used: matkit.is_psd_herm of V - I/2, against tol times that
-    matrix's norm_scale. Raises InvalidInput unless v passes as_covariance.
+    its ensemble_used, from the same matrix and scale (_coherent_excess).
+    Raises InvalidInput unless v passes as_covariance and tol passes
+    check_tol, and OutOfDomain when a row sum of V - I/2 overflows.
     """
-    excess = as_covariance(v) - 0.5 * np.eye(4)
-    if not matkit.is_psd_herm(excess, tol)[0]:
+    excess, scale = _coherent_excess(as_covariance(v))
+    if not matkit.decide_psd(excess[None], [scale], matkit.check_tol(tol))[0][0]:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     return excess

@@ -19,12 +19,11 @@ every call. classify() makes two LAPACK calls: one complex stack for
 physicality and Simon, and one real stack holding Duan's two branches and
 the coherent excess V - I/2, whose PSD verdict is P-representability.
 
-classify, simon_criterion and duan_criterion decide these stacks without
-matkit.is_psd_herm: each reads V's entries once as Python floats, and the
-norm_scale of every matrix comes from them (_uncertainty_pair, _real_scales),
-each row summed left to right as numpy's sum(axis=-1) sums it, so the scales
-and every verdict of matkit.psd_verdict keep is_psd_herm's bits. The other
-criteria judge matrices built with an ensemble through is_psd_herm.
+Every matrix is decided by matkit.decide_psd, with its norm_scale read off
+the entries as Python floats (covariance module): _uncertainty_pair for
+V - ens + (i/2) diag(J, sigma*J) (physicality, Simon, stringent_criterion),
+_real_scales for the real stack (Duan, classify) and the EPR matrix of
+weak_gap. Only a caller's ensemble matrix goes through matkit.is_psd_herm.
 """
 
 from __future__ import annotations
@@ -37,15 +36,19 @@ import numpy as np
 
 from . import matkit
 from .covariance import (
-    _UNCERTAINTY_SHIFT,
+    _REAL_INDEX,
     J2,
     StandardForm,
     _as_vector,
+    _epr_entries,
+    _real_entries,
+    _real_scales,
     _standard_form,
+    _uncertainty_pair,
     as_covariance,
 )
 from .errors import InvalidEnsembleMatrix, InvalidInput, OutOfDomain
-from .matkit import DEFAULT_TOL
+from .matkit import DEFAULT_TOL, decide_psd
 from .squeezing import _c1_bound, simon_bound  # noqa: F401 (simon_bound re-exported)
 
 
@@ -167,7 +170,7 @@ def _witness(vec: np.ndarray, sign: int) -> ParamSet:
 def _branch_report(ok, lam, vec: np.ndarray) -> CriterionReport:
     """Report of "the sigma = +1 and sigma = -1 matrices are PSD" from the first
     two entries of a stacked PSD result (verdicts, eigenvalues, vectors), as
-    is_psd_herm or _decide gives it."""
+    matkit.decide_psd gives it."""
     plus, minus = float(lam[0]), float(lam[1])
     binding = 1 if plus <= minus else -1
     branch = 0 if abs(plus - minus) <= 1e-12 * max(1.0, abs(min(plus, minus))) else binding
@@ -185,49 +188,11 @@ def _as_ensemble(ens, tol: float) -> np.ndarray:
     return ens
 
 
-def _psd_of_built(h, tol: float):
-    """matkit.is_psd_herm(h, tol) of a matrix built from entries that passed
-    as_covariance: once tol is checked, a non-finite entry of h can only be an
-    overflow of that finite input, so the refusal is OutOfDomain."""
-    tol = matkit.check_tol(tol)
-    try:
-        return matkit.is_psd_herm(h, tol)
-    except InvalidInput as exc:
-        raise OutOfDomain(f"an entry computed from finite input overflows ({exc})") from None
-
-
-def _decide(stack: np.ndarray, scales: list, tol: float):
-    """(verdicts, smallest eigenvalues, their eigenvectors) of every matrix of a
-    stack built from a checked V, in one LAPACK call, given each matrix's
-    norm_scale as a float and a checked tol: matkit.is_psd_herm's result, bit
-    for bit, with lists for the verdicts and eigenvalues. A scale of inf means
-    an entry or a row sum overflowed; that stack goes to _psd_of_built, whose
-    guard raises the refusal."""
-    if math.inf in scales:
-        return _psd_of_built(stack, tol)
-    values, vectors = np.linalg.eigh(stack)
-    lam = values[:, 0].tolist()
-    return [matkit.psd_verdict(x, tol, s) for x, s in zip(lam, scales)], lam, vectors[..., 0]
-
-
-def _uncertainty_pair(v: np.ndarray) -> tuple[np.ndarray, list]:
-    """V + (i/2) diag(J, sigma*J), sigma = +1 then -1, as one (2, 4, 4) stack,
-    and the norm_scale of each, its rows of magnitudes summed left to right as
-    numpy sums them. The two are one float: the matrices differ only in the
-    signs of two imaginary parts, which numpy's complex abs does not see.
-    Every entry of a finite V plus i/2 is finite, so only a row sum overflows."""
-    pair = v + _UNCERTAINTY_SHIFT
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = (
-        np.abs(pair[0]).tolist())
-    scale = max(1.0, a0 + a1 + a2 + a3, b0 + b1 + b2 + b3, c0 + c1 + c2 + c3, d0 + d1 + d2 + d3)
-    return pair, [scale, scale]
-
-
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
     v = as_covariance(v)
-    return _branch_report(*_decide(*_uncertainty_pair(v), matkit.check_tol(tol)))
+    return _branch_report(*decide_psd(*_uncertainty_pair(v), matkit.check_tol(tol)))
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -241,8 +206,8 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     v = as_covariance(v)
     ens = _as_ensemble(ens, tol)
     with np.errstate(over="ignore"):  # an inf entry is refused as OutOfDomain
-        shifted = v - ens + _UNCERTAINTY_SHIFT
-    return _branch_report(*_psd_of_built(shifted, tol))
+        excess = v - ens
+    return _branch_report(*decide_psd(*_uncertainty_pair(excess), matkit.check_tol(tol)))
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -263,59 +228,11 @@ def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionRepo
     return CriterionReport(bool(margin >= -tol), float(margin))
 
 
-def _epr_entries(rows: list, shift: float) -> list:
-    """The distinct entries of EPR(+1) - shift * I and EPR(-1) - shift * I of a
-    symmetric 4x4 matrix given as rows, each computed once: 0.0, tr A - shift,
-    tr B - shift, then c00 + c11, c01 - c10, c10 - c01 (sigma = +1) and
-    c00 - c11, c11 - c00, c01 + c10 (sigma = -1). _REAL_INDEX[k] places them as
-    EPR(sigma) - shift * I, sigma = 1 - 2k, where EPR(sigma) = [[A + JAJ^T,
-    C + sigma*JCJ^T], [.., B + JBJ^T]] is written out from J X J^T =
-    [[x11, -x10], [-x01, x00]]; on a symmetric block X + JXJ^T is tr(X) * I.
-    Python floats overflow to inf without a warning."""
-    (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
-    return [0.0, a00 + a11 - shift, b00 + b11 - shift, c00 + c11, c01 - c10, c10 - c01,
-            c00 - c11, c11 - c00, c01 + c10]
-
-
-#: Positions in [*_epr_entries(rows, 1.0), V - I/2 row by row] of the entries
-#: of [EPR(+1) - I, EPR(-1) - I, V - I/2].
-_REAL_INDEX = np.array([
-    [[1, 0, 3, 4], [0, 1, 5, 3], [3, 5, 2, 0], [4, 3, 0, 2]],
-    [[1, 0, 6, 8], [0, 1, 8, 7], [6, 8, 2, 0], [8, 7, 0, 2]],
-    np.arange(9, 25).reshape(4, 4),
-])
-
-
-def _real_entries(rows: list) -> list:
-    """The entries _REAL_INDEX gathers, of a symmetric 4x4 matrix given as rows."""
-    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
-    return _epr_entries(rows, 1.0) + [
-        v00 - 0.5, v01, v02, v03, v10, v11 - 0.5, v12, v13,
-        v20, v21, v22 - 0.5, v23, v30, v31, v32, v33 - 0.5]
-
-
-def _real_stack(v: np.ndarray) -> np.ndarray:
-    """[EPR(+1) - I, EPR(-1) - I, V - I/2] of v as one (3, 4, 4) stack: Duan's
-    two branches, sigma = +1 then -1, and the coherent excess."""
-    return np.array(_real_entries(v.tolist()))[_REAL_INDEX]
-
-
-def _real_scales(entries: list) -> list:
-    """The norm_scale of each matrix of the real stack, from its _real_entries:
-    every row of magnitudes summed left to right as _REAL_INDEX lays it out, its
-    zero entries left out (adding 0.0 to a magnitude changes no bit)."""
-    (_, ta, tb, p0, p1, p2, m0, m1, m2,
-     a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3) = map(abs, entries)
-    return [max(1.0, ta + p0 + p1, ta + p2 + p0, p0 + p2 + tb, p1 + p0 + tb),
-            max(1.0, ta + m0 + m2, ta + m2 + m1, m0 + m2 + tb, m2 + m1 + tb),
-            max(1.0, a0 + a1 + a2 + a3, b0 + b1 + b2 + b3, c0 + c1 + c2 + c3, d0 + d1 + d2 + d3)]
-
-
 def _real_psd(rows: list, count: int, tol: float):
-    """_decide of the first count matrices of the real stack of a checked V
-    given as rows: Duan's branches, then the coherent excess."""
+    """matkit.decide_psd of the first count matrices of the real stack of a
+    checked V given as rows: Duan's branches, then the coherent excess."""
     entries = _real_entries(rows)
-    return _decide(np.array(entries)[_REAL_INDEX[:count]], _real_scales(entries)[:count], tol)
+    return decide_psd(np.array(entries)[_REAL_INDEX[:count]], _real_scales(entries)[:count], tol)
 
 
 def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -330,11 +247,14 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
         raise InvalidInput("sign branch must be +1 or -1")
     ens = None if ens is None else _as_ensemble(ens, tol)
     entries = _epr_entries(as_covariance(v).tolist(), 0.0)
-    if ens is not None:  # Python floats: an overflow is inf or nan, refused as OutOfDomain below
+    if ens is not None:  # Python floats overflow to inf, and inf - inf is nan
         entries = [x - y for x, y in zip(entries, _epr_entries(ens.tolist(), 0.0))]
-    m = np.array(entries)[_REAL_INDEX[(1 - sign) // 2]] - np.eye(4)
-    ok, lam, vec = _psd_of_built(m, tol)
-    return CriterionReport(ok, lam, None if ok else _witness(vec, sign), sign)
+        entries = [x if x == x else math.inf for x in entries]  # max() would drop a nan
+    entries[1:3] = entries[1] - 1.0, entries[2] - 1.0
+    k = (1 - sign) // 2
+    ok, lam, vec = decide_psd(np.array(entries)[_REAL_INDEX[k:k + 1]],
+                              _real_scales(entries)[k:k + 1], matkit.check_tol(tol))
+    return CriterionReport(ok[0], lam[0], None if ok[0] else _witness(vec[0], sign), sign)
 
 
 def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -366,7 +286,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     """
     v = as_covariance(v)
     tol = matkit.check_tol(tol)
-    ok, lam, vec = _decide(*_uncertainty_pair(v), tol)
+    ok, lam, vec = decide_psd(*_uncertainty_pair(v), tol)
     simon = _branch_report(ok, lam, vec)
     # Physicality is the sigma = +1 branch of Simon's criterion.
     phys_ok = ok[0]

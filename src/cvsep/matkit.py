@@ -1,10 +1,10 @@
 """Dense kernels for the small symmetric and Hermitian matrices used throughout.
 
-One rule, psd_verdict, makes every positive-semidefinite decision: the
-smallest eigenvalue against -tol times the matrix's norm_scale. is_psd_herm
-applies it around one LAPACK eigh call that takes a whole stack, for any
-matrix; classify and the Simon and Duan criteria apply it to their own stacks,
-whose scales they read off V's entries as floats (criteria module).
+One kernel, decide_psd, makes every positive-semidefinite decision: one eigh
+call per stack, then psd_verdict, the smallest eigenvalue against -tol times
+the matrix's norm_scale, which its caller passes as a float. The criteria
+read it off V's entries (covariance module); is_psd_herm, the front end for
+any array, computes it.
 The 2x2 rotation SVD and every 2x2 product of a local symplectic are
 closed-form, on Python floats, so their bits do not depend on the BLAS kernel;
 clear conventions matter more than speed.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 
 import numpy as np
 
@@ -86,44 +85,48 @@ def _check_count_and_seed(n, seed, caller: str) -> tuple[int, int]:
 
 def norm_scale(m: np.ndarray):
     """Tolerance scale max(1, max absolute row sum), per matrix of a stack (..., n, n)."""
-    return _row_scale(np.abs(m))
-
-
-def _row_scale(magnitudes: np.ndarray):
-    """norm_scale of a matrix or stack, given its entrywise magnitudes."""
-    return np.maximum(1.0, magnitudes.sum(axis=-1).max(axis=-1))
+    return np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
 
 
 def psd_verdict(lam, tol: float, scale):
     """Whether a matrix with smallest eigenvalue lam and norm_scale scale is PSD
-    within tol: lam >= -tol * scale, on Python floats or elementwise on arrays."""
+    within tol: lam >= -tol * scale."""
     return lam >= -tol * scale
 
 
+def decide_psd(stack: np.ndarray, scales: list, tol: float):
+    """(verdicts, smallest eigenvalues, their eigenvectors) of every matrix of a
+    stack (k, n, n) in one eigh call, the first two as lists of Python bools and
+    floats, given each matrix's norm_scale as a float and a checked tol. A scale
+    of inf means the stack, built from finite input, overflowed: OutOfDomain
+    then names a non-finite entry, else a row sum, before any eigensolve."""
+    if math.inf in scales:
+        if not np.isfinite(stack).all():
+            raise OutOfDomain("an entry computed from finite input overflows "
+                              "(PSD test needs finite entries)")
+        raise OutOfDomain("PSD test: a row sum of the matrix overflows")
+    values, vectors = np.linalg.eigh(stack)
+    lam = values[:, 0].tolist()
+    return [psd_verdict(x, tol, s) for x, s in zip(lam, scales)], lam, vectors[..., 0]
+
+
 def is_psd_herm(h, tol: float = DEFAULT_TOL):
-    """PSD verdict of a Hermitian or real symmetric matrix, or of each matrix
-    of a stack (..., n, n) in one LAPACK call, bit for bit as one call each:
-    (verdict, smallest eigenvalue, its eigenvector, which reports hand out as
-    a witness), each against tol times the matrix's own norm_scale. Raises
+    """decide_psd of a Hermitian or real symmetric matrix, or of a stack
+    (..., n, n) with arrays of its shape: (verdict, smallest eigenvalue, its
+    eigenvector), against tol times the matrix's own norm_scale. Raises
     InvalidInput on a non-finite entry and OutOfDomain on an overflowing row sum."""
     tol = check_tol(tol)
     h = np.asarray(h)
-    # One |h| pass serves the guard and the scale. n entries of at most
-    # max / n cannot sum past the float maximum, so only larger (or
-    # non-finite) entries need their row sums checked.
-    magnitudes = np.abs(h)
-    top = magnitudes.max()
-    if not top <= sys.float_info.max / h.shape[-1]:
-        if not top < math.inf:  # nan fails both comparisons
-            raise InvalidInput("PSD test needs finite entries")
-        with np.errstate(over="ignore"):
-            if _row_scale(magnitudes).max() == math.inf:
-                raise OutOfDomain("PSD test: a row sum of the matrix overflows")
-    values, vectors = np.linalg.eigh(h)
-    ok = psd_verdict(values[..., 0], tol, _row_scale(magnitudes))
+    if not np.isfinite(h).all():
+        raise InvalidInput("PSD test needs finite entries")
+    with np.errstate(over="ignore"):  # a row sum past the float maximum is inf
+        scales = norm_scale(h)
+    n = h.shape[-1]
+    ok, lam, vec = decide_psd(h.reshape(-1, n, n), scales.ravel().tolist(), tol)
     if h.ndim == 2:
-        return bool(ok), float(values[0]), vectors[:, 0]
-    return ok, values[..., 0], vectors[..., 0]
+        return ok[0], lam[0], vec[0]
+    shape = h.shape[:-2]
+    return np.array(ok).reshape(shape), np.array(lam).reshape(shape), vec.reshape(*shape, n)
 
 
 def real_embedding(h) -> np.ndarray:

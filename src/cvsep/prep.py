@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import _as_vector, as_covariance, p_rep_ensemble
-from .errors import BoundaryPRep, InvalidInput, OutOfDomain
+from .covariance import _as_vector, _coherent_excess, as_covariance
+from .errors import BoundaryPRep, InvalidInput, NotPRepresentable, OutOfDomain
 from .matkit import DEFAULT_TOL
 
 
@@ -52,16 +52,22 @@ class PWeight:
 def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     """Weight matrix P = (V - I/2)^(-1) of the coherent-state mixture.
 
-    Requires V - I/2 positive definite. A negative eigenvalue is reported as
-    p_rep_ensemble reports it, NotPRepresentable; a zero eigenvalue means the
-    weight degenerates to a lower-dimensional Gaussian with no phase-space
-    density, reported as BoundaryPRep. Raises InvalidInput unless v passes
-    as_covariance and tol passes matkit.check_tol, and OutOfDomain when a row
-    sum or the determinant of V - I/2 overflows.
+    Requires V - I/2 positive definite, decided from one eigendecomposition
+    with p_rep_ensemble's matrix and scale: a negative eigenvalue is
+    NotPRepresentable, and a zero eigenvalue means the weight degenerates to
+    a lower-dimensional Gaussian with no phase-space density, BoundaryPRep.
+    Raises InvalidInput unless v passes as_covariance and tol passes
+    matkit.check_tol, and OutOfDomain when a row sum or the determinant of
+    V - I/2 overflows.
     """
-    excess = p_rep_ensemble(v, tol)
+    excess, scale = _coherent_excess(as_covariance(v))
+    tol = matkit.check_tol(tol)
+    if scale == math.inf:  # the kernel refuses the overflow before any eigensolve
+        matkit.decide_psd(excess[None], [scale], tol)
     values, vectors = np.linalg.eigh(excess)
-    if values[0] <= tol * matkit.norm_scale(excess):
+    if not matkit.psd_verdict(values[0], tol, scale):
+        raise NotPRepresentable("V - I/2 has a negative eigenvalue")
+    if values[0] <= tol * scale:
         raise BoundaryPRep("V - I/2 is singular; the weight has no density")
     det = math.prod(values.tolist())  # Python floats overflow to inf without a warning
     if det == math.inf:

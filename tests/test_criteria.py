@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import sys
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import squeezed_symp
@@ -38,7 +39,7 @@ from cvsep.criteria import (
     stringent_criterion,
     weak_gap,
 )
-from cvsep.audit import run_audit
+from cvsep.audit import _scaled_random_psd, run_audit
 from cvsep.errors import (
     CvsepError,
     InvalidEnsembleMatrix,
@@ -49,7 +50,15 @@ from cvsep.errors import (
 from cvsep.prep import PWeight, char_fn, p_density, p_moment_residual, p_sample, p_weight
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze, optimal_squeeze
-from cvsep.covariance import _UNCERTAINTY_SHIFT, J2, StandardForm
+from cvsep.covariance import (
+    _REAL_INDEX,
+    _UNCERTAINTY_SHIFT,
+    J2,
+    StandardForm,
+    _real_entries,
+    _real_scales,
+    _uncertainty_pair,
+)
 from cvsep.matkit import DEFAULT_TOL, norm_scale
 
 
@@ -91,7 +100,8 @@ BAD_MATRICES = [
 
 class _LinalgCalls(list):
     """Names of the np.linalg functions called, in order; is_psd_herm counts
-    the calls to matkit.is_psd_herm, which runs one of them."""
+    the calls to matkit.is_psd_herm, the PSD kernel's front end for any array,
+    which runs one of them."""
 
     is_psd_herm = 0
 
@@ -614,9 +624,15 @@ class TestClassify:
             (classify, 2, 0),
             (simon_criterion, 1, 0),
             (duan_criterion, 1, 0),
-            (is_physical, 1, 1),  # shows the kernel count counts
+            (is_physical, 1, 0),
+            (p_rep_ensemble, 1, 0),
+            (p_weight, 1, 0),
+            (lambda v: weak_gap(v, 0.1 * np.eye(4), -1), 2, 1),
+            # The ensemble check goes through the front end: the count counts.
+            (lambda v: stringent_criterion(v, 0.1 * np.eye(4)), 2, 1),
         ],
-        ids=["classify", "simon_criterion", "duan_criterion", "is_physical"],
+        ids=["classify", "simon_criterion", "duan_criterion", "is_physical",
+             "p_rep_ensemble", "p_weight", "weak_gap_ens", "stringent_ens"],
     )
     @pytest.mark.parametrize(
         "v",
@@ -631,10 +647,12 @@ class TestClassify:
     def test_decides_its_stacks_without_is_psd_herm(
         self, linalg_calls, call, eigh_calls, kernel_calls, v
     ):
-        # classify and the Simon and Duan criteria read their tolerance
-        # scales off V's entries and call eigh directly: the kernel's per-call
-        # numpy work is what they save.
-        call(v)
+        # Every criterion reads its tolerance scales off V's entries and
+        # hands its stack to matkit.decide_psd, one eigh call per stack;
+        # p_weight decides from its own full eigendecomposition. Only a
+        # caller's ensemble matrix goes through the is_psd_herm front end.
+        with contextlib.suppress(NotPRepresentable):  # V - I/2 indefinite
+            call(v)
         assert linalg_calls == ["eigh"] * eigh_calls
         assert linalg_calls.is_psd_herm == kernel_calls
 
@@ -723,7 +741,7 @@ class TestClassify:
 
 
 def _nested_epr(rows, sign):
-    """Reference for criteria._epr_entries: the EPR block matrix
+    """Reference for covariance._epr_entries: the EPR block matrix
     [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]] written out entry by entry
     as nested lists."""
     (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
@@ -753,6 +771,11 @@ def _nested_weak_gap(v, ens, sign, tol):
         ok, lam, None if ok else cvsep.criteria._witness(vec, sign), sign)
 
 
+def _real_stack(v):
+    """The real stack classify decides, [EPR(+1) - I, EPR(-1) - I, V - I/2]."""
+    return np.array(_real_entries(v.tolist()))[_REAL_INDEX]
+
+
 def _scaled_pool(seed, n):
     """Audit-pool states with one in five scaled by 0.8, so nonphysical."""
     rng = np.random.default_rng(seed)
@@ -767,7 +790,7 @@ def test_real_stack_and_epr_reports_match_the_nested_lists_bitwise(seed):
     erng = np.random.default_rng(seed + 1)
     for i, v in enumerate(_scaled_pool(seed, 4000)):
         expected = _nested_real_stack(v)
-        assert cvsep.criteria._real_stack(v).tobytes() == expected.tobytes()
+        assert _real_stack(v).tobytes() == expected.tobytes()
         if i % 8:
             continue
         duan = cvsep.criteria._branch_report(*cvsep.matkit.is_psd_herm(expected[:2], DEFAULT_TOL))
@@ -796,7 +819,7 @@ def test_real_stack_keeps_signed_zeros_and_subnormals(entries):
     v = standard_matrix(1.0, 1.5, 0.0, 0.0)
     for (i, j), x in entries.items():
         v[i, j] = v[j, i] = x
-    assert cvsep.criteria._real_stack(v).tobytes() == _nested_real_stack(v).tobytes()
+    assert _real_stack(v).tobytes() == _nested_real_stack(v).tobytes()
     for sign in (1, -1):
         assert _bits(weak_gap(v, None, sign)) == _bits(_nested_weak_gap(v, None, sign, DEFAULT_TOL))
 
@@ -804,11 +827,11 @@ def test_real_stack_keeps_signed_zeros_and_subnormals(entries):
 def _assert_scales_are_norm_scale(v):
     """The tolerance scales classify reads off v's floats, for the Hermitian
     pair and for the real stack, are matkit.norm_scale's, bit for bit."""
-    pair, scales = cvsep.criteria._uncertainty_pair(v)
-    real = cvsep.criteria._real_scales(cvsep.criteria._real_entries(v.tolist()))
+    pair, scales = _uncertainty_pair(v)
+    real = _real_scales(_real_entries(v.tolist()))
     with np.errstate(over="ignore"):  # a row sum past the float maximum is inf in both
         assert np.array(scales).tobytes() == norm_scale(v + _UNCERTAINTY_SHIFT).tobytes()
-        assert np.array(real).tobytes() == norm_scale(cvsep.criteria._real_stack(v)).tobytes()
+        assert np.array(real).tobytes() == norm_scale(_real_stack(v)).tobytes()
     assert pair.tobytes() == (v + _UNCERTAINTY_SHIFT).tobytes()
 
 
@@ -842,6 +865,124 @@ def test_scales_are_norm_scale_on_extreme_entries(upper):
     v, upper_index = np.zeros((4, 4)), np.triu_indices(4)
     v[upper_index] = v[upper_index[::-1]] = upper  # each entry's sign of zero kept
     _assert_scales_are_norm_scale(v)
+
+
+def _reference_psd(m, tol):
+    """(verdict, smallest eigenvalue, its eigenvector) of one matrix, from
+    norm_scale and np.linalg.eigh alone, or the refusal of an overflow."""
+    if not np.isfinite(m).all():
+        raise OutOfDomain("finite entries")
+    with np.errstate(over="ignore"):  # a row sum past the float maximum is inf
+        scale = float(norm_scale(m))
+    if scale == math.inf:
+        raise OutOfDomain("row sum")
+    values, vectors = np.linalg.eigh(m)
+    return bool(values[0] >= -tol * scale), float(values[0]), vectors[:, 0]
+
+
+def _reference_branches(ms, tol):
+    """The stacked PSD result _branch_report reads, one reference solve each."""
+    ok, lam, vec = zip(*(_reference_psd(m, tol) for m in ms))
+    return list(ok), list(lam), np.array(vec)
+
+
+def _reference_results(v, ens, tol):
+    """is_physical, p_rep_ensemble, stringent_criterion at ens and weak_gap
+    (both signs, at None and ens) of v, each from _reference_psd of the matrix
+    it decides, built entry by entry."""
+    def uncertainty(m, sign):
+        return m + 0.5j * cvsep.covariance.symplectic_form(sign)
+
+    def physical():
+        ok, lam, _ = _reference_psd(uncertainty(v, 1), tol)
+        return ok, lam
+
+    def p_rep():
+        if not _reference_psd(v - 0.5 * np.eye(4), tol)[0]:
+            raise NotPRepresentable("V - I/2 has a negative eigenvalue")
+        return v - 0.5 * np.eye(4)
+
+    def stringent():
+        with np.errstate(over="ignore"):
+            excess = v - ens
+        return cvsep.criteria._branch_report(
+            *_reference_branches([uncertainty(excess, 1), uncertainty(excess, -1)], tol))
+
+    def weak(e, sign):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.array(_nested_epr(v.tolist(), sign))
+            if e is not None:
+                m = m - np.array(_nested_epr(e.tolist(), sign))
+            ok, lam, vec = _reference_psd(m - np.eye(4), tol)
+        return cvsep.criteria.CriterionReport(
+            ok, lam, None if ok else cvsep.criteria._witness(vec, sign), sign)
+
+    return [physical, p_rep, stringent] + [
+        lambda e=e, sign=sign: weak(e, sign) for e in (None, ens) for sign in (1, -1)]
+
+
+def _typed_bits(call):
+    """_bits of call(), with the type of each field, or its refusal's class
+    and whether it names a non-finite entry or a row sum. LAPACK may fail to
+    converge on entries near the float maximum; both sides must fail then."""
+    try:
+        out = call()
+    except (NotPRepresentable, OutOfDomain, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, "finite entries" in str(exc), "row sum" in str(exc)
+    fields = vars(out).values() if dataclasses.is_dataclass(out) else out
+    return _bits(out), tuple(type(x).__name__ for x in fields)
+
+
+def _assert_kernel_matches_reference(v, ens, tol=DEFAULT_TOL):
+    """is_physical, p_rep_ensemble, stringent_criterion and weak_gap give the
+    reference's result, bit for bit and type for type."""
+    calls = [
+        lambda: is_physical(v, tol),
+        lambda: p_rep_ensemble(v, tol),
+        lambda: stringent_criterion(v, ens, tol),
+        lambda: weak_gap(v, None, 1, tol),
+        lambda: weak_gap(v, None, -1, tol),
+        lambda: weak_gap(v, ens, 1, tol),
+        lambda: weak_gap(v, ens, -1, tol),
+    ]
+    references = _reference_results(as_covariance(v), as_covariance(ens), tol)
+    for call, reference in zip(calls, references):
+        assert _typed_bits(call) == _typed_bits(reference)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([1.0, 0.8]),
+       st.integers(-30, 150), st.sampled_from([1e-10, 1e-3]))
+def test_kernel_criteria_match_a_norm_scale_and_eigh_reference(seed, index, factor, k, tol):
+    # is_physical, p_rep_ensemble, stringent_criterion and weak_gap decide
+    # through matkit.decide_psd with scales read off V's floats; each must
+    # be what one eigh call and norm_scale of its own matrix give.
+    rng = np.random.default_rng(seed)
+    v = factor * mixed_physical_state(rng, index)
+    # A random ensemble below the coherent excess, drawn as the audit draws it.
+    if classify(v).ensemble_used == "coherent_excess":
+        ens = _scaled_random_psd(rng, v - 0.5 * np.eye(4))
+    else:
+        ens = 0.1 * np.eye(4)
+    for scale in (1.0, 10.0**k):
+        _assert_kernel_matches_reference(scale * v, scale * ens, tol)
+
+
+@settings(max_examples=300)
+@example([1.7e308, 0.0, 0.0, 0.0, 1.7e308, 0.0, 0.0, 1.0, 0.0, 1.0],
+         [1.7e308, 1.7e308, 0.0, 0.0])  # tr A - tr A_ens is inf - inf
+@example([-0.0, -0.0, -0.0, 0.0, 0.5, -0.0, 0.0, 0.5, -0.0, 5e-324], [0.0, 5e-324, 0.0, 0.5])
+@given(st.lists(_ENTRIES, min_size=10, max_size=10),
+       st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 0.5]), st.floats(0.0, 10.0),
+                          st.floats(1e307, sys.float_info.max)), min_size=4, max_size=4))
+def test_kernel_criteria_match_the_reference_on_extreme_entries(upper, diagonal):
+    # Signed zeros, subnormals and entries near 1e308, against an ensemble
+    # diag(e) with entries as large: overflowed entries (inf, or nan where
+    # two infs cancel in weak_gap) and row sums are refused as the
+    # reference refuses them.
+    v, upper_index = np.zeros((4, 4)), np.triu_indices(4)
+    v[upper_index] = v[upper_index[::-1]] = upper
+    _assert_kernel_matches_reference(v, np.diag(diagonal))
 
 
 #: Every public entry point that takes a covariance matrix, called on one.

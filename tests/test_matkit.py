@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cvsep import statezoo, symplectic_form
-from cvsep.covariance import _UNCERTAINTY_SHIFT
-from cvsep.criteria import _real_stack
-from cvsep.errors import InvalidInput
+from cvsep.covariance import _REAL_INDEX, _UNCERTAINTY_SHIFT, _real_entries
+from cvsep.errors import InvalidInput, OutOfDomain
 from cvsep.matkit import (
     DEFAULT_TOL,
     _check_real,
@@ -64,6 +63,15 @@ def test_is_psd_herm_rejects_nonfinite():
             is_psd_herm(m)
         with pytest.raises(InvalidInput, match="finite entries"):
             is_psd_herm(np.stack([np.eye(4), m]))
+
+
+def test_is_psd_herm_refuses_an_overflowing_row_sum_of_finite_entries():
+    # A modulus past the float maximum is a row sum that overflows, not a
+    # non-finite entry; no eigensolve runs on either matrix.
+    z = 1.5e308 + 1.5e308j
+    for h in (np.array([[1.0, z], [z.conjugate(), 1.0]]), np.full((4, 4), 5e307)):
+        with pytest.raises(OutOfDomain, match="row sum"):
+            is_psd_herm(h)
 
 
 def test_is_psd_herm_smallest_eigenpair_random():
@@ -124,7 +132,7 @@ def _branch_stacks(n):
         v = statezoo.mixed_physical_state(rng, i)
         for w in (v, 0.8 * v):
             yield w + _UNCERTAINTY_SHIFT
-            yield _real_stack(w)
+            yield np.array(_real_entries(w.tolist()))[_REAL_INDEX]
 
 
 def test_stacked_kernel_equals_one_eigh_per_branch_bitwise():

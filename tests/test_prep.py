@@ -61,6 +61,28 @@ class TestPWeight:
             w.pmat, np.diag([2.0, 2.0, 2.0 / 3.0, 2.0 / 3.0]), atol=1e-12
         )
 
+    @pytest.mark.parametrize("lam, at_unit_scale", [
+        (-1e-7, NotPRepresentable), (0.0, BoundaryPRep), (1e-7, None)])
+    def test_decides_against_the_norm_scale_of_v_minus_half(self, lam, at_unit_scale):
+        # tol * norm_scale is 1e-4 here: an eigenvalue of V - I/2 within it
+        # is a boundary, as p_rep_ensemble accepts it; at unit scale the
+        # same eigenvalue is decided against 1e-10.
+        v = np.diag([lam, 1e6, 1e6, 1e6]) + 0.5 * np.eye(4)
+        p_rep_ensemble(v)
+        with pytest.raises(BoundaryPRep):
+            p_weight(v)
+        unit = np.diag([lam, 1.0, 1.0, 1.0]) + 0.5 * np.eye(4)
+        if at_unit_scale is None:
+            p_weight(unit)
+        else:
+            with pytest.raises(at_unit_scale):
+                p_weight(unit)
+
+    def test_overflowing_row_sum_is_refused_as_p_rep_ensemble_refuses_it(self):
+        for call in (p_rep_ensemble, p_weight):
+            with pytest.raises(OutOfDomain, match="row sum"):
+                call(np.full((4, 4), 5e307))
+
     def test_entangled_state_rejected(self):
         with pytest.raises(NotPRepresentable):
             p_weight(statezoo.two_mode_squeezed(0.5))

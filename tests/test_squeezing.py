@@ -481,6 +481,8 @@ SCALAR_TAKERS = {
     "duan_bound_at_t": lambda x: duan_bound_at(1.0, 1.0, x, SqueezeParams(1.0, 1.0)),
     "extremality_residual_a": lambda x: extremality_residual(x, 1.0, SqueezeParams(1.0, 1.0)),
     "from_params_a": lambda x: StandardForm.from_params(x, 1.0, 0.5, 0.0),
+    "standard_form_a": lambda x: StandardForm(x, 1.0, 0.5, 0.0, np.eye(2), np.eye(2)),
+    "standard_form_c2": lambda x: StandardForm(1.0, 1.0, 0.5, x, np.eye(2), np.eye(2)),
     "standard_matrix_c2": lambda x: standard_matrix(1.0, 1.0, 0.5, x),
     "p_density_normalization": lambda x: p_density(PWeight(np.eye(4), x), np.zeros(4)),
     "duan_split_residual_a": lambda x: duan_split_residual(x, 1.0, SqueezeParams(1.0, 1.0)),
@@ -559,7 +561,8 @@ def test_scalar_parameters_past_the_float_range_read_as_inf(call):
 
 
 #: The takers without a range of their own: an infinite parameter is theirs to hold.
-_UNBOUNDED_TAKERS = ("from_params_a", "standard_matrix_c2")
+_UNBOUNDED_TAKERS = ("from_params_a", "standard_form_a", "standard_form_c2",
+                     "standard_matrix_c2")
 
 
 @pytest.mark.parametrize(
