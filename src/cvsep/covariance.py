@@ -1,6 +1,7 @@
 """Two-mode covariance matrices: block structure, local symplectic action,
 reduction to the four-parameter standard form, and physicality; and the
-matrices the PSD tests decide, with their norm_scales read off as floats.
+matrices the PSD tests decide, with the one tolerance scale of a state
+(_tol_scale) that every test of it is judged against.
 
 Conventions: quadrature ordering (q1, p1, q2, p2), units chosen so the vacuum
 covariance is I/2. First moments are assumed to vanish and are not modeled.
@@ -48,17 +49,15 @@ def symplectic_form(sign: int = 1) -> np.ndarray:
 _UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
 
 
-def _uncertainty_pair(v: np.ndarray) -> tuple[np.ndarray, list]:
-    """V + (i/2) diag(J, sigma*J), sigma = +1 then -1, as one (2, 4, 4) stack,
-    and the norm_scale of each, its rows of magnitudes summed left to right as
-    numpy sums them. The two are one float: the matrices differ only in the
-    signs of two imaginary parts, which numpy's complex abs does not see.
-    An entry of V - ens may have overflowed; its magnitude is inf."""
-    pair = v + _UNCERTAINTY_SHIFT
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = (
-        np.abs(pair[0]).tolist())
-    scale = max(1.0, a0 + a1 + a2 + a3, b0 + b1 + b2 + b3, c0 + c1 + c2 + c3, d0 + d1 + d2 + d3)
-    return pair, [scale, scale]
+def _tol_scale(rows: list) -> float:
+    """s = max(1, largest absolute row sum of V), from the rows of Python floats
+    of a checked V: the one tolerance scale of every PSD test of the state.
+    Every matrix built from V has entries and row sums at most 2s + 1, so
+    OutOfDomain refuses V unless 2s is finite."""
+    s = max(1.0, *(abs(x0) + abs(x1) + abs(x2) + abs(x3) for x0, x1, x2, x3 in rows))
+    if 2.0 * s == math.inf:  # Python floats overflow to inf without a warning
+        raise OutOfDomain("PSD test: a row sum of the matrix overflows")
+    return s
 
 
 def _epr_entries(rows: list, shift: float) -> list:
@@ -91,21 +90,6 @@ def _real_entries(rows: list) -> list:
     return _epr_entries(rows, 1.0) + [
         v00 - 0.5, v01, v02, v03, v10, v11 - 0.5, v12, v13,
         v20, v21, v22 - 0.5, v23, v30, v31, v32, v33 - 0.5]
-
-
-def _real_scales(entries: list) -> list:
-    """The norm_scale of each matrix of the real stack from its _real_entries,
-    or of the two EPR matrices alone from the first nine: every row of
-    magnitudes summed left to right as _REAL_INDEX lays it out, its zero
-    entries left out (adding 0.0 to a magnitude changes no bit)."""
-    _, ta, tb, p0, p1, p2, m0, m1, m2, *excess = map(abs, entries)
-    scales = [max(1.0, ta + p0 + p1, ta + p2 + p0, p0 + p2 + tb, p1 + p0 + tb),
-              max(1.0, ta + m0 + m2, ta + m2 + m1, m0 + m2 + tb, m2 + m1 + tb)]
-    if excess:  # V - I/2
-        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = excess
-        scales.append(max(1.0, a0 + a1 + a2 + a3, b0 + b1 + b2 + b3, c0 + c1 + c2 + c3,
-                          d0 + d1 + d2 + d3))
-    return scales
 
 
 def _as_real(x, what: str) -> np.ndarray:
@@ -317,10 +301,11 @@ def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 
     Returns (verdict, smallest eigenvalue); pure states sit at zero. Raises
     InvalidInput unless v passes as_covariance and tol passes check_tol, and
-    OutOfDomain when a row sum of that matrix overflows.
+    OutOfDomain when _tol_scale refuses V.
     """
-    pair, scales = _uncertainty_pair(as_covariance(v))
-    ok, lam, _ = matkit.decide_psd(pair[:1], scales[:1], matkit.check_tol(tol))
+    v = as_covariance(v)
+    tol = matkit.check_tol(tol)
+    ok, lam, _ = matkit.decide_psd(v + _UNCERTAINTY_SHIFT[:1], [_tol_scale(v.tolist())], tol)
     return ok[0], lam[0]
 
 
@@ -352,23 +337,18 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
     return out
 
 
-def _coherent_excess(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """V - I/2 of a checked V and its norm_scale: the third matrix of the real
-    stack and its scale, as classify decides it."""
-    entries = _real_entries(v.tolist())
-    return np.array(entries[9:]).reshape(4, 4), _real_scales(entries)[2]
-
-
 def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ensemble matrix of the coherent-state decomposition, V - I/2.
 
     Defined whenever V - I/2 is PSD, i.e. whenever the state is
     P-representable without further squeezing. Decided as classify decides
-    its ensemble_used, from the same matrix and scale (_coherent_excess).
+    its ensemble_used: the same matrix against the same -tol * _tol_scale.
     Raises InvalidInput unless v passes as_covariance and tol passes
-    check_tol, and OutOfDomain when a row sum of V - I/2 overflows.
+    check_tol, and OutOfDomain when _tol_scale refuses V.
     """
-    excess, scale = _coherent_excess(as_covariance(v))
-    if not matkit.decide_psd(excess[None], [scale], matkit.check_tol(tol))[0][0]:
+    v = as_covariance(v)
+    tol = matkit.check_tol(tol)
+    excess = v - 0.5 * np.eye(4)
+    if not matkit.decide_psd(excess[None], [_tol_scale(v.tolist())], tol)[0][0]:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     return excess

@@ -19,11 +19,12 @@ every call. classify() makes two LAPACK calls: one complex stack for
 physicality and Simon, and one real stack holding Duan's two branches and
 the coherent excess V - I/2, whose PSD verdict is P-representability.
 
-Every matrix is decided by matkit.decide_psd, with its norm_scale read off
-the entries as Python floats (covariance module): _uncertainty_pair for
-V - ens + (i/2) diag(J, sigma*J) (physicality, Simon, stringent_criterion),
-_real_scales for the real stack (Duan, classify) and the EPR matrix of
-weak_gap. Only a caller's ensemble matrix goes through matkit.is_psd_herm.
+Every matrix is decided by matkit.decide_psd against one scale per state,
+s = covariance._tol_scale(V): V - ens + (i/2) diag(J, sigma*J) and V - I/2
+within -tol * s, the EPR matrices of Duan and weak_gap within -2 tol * s.
+Duan's smallest eigenvalue is at least twice Simon's, so every implication
+of the hierarchy holds at every tol. Only a caller's ensemble matrix goes
+through matkit.is_psd_herm, against its own norm_scale.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ import numpy as np
 from . import matkit
 from .covariance import (
     _REAL_INDEX,
+    _UNCERTAINTY_SHIFT,
     J2,
     StandardForm,
     _as_vector,
     _epr_entries,
     _real_entries,
-    _real_scales,
     _standard_form,
-    _uncertainty_pair,
+    _tol_scale,
     as_covariance,
 )
 from .errors import InvalidEnsembleMatrix, InvalidInput, OutOfDomain
@@ -188,11 +189,30 @@ def _as_ensemble(ens, tol: float) -> np.ndarray:
     return ens
 
 
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m, a 4x4 matrix computed from V and an ensemble matrix; OutOfDomain
+    unless its entries are finite and _tol_scale accepts it as it accepts V."""
+    if not np.isfinite(m).all():
+        raise OutOfDomain("an entry computed from finite input overflows "
+                          "(PSD test needs finite entries)")
+    _tol_scale(m.tolist())
+    return m
+
+
+def _uncertainty_report(v: np.ndarray, ens, tol: float) -> CriterionReport:
+    """Report of V - ens + (i/2) diag(J, sigma*J) PSD for both sigma, each
+    within -tol * _tol_scale(V); ens is a checked ensemble matrix or None."""
+    s = _tol_scale(v.tolist())
+    if ens is not None:
+        with np.errstate(over="ignore"):  # an inf entry is refused as OutOfDomain
+            v = _finite(v - ens)
+    return _branch_report(*decide_psd(v + _UNCERTAINTY_SHIFT, [s, s], tol))
+
+
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
-    v = as_covariance(v)
-    return _branch_report(*decide_psd(*_uncertainty_pair(v), matkit.check_tol(tol)))
+    return _uncertainty_report(as_covariance(v), None, matkit.check_tol(tol))
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -203,11 +223,7 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     Implies Simon's criterion for every admissible ens and reduces to it at
     ens = 0. Both v and ens must pass as_covariance, and ens must be PSD.
     """
-    v = as_covariance(v)
-    ens = _as_ensemble(ens, tol)
-    with np.errstate(over="ignore"):  # an inf entry is refused as OutOfDomain
-        excess = v - ens
-    return _branch_report(*decide_psd(*_uncertainty_pair(excess), matkit.check_tol(tol)))
+    return _uncertainty_report(as_covariance(v), _as_ensemble(ens, tol), matkit.check_tol(tol))
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -228,32 +244,28 @@ def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionRepo
     return CriterionReport(bool(margin >= -tol), float(margin))
 
 
-def _real_psd(rows: list, count: int, tol: float):
-    """matkit.decide_psd of the first count matrices of the real stack of a
-    checked V given as rows: Duan's branches, then the coherent excess."""
-    entries = _real_entries(rows)
-    return decide_psd(np.array(entries)[_REAL_INDEX[:count]], _real_scales(entries)[:count], tol)
-
-
 def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Subsidiary-condition (EPR-type) criterion for one commutator sign
     branch: the EPR block matrix of V minus that of ens minus I must be PSD.
 
     Obtained from the full separability condition by tying g = J^T d and
     h = sign * J^T f; with ens = 0 it coincides with the matching branch of
-    duan_criterion. v and ens (unless None) are checked as in stringent_criterion.
+    duan_criterion, within the same -2 tol * _tol_scale(V). v and ens
+    (unless None) are checked as in stringent_criterion.
     """
     if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
         raise InvalidInput("sign branch must be +1 or -1")
     ens = None if ens is None else _as_ensemble(ens, tol)
-    entries = _epr_entries(as_covariance(v).tolist(), 0.0)
+    rows = as_covariance(v).tolist()
+    tol = matkit.check_tol(tol)
+    scale = 2.0 * _tol_scale(rows)
+    entries = _epr_entries(rows, 0.0)
     if ens is not None:  # Python floats overflow to inf, and inf - inf is nan
         entries = [x - y for x, y in zip(entries, _epr_entries(ens.tolist(), 0.0))]
-        entries = [x if x == x else math.inf for x in entries]  # max() would drop a nan
     entries[1:3] = entries[1] - 1.0, entries[2] - 1.0
     k = (1 - sign) // 2
-    ok, lam, vec = decide_psd(np.array(entries)[_REAL_INDEX[k:k + 1]],
-                              _real_scales(entries)[k:k + 1], matkit.check_tol(tol))
+    m = np.array(entries)[_REAL_INDEX[k]]
+    ok, lam, vec = decide_psd((m if ens is None else _finite(m))[None], [scale], tol)
     return CriterionReport(ok[0], lam[0], None if ok[0] else _witness(vec[0], sign), sign)
 
 
@@ -261,7 +273,10 @@ def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """EPR-variance separability condition over both sign branches; weaker
     than Simon's criterion."""
     rows = as_covariance(v).tolist()
-    return _branch_report(*_real_psd(rows, 2, matkit.check_tol(tol)))
+    tol = matkit.check_tol(tol)
+    s = _tol_scale(rows)
+    return _branch_report(*decide_psd(np.array(_real_entries(rows))[_REAL_INDEX[:2]],
+                                      [2.0 * s, 2.0 * s], tol))
 
 
 #: The stringent report at the coherent-excess ensemble: V - (V - I/2) is I/2
@@ -286,7 +301,9 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     """
     v = as_covariance(v)
     tol = matkit.check_tol(tol)
-    ok, lam, vec = decide_psd(*_uncertainty_pair(v), tol)
+    rows = v.tolist()
+    s = _tol_scale(rows)
+    ok, lam, vec = decide_psd(v + _UNCERTAINTY_SHIFT, [s, s], tol)
     simon = _branch_report(ok, lam, vec)
     # Physicality is the sigma = +1 branch of Simon's criterion.
     phys_ok = ok[0]
@@ -295,11 +312,12 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
         phys_ok, lam[0], None if phys_ok else _witness(vec[0], 1), 1
     )
     reports["simon"] = simon
-    rows = v.tolist()
-    ok, lam, vec = _real_psd(rows, 3, tol)
+    # Duan's two EPR branches, then V - I/2: the state is P-representable
+    # when it is PSD.
+    stack = np.array(_real_entries(rows))[_REAL_INDEX]
+    ok, lam, vec = decide_psd(stack, [2.0 * s, 2.0 * s, s], tol)
     reports["duan"] = _branch_report(ok, lam, vec)
 
-    # The third matrix is V - I/2: the state is P-representable when it is PSD.
     if ok[2]:
         ens_kind, stringent = "coherent_excess", _COHERENT_EXCESS_REPORT
     else:  # V - 0 is V, so the zero-ensemble condition is Simon's criterion.

@@ -1,10 +1,9 @@
 """Dense kernels for the small symmetric and Hermitian matrices used throughout.
 
 One kernel, decide_psd, makes every positive-semidefinite decision: one eigh
-call per stack, then psd_verdict, the smallest eigenvalue against -tol times
-the matrix's norm_scale, which its caller passes as a float. The criteria
-read it off V's entries (covariance module); is_psd_herm, the front end for
-any array, computes it.
+call per stack, then each smallest eigenvalue against -tol times a float scale:
+the state's one tolerance scale (covariance module), or in is_psd_herm, the
+front end for any array, each matrix's own norm_scale.
 The 2x2 rotation SVD and every 2x2 product of a local symplectic are
 closed-form, on Python floats, so their bits do not depend on the BLAS kernel;
 clear conventions matter more than speed.
@@ -88,26 +87,23 @@ def norm_scale(m: np.ndarray):
     return np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
 
 
-def psd_verdict(lam, tol: float, scale):
-    """Whether a matrix with smallest eigenvalue lam and norm_scale scale is PSD
-    within tol: lam >= -tol * scale."""
-    return lam >= -tol * scale
+def eigh(stack: np.ndarray):
+    """np.linalg.eigh, or OutOfDomain where LAPACK does not converge, as on some
+    finite matrices with entries near the float maximum."""
+    try:
+        return np.linalg.eigh(stack)
+    except np.linalg.LinAlgError:
+        raise OutOfDomain("eigensolver: eigenvalues did not converge") from None
 
 
 def decide_psd(stack: np.ndarray, scales: list, tol: float):
     """(verdicts, smallest eigenvalues, their eigenvectors) of every matrix of a
     stack (k, n, n) in one eigh call, the first two as lists of Python bools and
-    floats, given each matrix's norm_scale as a float and a checked tol. A scale
-    of inf means the stack, built from finite input, overflowed: OutOfDomain
-    then names a non-finite entry, else a row sum, before any eigensolve."""
-    if math.inf in scales:
-        if not np.isfinite(stack).all():
-            raise OutOfDomain("an entry computed from finite input overflows "
-                              "(PSD test needs finite entries)")
-        raise OutOfDomain("PSD test: a row sum of the matrix overflows")
-    values, vectors = np.linalg.eigh(stack)
+    floats: a matrix is PSD when its smallest eigenvalue is at least -tol times
+    its scale, given per matrix as a finite float, tol checked."""
+    values, vectors = eigh(stack)
     lam = values[:, 0].tolist()
-    return [psd_verdict(x, tol, s) for x, s in zip(lam, scales)], lam, vectors[..., 0]
+    return [x >= -tol * s for x, s in zip(lam, scales)], lam, vectors[..., 0]
 
 
 def is_psd_herm(h, tol: float = DEFAULT_TOL):
@@ -121,6 +117,8 @@ def is_psd_herm(h, tol: float = DEFAULT_TOL):
         raise InvalidInput("PSD test needs finite entries")
     with np.errstate(over="ignore"):  # a row sum past the float maximum is inf
         scales = norm_scale(h)
+    if not np.isfinite(scales).all():
+        raise OutOfDomain("PSD test: a row sum of the matrix overflows")
     n = h.shape[-1]
     ok, lam, vec = decide_psd(h.reshape(-1, n, n), scales.ravel().tolist(), tol)
     if h.ndim == 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import _as_vector, _coherent_excess, as_covariance
+from .covariance import _as_vector, _tol_scale, as_covariance
 from .errors import BoundaryPRep, InvalidInput, NotPRepresentable, OutOfDomain
 from .matkit import DEFAULT_TOL
 
@@ -53,19 +53,18 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     """Weight matrix P = (V - I/2)^(-1) of the coherent-state mixture.
 
     Requires V - I/2 positive definite, decided from one eigendecomposition
-    with p_rep_ensemble's matrix and scale: a negative eigenvalue is
-    NotPRepresentable, and a zero eigenvalue means the weight degenerates to
-    a lower-dimensional Gaussian with no phase-space density, BoundaryPRep.
-    Raises InvalidInput unless v passes as_covariance and tol passes
-    matkit.check_tol, and OutOfDomain when a row sum or the determinant of
-    V - I/2 overflows.
+    as p_rep_ensemble decides it, within tol * _tol_scale(V): a negative
+    eigenvalue is NotPRepresentable, and a zero eigenvalue means the weight
+    degenerates to a lower-dimensional Gaussian with no phase-space density,
+    BoundaryPRep. Raises InvalidInput unless v passes as_covariance and tol
+    passes matkit.check_tol, and OutOfDomain when _tol_scale refuses V, the
+    eigensolver does not converge or the determinant of V - I/2 overflows.
     """
-    excess, scale = _coherent_excess(as_covariance(v))
+    v = as_covariance(v)
     tol = matkit.check_tol(tol)
-    if scale == math.inf:  # the kernel refuses the overflow before any eigensolve
-        matkit.decide_psd(excess[None], [scale], tol)
-    values, vectors = np.linalg.eigh(excess)
-    if not matkit.psd_verdict(values[0], tol, scale):
+    scale = _tol_scale(v.tolist())
+    values, vectors = matkit.eigh(v - 0.5 * np.eye(4))
+    if not values[0] >= -tol * scale:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     if values[0] <= tol * scale:
         raise BoundaryPRep("V - I/2 is singular; the weight has no density")
@@ -114,10 +113,11 @@ def p_sample(w: PWeight, n: int, seed) -> np.ndarray:
     from numpy's seeded PCG64 generator, so equal seeds give equal samples
     and the sample covariance converges to P^(-1). Raises InvalidInput before
     any draw unless n is a positive integer, seed a nonnegative one (bools
-    refused) and w.pmat passes as_covariance and is positive definite.
+    refused) and w.pmat passes as_covariance and is positive definite, and
+    OutOfDomain where matkit.eigh refuses w.pmat.
     """
     n, seed = matkit._check_count_and_seed(n, seed, "p_sample")
-    values, vectors = np.linalg.eigh(as_covariance(w.pmat))
+    values, vectors = matkit.eigh(as_covariance(w.pmat))
     if not values[0] > 0.0:
         raise InvalidInput("weight matrix must be positive definite")
     root = (vectors / np.sqrt(values)) @ vectors.T

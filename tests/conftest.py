@@ -20,3 +20,18 @@ def squeezed_symp(rng, log_x):
     t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
     x = math.exp(log_x)
     return rotation(t2) @ np.diag([x, 1.0 / x]) @ rotation(t1)
+
+
+def no_convergence_matrix():
+    """A finite symmetric matrix on which LAPACK's complex eigensolver does not
+    converge, though its row sums (about 3.3e307) leave twice the tolerance
+    scale finite."""
+    v = np.zeros((4, 4))
+    upper = np.triu_indices(4)
+    v[upper] = v[upper[::-1]] = [
+        3.531052247431522e+147, 4.59094590607e-313, 3.6180374199664287e-302,
+        3.26846237301507e+307, -13278197246880.162, -1.7589505144612436e+76,
+        -3.400233019282137e+122, -1.2611147823975482e+159, -7433491082.644778,
+        513.9730398628325,
+    ]
+    return v

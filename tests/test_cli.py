@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cvsep.cli
+from conftest import no_convergence_matrix
 from cvsep import statezoo
 from cvsep.cli import (
     EXIT_DEGENERATE,
@@ -227,6 +228,14 @@ def test_tol_inside_unit_interval_is_used(tmp_path, capsys):
     assert main(["audit", "--samples", "4", "--tol", "1e-6"]) == 0
 
 
+def test_eigensolver_failure_is_out_of_domain(tmp_path, capsys):
+    v = no_convergence_matrix()
+    assert main(["classify", matrix_doc(tmp_path, "v.json", v)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigensolver: eigenvalues did not converge\n"
+
+
 class TestStandardFormCommand:
     def test_recovers_rotated_quadruple(self, tmp_path, capsys):
         quad = (1.5, 0.8, 0.6, -0.2)
@@ -366,6 +375,14 @@ class TestAudit:
     def test_single_sample(self, capsys):
         assert main(["audit", "--samples", "1", "--seed", "0"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("samples, seed, tol", [("3000", "1", "0.01"), ("2000", "3", "0.1")])
+    def test_hierarchy_holds_at_a_coarse_tol(self, capsys, samples, seed, tol):
+        # With a tolerance scale per matrix rather than per state, these runs
+        # found 5 and 38 states with Simon satisfied but Duan violated, or a
+        # P-representable state failing the stringent test.
+        assert main(["audit", "--samples", samples, "--seed", seed, "--tol", tol]) == 0
+        assert "counterexamples: 0\n" in capsys.readouterr().out
 
     def test_zero_samples_is_a_parse_error(self, capsys):
         assert main(["audit", "--samples", "0"]) == EXIT_PARSE

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import squeezed_symp
+from conftest import no_convergence_matrix, squeezed_symp
 import cvsep
 import cvsep.covariance
 import cvsep.criteria
@@ -56,8 +56,7 @@ from cvsep.covariance import (
     J2,
     StandardForm,
     _real_entries,
-    _real_scales,
-    _uncertainty_pair,
+    _tol_scale,
 )
 from cvsep.matkit import DEFAULT_TOL, norm_scale
 
@@ -239,10 +238,10 @@ class TestStringent:
         lambda v, ens, tol=DEFAULT_TOL: weak_gap(v, ens, 1, tol),
         lambda v, ens, tol=DEFAULT_TOL: weak_gap(v, ens, -1, tol),
     ], ids=["stringent", "weak_gap_plus", "weak_gap_minus"])
-    def test_overflowing_difference_with_the_ensemble_is_out_of_domain(self, call):
-        # Both matrices are finite and the ensemble is PSD, but V - ens and the
-        # EPR entries of each pass the float maximum: OutOfDomain, without a
-        # numpy overflow warning; a bad tol is still bad input.
+    def test_overflowing_row_sum_of_v_is_out_of_domain(self, call):
+        # Both matrices are finite and the ensemble is PSD, but a row sum of V
+        # passes the float maximum, so V has no tolerance scale: OutOfDomain,
+        # without a numpy overflow warning; a bad tol is still bad input.
         v = np.eye(4)
         v[:2, :2] = 1e308
         ens = np.zeros((4, 4))
@@ -251,6 +250,22 @@ class TestStringent:
             call(v, ens)
         with pytest.raises(InvalidInput, match="tol must be"):
             call(v, ens, tol=2.0)
+
+    @pytest.mark.parametrize("call", [
+        stringent_criterion,
+        lambda v, ens: weak_gap(v, ens, 1),
+        lambda v, ens: weak_gap(v, ens, -1),
+    ], ids=["stringent", "weak_gap_plus", "weak_gap_minus"])
+    def test_overflowing_difference_with_the_ensemble_is_out_of_domain(self, call):
+        # V has a finite tolerance scale and the ensemble is PSD, but
+        # v00 - e00 (and tr A - tr A_ens) pass the float maximum.
+        v = np.eye(4)
+        v[0, 0] = -0.8e308
+        ens = np.diag([1e308, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain, match="finite entries"):
+                call(v, ens)
 
 
 class TestSimon:
@@ -341,26 +356,27 @@ class TestDuan:
 
     def test_overflowing_epr_matrix_is_out_of_domain(self):
         # The EPR blocks add two entries of V; near the float maximum the sum
-        # is inf, and the eigensolver would turn it into a nan margin.
+        # is inf. Twice the tolerance scale of 1e308 * I overflows first, so
+        # V is refused before any EPR entry is formed.
         v = 1e308 * np.eye(4)
         for call in (duan_criterion, lambda v: weak_gap(v, None, -1), classify):
-            with pytest.raises(OutOfDomain, match="finite entries"):
+            with pytest.raises(OutOfDomain, match="row sum"):
                 call(v)
 
     def test_overflowing_correlation_sum_is_out_of_domain_without_a_warning(self):
-        # c00 + c11 and c01 - c10 pass the float maximum on Python floats,
-        # which give inf silently; the PSD test then refuses the sigma = +1
-        # matrix. (classify stops earlier, at its complex stack's row sums.)
+        # c00 + c11 and c01 - c10 would pass the float maximum, but a row sum
+        # of V does first: every route refuses V, on both sigma, without a
+        # warning, though on sigma = -1 the same entries cancel to zero.
         v = standard_matrix(1.0, 1.0, 0.0, 0.0)
         v[0, 2] = v[2, 0] = v[1, 3] = v[3, 1] = 1e308
         v[0, 3] = v[3, 0] = 1e308
         v[1, 2] = v[2, 1] = -1e308
-        for call in (duan_criterion, lambda v: weak_gap(v, None, 1)):
-            with pytest.raises(OutOfDomain, match="finite entries"):
-                call(v)
-        # On sigma = -1 the same entries cancel to zero: EPR(-1) - I is 1 * I.
-        rep = weak_gap(v, None, -1)
-        assert rep.satisfied and rep.margin == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (duan_criterion, lambda v: weak_gap(v, None, 1),
+                         lambda v: weak_gap(v, None, -1), classify):
+                with pytest.raises(OutOfDomain, match="row sum"):
+                    call(v)
 
     @pytest.mark.parametrize("c2, branch", [(1e-15, 0), (-1e-15, 0), (1e-3, 1), (-1e-3, -1)])
     def test_witness_comes_from_the_plus_branch_unless_minus_binds(self, c2, branch):
@@ -513,8 +529,9 @@ class TestClassify:
         assert verdict.standard_form is None
 
     def test_overflowing_epr_sum_of_a_standard_matrix_is_out_of_domain(self):
-        # c00 + c11 = 2e308: every row sum of the complex stack stays finite,
-        # but the real stack's EPR entry overflows; a bad tol is still bad input.
+        # c00 + c11 = 2e308: every row sum of V stays finite, but twice the
+        # largest does not, and the real stack's EPR entry would overflow; a
+        # bad tol is still bad input.
         v = standard_matrix(1.0, 1.0, 0.0, 0.0)
         v[0, 2] = v[2, 0] = v[1, 3] = v[3, 1] = 1e308
         with pytest.raises(OutOfDomain, match="overflows"):
@@ -601,6 +618,15 @@ class TestClassify:
             warnings.simplefilter("error")
             with pytest.raises(OutOfDomain, match="row sum"):
                 call(np.full((4, 4), 5e307))
+
+    @pytest.mark.parametrize("call", [classify, simon_criterion, is_physical,
+                                      lambda v: stringent_criterion(v, ZERO)],
+                             ids=["classify", "simon_criterion", "is_physical", "stringent"])
+    def test_eigensolver_failure_is_out_of_domain(self, call):
+        # LAPACK's LinAlgError is no CvsepError: the CLI and callers that
+        # catch the package's errors would crash on it.
+        with pytest.raises(OutOfDomain, match="did not converge"):
+            call(no_convergence_matrix())
 
     @pytest.mark.parametrize(
         "v",
@@ -824,29 +850,6 @@ def test_real_stack_keeps_signed_zeros_and_subnormals(entries):
         assert _bits(weak_gap(v, None, sign)) == _bits(_nested_weak_gap(v, None, sign, DEFAULT_TOL))
 
 
-def _assert_scales_are_norm_scale(v):
-    """The tolerance scales classify reads off v's floats, for the Hermitian
-    pair and for the real stack, are matkit.norm_scale's, bit for bit."""
-    pair, scales = _uncertainty_pair(v)
-    real = _real_scales(_real_entries(v.tolist()))
-    with np.errstate(over="ignore"):  # a row sum past the float maximum is inf in both
-        assert np.array(scales).tobytes() == norm_scale(v + _UNCERTAINTY_SHIFT).tobytes()
-        assert np.array(real).tobytes() == norm_scale(_real_stack(v)).tobytes()
-    assert pair.tobytes() == (v + _UNCERTAINTY_SHIFT).tobytes()
-
-
-@settings(max_examples=400)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([1.0, 0.8]),
-       st.integers(-30, 150))
-def test_scales_are_norm_scale_on_scaled_pool_states(seed, index, factor, k):
-    # numpy's complex abs of v01 + i/2 differs from math.hypot and abs(complex)
-    # in the last bit on about a quarter of random entries, and numpy sums
-    # each row left to right: a scale taken any other way misses its bits.
-    v = factor * mixed_physical_state(np.random.default_rng(seed), index)
-    _assert_scales_are_norm_scale(v)
-    _assert_scales_are_norm_scale(10.0**k * v)
-
-
 #: Entries of every size a finite matrix can hold: signed zeros, subnormals,
 #: halves (V - I/2 and |x + i/2| at the boundary) and entries near 1e308,
 #: whose row sums overflow.
@@ -859,86 +862,138 @@ _ENTRIES = st.one_of(
 )
 
 
-@settings(max_examples=400)
-@given(st.lists(_ENTRIES, min_size=10, max_size=10))
-def test_scales_are_norm_scale_on_extreme_entries(upper):
+def _symmetric(upper):
+    """The symmetric matrix of an upper triangle given row by row, each
+    entry's sign of zero kept."""
     v, upper_index = np.zeros((4, 4)), np.triu_indices(4)
-    v[upper_index] = v[upper_index[::-1]] = upper  # each entry's sign of zero kept
-    _assert_scales_are_norm_scale(v)
+    v[upper_index] = v[upper_index[::-1]] = upper
+    return v
 
 
-def _reference_psd(m, tol):
-    """(verdict, smallest eigenvalue, its eigenvector) of one matrix, from
-    norm_scale and np.linalg.eigh alone, or the refusal of an overflow."""
+@settings(max_examples=400)
+@example([1.7e308, 0.0, 0.0, 0.0, 1.7e308, 0.0, 0.0, 1.0, 0.0, 1.0])  # refused
+@example([4.4e307, 0.0, 4.4e307, 0.0, 4.4e307, 0.0, 4.4e307, 1.0, 0.0, 1.0])  # EPR rows 2s
+@given(st.lists(_ENTRIES, min_size=10, max_size=10))
+def test_every_matrix_built_from_an_accepted_v_is_finite(upper):
+    # _tol_scale accepts V exactly when 2s is finite, and then the Hermitian
+    # pair, the real stack and weak_gap's EPR matrices, whose entries and row
+    # sums are at most 2s + 1, are finite with finite row sums.
+    v = _symmetric(upper)
+    rows = v.tolist()
+    with np.errstate(over="ignore"):
+        s = float(norm_scale(v))
+        if not math.isfinite(2.0 * s):
+            with pytest.raises(OutOfDomain, match="row sum"):
+                _tol_scale(rows)
+            return
+        assert _tol_scale(rows) == s
+        epr = np.array(cvsep.covariance._epr_entries(rows, 0.0))[_REAL_INDEX[:2]] - np.eye(4)
+        for m in (v + _UNCERTAINTY_SHIFT, _real_stack(v), epr):
+            assert np.isfinite(m).all() and np.isfinite(norm_scale(m)).all()
+
+
+def _reference_scale(v):
+    """norm_scale of v, the one tolerance scale of all its PSD tests, or the
+    refusal of a v whose twice that overflows."""
+    with np.errstate(over="ignore"):  # a row sum past the float maximum is inf
+        scale = float(norm_scale(v))
+    if not math.isfinite(2.0 * scale):
+        raise OutOfDomain("row sum")
+    return scale
+
+
+def _reference_difference(m):
+    """m, a matrix computed from v and an ensemble matrix, or the refusal of a
+    non-finite entry or of an m whose twice norm_scale overflows."""
     if not np.isfinite(m).all():
         raise OutOfDomain("finite entries")
-    with np.errstate(over="ignore"):  # a row sum past the float maximum is inf
-        scale = float(norm_scale(m))
-    if scale == math.inf:
-        raise OutOfDomain("row sum")
-    values, vectors = np.linalg.eigh(m)
-    return bool(values[0] >= -tol * scale), float(values[0]), vectors[:, 0]
+    _reference_scale(m)
+    return m
 
 
-def _reference_branches(ms, tol):
-    """The stacked PSD result _branch_report reads, one reference solve each."""
-    ok, lam, vec = zip(*(_reference_psd(m, tol) for m in ms))
-    return list(ok), list(lam), np.array(vec)
+def _reference_psd(m, bound):
+    """(smallest eigenvalue >= bound, that eigenvalue, its eigenvector) of one
+    matrix from np.linalg.eigh alone, or the refusal of a solve that does not
+    converge."""
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        raise OutOfDomain("did not converge") from None
+    return bool(values[0] >= bound), float(values[0]), vectors[:, 0]
 
 
 def _reference_results(v, ens, tol):
-    """is_physical, p_rep_ensemble, stringent_criterion at ens and weak_gap
-    (both signs, at None and ens) of v, each from _reference_psd of the matrix
-    it decides, built entry by entry."""
+    """is_physical, p_rep_ensemble, simon_criterion, duan_criterion,
+    stringent_criterion at ens and weak_gap (both signs, at None and ens) of
+    v, each from _reference_psd of the matrix it decides, built entry by
+    entry, against -tol * s, or -2 tol * s for the EPR matrices, with s the
+    _reference_scale of v."""
     def uncertainty(m, sign):
         return m + 0.5j * cvsep.covariance.symplectic_form(sign)
 
+    def branches(ms, bound):
+        ok, lam, vec = zip(*(_reference_psd(m, bound) for m in ms))
+        return cvsep.criteria._branch_report(list(ok), list(lam), np.array(vec))
+
     def physical():
-        ok, lam, _ = _reference_psd(uncertainty(v, 1), tol)
+        ok, lam, _ = _reference_psd(uncertainty(v, 1), -tol * _reference_scale(v))
         return ok, lam
 
     def p_rep():
-        if not _reference_psd(v - 0.5 * np.eye(4), tol)[0]:
+        if not _reference_psd(v - 0.5 * np.eye(4), -tol * _reference_scale(v))[0]:
             raise NotPRepresentable("V - I/2 has a negative eigenvalue")
         return v - 0.5 * np.eye(4)
 
-    def stringent():
+    def stringent(e):
+        bound = -tol * _reference_scale(v)
         with np.errstate(over="ignore"):
-            excess = v - ens
-        return cvsep.criteria._branch_report(
-            *_reference_branches([uncertainty(excess, 1), uncertainty(excess, -1)], tol))
+            excess = _reference_difference(v - e)
+        return branches([uncertainty(excess, 1), uncertainty(excess, -1)], bound)
+
+    def epr(e, sign):
+        m = np.array(_nested_epr(v.tolist(), sign))
+        if e is None:
+            return m - np.eye(4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = m - np.array(_nested_epr(e.tolist(), sign))
+        return _reference_difference(m - np.eye(4))
+
+    def duan():
+        bound = -2.0 * tol * _reference_scale(v)
+        return branches([epr(None, 1), epr(None, -1)], bound)
 
     def weak(e, sign):
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = np.array(_nested_epr(v.tolist(), sign))
-            if e is not None:
-                m = m - np.array(_nested_epr(e.tolist(), sign))
-            ok, lam, vec = _reference_psd(m - np.eye(4), tol)
+        bound = -2.0 * tol * _reference_scale(v)
+        ok, lam, vec = _reference_psd(epr(e, sign), bound)
         return cvsep.criteria.CriterionReport(
             ok, lam, None if ok else cvsep.criteria._witness(vec, sign), sign)
 
-    return [physical, p_rep, stringent] + [
+    return [physical, p_rep, lambda: stringent(np.zeros((4, 4))), duan,
+            lambda: stringent(ens)] + [
         lambda e=e, sign=sign: weak(e, sign) for e in (None, ens) for sign in (1, -1)]
 
 
 def _typed_bits(call):
     """_bits of call(), with the type of each field, or its refusal's class
     and whether it names a non-finite entry or a row sum. LAPACK may fail to
-    converge on entries near the float maximum; both sides must fail then."""
+    converge on entries near the float maximum; both sides refuse then."""
     try:
         out = call()
-    except (NotPRepresentable, OutOfDomain, np.linalg.LinAlgError) as exc:
+    except (NotPRepresentable, OutOfDomain) as exc:
         return type(exc).__name__, "finite entries" in str(exc), "row sum" in str(exc)
     fields = vars(out).values() if dataclasses.is_dataclass(out) else out
     return _bits(out), tuple(type(x).__name__ for x in fields)
 
 
 def _assert_kernel_matches_reference(v, ens, tol=DEFAULT_TOL):
-    """is_physical, p_rep_ensemble, stringent_criterion and weak_gap give the
-    reference's result, bit for bit and type for type."""
+    """is_physical, p_rep_ensemble, simon_criterion, duan_criterion,
+    stringent_criterion and weak_gap give the reference's result, bit for
+    bit and type for type."""
     calls = [
         lambda: is_physical(v, tol),
         lambda: p_rep_ensemble(v, tol),
+        lambda: simon_criterion(v, tol),
+        lambda: duan_criterion(v, tol),
         lambda: stringent_criterion(v, ens, tol),
         lambda: weak_gap(v, None, 1, tol),
         lambda: weak_gap(v, None, -1, tol),
@@ -954,9 +1009,9 @@ def _assert_kernel_matches_reference(v, ens, tol=DEFAULT_TOL):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([1.0, 0.8]),
        st.integers(-30, 150), st.sampled_from([1e-10, 1e-3]))
 def test_kernel_criteria_match_a_norm_scale_and_eigh_reference(seed, index, factor, k, tol):
-    # is_physical, p_rep_ensemble, stringent_criterion and weak_gap decide
-    # through matkit.decide_psd with scales read off V's floats; each must
-    # be what one eigh call and norm_scale of its own matrix give.
+    # Every criterion decides through matkit.decide_psd against the one
+    # tolerance scale read off V's floats; each must be what one eigh call
+    # per matrix and norm_scale of V give.
     rng = np.random.default_rng(seed)
     v = factor * mixed_physical_state(rng, index)
     # A random ensemble below the coherent excess, drawn as the audit draws it.
@@ -970,19 +1025,41 @@ def test_kernel_criteria_match_a_norm_scale_and_eigh_reference(seed, index, fact
 
 @settings(max_examples=300)
 @example([1.7e308, 0.0, 0.0, 0.0, 1.7e308, 0.0, 0.0, 1.0, 0.0, 1.0],
-         [1.7e308, 1.7e308, 0.0, 0.0])  # tr A - tr A_ens is inf - inf
+         [1.7e308, 1.7e308, 0.0, 0.0])  # V refused before tr A - tr A_ens, inf - inf
+@example([5e307, 0.0, 0.0, 0.0, 5e307, 0.0, 0.0, 1.0, 0.0, 1.0],
+         [1.7e308, 1.7e308, 0.0, 0.0])  # tr A - tr A_ens is 1e308 - inf
 @example([-0.0, -0.0, -0.0, 0.0, 0.5, -0.0, 0.0, 0.5, -0.0, 5e-324], [0.0, 5e-324, 0.0, 0.5])
 @given(st.lists(_ENTRIES, min_size=10, max_size=10),
        st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 0.5]), st.floats(0.0, 10.0),
                           st.floats(1e307, sys.float_info.max)), min_size=4, max_size=4))
 def test_kernel_criteria_match_the_reference_on_extreme_entries(upper, diagonal):
     # Signed zeros, subnormals and entries near 1e308, against an ensemble
-    # diag(e) with entries as large: overflowed entries (inf, or nan where
-    # two infs cancel in weak_gap) and row sums are refused as the
-    # reference refuses them.
-    v, upper_index = np.zeros((4, 4)), np.triu_indices(4)
-    v[upper_index] = v[upper_index[::-1]] = upper
-    _assert_kernel_matches_reference(v, np.diag(diagonal))
+    # diag(e) with entries as large: a V whose twice tolerance scale
+    # overflows, an overflowed entry or row sum of V - ens or of its EPR
+    # matrix and a solve that does not converge are refused as the reference
+    # refuses them.
+    _assert_kernel_matches_reference(_symmetric(upper), np.diag(diagonal))
+
+
+@settings(max_examples=300)
+@example(1, 1, 0.8, -2.0)  # Simon satisfied, Duan violated, with a scale per matrix
+@example(2, 2, 1.0, -1.0)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([1.0, 0.8]),
+       st.floats(-12.0, math.log10(0.9)))
+def test_hierarchy_holds_at_every_tol(seed, index, factor, log_tol):
+    # Every PSD test of a state is judged against its one tolerance scale,
+    # Duan's at twice it, so each implication the audit checks holds at any
+    # tol: Simon => Duan, P-representable => Simon, and P-representable =>
+    # stringent => Simon at a random ensemble below V - I/2.
+    tol = 10.0**log_tol
+    rng = np.random.default_rng(seed)
+    v = factor * mixed_physical_state(rng, index)
+    simon = simon_criterion(v, tol).satisfied
+    assert duan_criterion(v, tol).satisfied or not simon
+    p_rep = classify(v, tol).ensemble_used == "coherent_excess"
+    stringent = stringent_criterion(v, _scaled_random_psd(rng, v - 0.5 * np.eye(4)), tol)
+    assert simon or not (p_rep or stringent.satisfied)
+    assert stringent.satisfied or not p_rep
 
 
 #: Every public entry point that takes a covariance matrix, called on one.

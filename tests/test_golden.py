@@ -11,6 +11,7 @@ goldens were taken from; a refactor that changes any byte fails here.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -22,7 +23,8 @@ import numpy as np
 from cvsep import statezoo
 from cvsep.cli import main
 from cvsep.criteria import classify
-from cvsep.covariance import apply_symp
+from cvsep.covariance import _REAL_INDEX, _real_entries, apply_symp
+from cvsep.matkit import norm_scale
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -104,6 +106,15 @@ VERDICT_POOL_SIZE = 2000
 VERDICT_TOLS = (1e-10, 1e-3)
 
 
+@functools.cache
+def _verdict_pool(seed: int) -> list:
+    """The audit pool of a seed whose verdicts are digested, one state in five
+    scaled by 0.8."""
+    rng = np.random.default_rng(seed)
+    return [(0.8 if i % 5 == 4 else 1.0) * statezoo.mixed_physical_state(rng, i)
+            for i in range(VERDICT_POOL_SIZE)]
+
+
 def _verdicts_digest() -> str:
     """SHA-256 over every verdict field whose bits do not depend on the BLAS
     kernel, on audit pools with one state in five scaled by 0.8: outcome,
@@ -113,11 +124,8 @@ def _verdicts_digest() -> str:
     LAPACK kernel and are left out."""
     digest = hashlib.sha256()
     for seed in VERDICT_SEEDS:
-        rng = np.random.default_rng(seed)
-        pool = [(0.8 if i % 5 == 4 else 1.0) * statezoo.mixed_physical_state(rng, i)
-                for i in range(VERDICT_POOL_SIZE)]
         for tol in VERDICT_TOLS:
-            for v in pool:
+            for v in _verdict_pool(seed):
                 verdict = classify(v, tol)
                 flags = " ".join(f"{name}={rep.satisfied}" for name, rep in verdict.reports.items())
                 digest.update(f"{verdict.outcome.value} {verdict.ensemble_used} "
@@ -188,3 +196,42 @@ def test_standard_form_goldens_match_their_digest():
     assert set(standard_form) == set(STANDARD_FORM_DOCS)
     text = json.dumps(standard_form, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == STANDARD_FORM_DIGEST
+
+
+#: The verdicts, by (seed, index) in the digested pools, that moved at tol 1e-3
+#: when every PSD test of a state came to be judged against its one tolerance
+#: scale s: Duan's flag (binding branch sigma = -1, now within -2 tol * s) or
+#: ensemble_used (V - I/2, now within -tol * s). Each moved toward satisfied,
+#: and no outcome or consistent flag moved; at tol 1e-10 nothing did.
+MOVED_AT_TOL_1E_3 = {
+    (7, 159): "duan",
+    (7, 251): "duan",
+    (7, 796): "ensemble_used",
+    (7, 1103): "duan",
+    (13, 887): "duan",
+    (13, 1967): "duan",
+    (31, 187): "duan",
+    (31, 266): "ensemble_used",
+    (31, 455): "duan",
+}
+
+
+def test_verdicts_moved_by_one_scale_per_state_lie_between_the_two_thresholds():
+    # Each moved margin lies at or above its new threshold and below the old
+    # one, -tol times the norm_scale of its own matrix.
+    tol = 1e-3
+    for (seed, index), moved in MOVED_AT_TOL_1E_3.items():
+        v = _verdict_pool(seed)[index]
+        verdict = classify(v, tol)
+        duan = verdict.reports["duan"]
+        assert duan.satisfied
+        s = float(norm_scale(v))
+        if moved == "duan":
+            assert verdict.ensemble_used == "zero" and duan.sign_branch == -1
+            m = np.array(_real_entries(v.tolist()))[_REAL_INDEX[1]]
+            lam, new = duan.margin, -2.0 * tol * s
+        else:
+            assert verdict.ensemble_used == "coherent_excess"
+            m = v - 0.5 * np.eye(4)
+            lam, new = float(np.linalg.eigvalsh(m)[0]), -tol * s
+        assert new <= lam < -tol * float(norm_scale(m))

@@ -63,10 +63,11 @@ class TestPWeight:
 
     @pytest.mark.parametrize("lam, at_unit_scale", [
         (-1e-7, NotPRepresentable), (0.0, BoundaryPRep), (1e-7, None)])
-    def test_decides_against_the_norm_scale_of_v_minus_half(self, lam, at_unit_scale):
-        # tol * norm_scale is 1e-4 here: an eigenvalue of V - I/2 within it
-        # is a boundary, as p_rep_ensemble accepts it; at unit scale the
-        # same eigenvalue is decided against 1e-10.
+    def test_decides_against_the_tol_scale_of_v(self, lam, at_unit_scale):
+        # tol times the tolerance scale of V is about 1e-4 here: an
+        # eigenvalue of V - I/2 within it is a boundary, as p_rep_ensemble
+        # accepts it; at unit scale the same eigenvalue is decided against
+        # about 1.5e-10.
         v = np.diag([lam, 1e6, 1e6, 1e6]) + 0.5 * np.eye(4)
         p_rep_ensemble(v)
         with pytest.raises(BoundaryPRep):
@@ -82,6 +83,19 @@ class TestPWeight:
         for call in (p_rep_ensemble, p_weight):
             with pytest.raises(OutOfDomain, match="row sum"):
                 call(np.full((4, 4), 5e307))
+
+    def test_eigensolver_failure_is_out_of_domain(self, monkeypatch):
+        # Both own eigh calls go through matkit.eigh, which words LAPACK's
+        # LinAlgError as OutOfDomain.
+        w = p_weight(np.eye(4))
+
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        for call in (lambda: p_weight(np.eye(4)), lambda: p_sample(w, 2, 0)):
+            with pytest.raises(OutOfDomain, match="did not converge"):
+                call()
 
     def test_entangled_state_rejected(self):
         with pytest.raises(NotPRepresentable):
