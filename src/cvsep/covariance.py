@@ -192,7 +192,7 @@ def partial_transpose(v) -> np.ndarray:
     return as_covariance(v) * _PT_SIGNS
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class StandardForm:
     """Standard-form parameters plus the local symplectic pair reaching them."""
 
@@ -207,8 +207,7 @@ class StandardForm:
         """a, b, c1 and c2 as the floats _standard_params reads."""
         a, b, c1, c2 = self.a, self.b, self.c1, self.c2
         if not type(a) is type(b) is type(c1) is type(c2) is float:
-            for name, x in zip(("a", "b", "c1", "c2"), _standard_params(a, b, c1, c2)):
-                object.__setattr__(self, name, x)
+            self.a, self.b, self.c1, self.c2 = _standard_params(a, b, c1, c2)
 
     @classmethod
     def from_params(cls, a: float, b: float, c1: float, c2: float) -> "StandardForm":

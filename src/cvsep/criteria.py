@@ -25,6 +25,11 @@ within -tol * s, the EPR matrices of Duan and weak_gap within -2 tol * s.
 Duan's smallest eigenvalue is at least twice Simon's, so every implication
 of the hierarchy holds at every tol. Only a caller's ensemble matrix goes
 through matkit.is_psd_herm, against its own norm_scale.
+
+The result records (Verdict, CriterionReport, ParamSet) are plain
+dataclasses, each owned by the call that built it: a caller's edits reach
+no later result. In a zero-ensemble verdict the stringent report is Simon's
+own record. The squeezing parameter types stay frozen value types.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .matkit import DEFAULT_TOL, decide_psd
 from .squeezing import _c1_bound, simon_bound  # noqa: F401 (simon_bound re-exported)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ParamSet:
     """Real coefficient pairs (d, f) and (g, h) of two quadrature combinations."""
 
@@ -74,7 +79,7 @@ class ParamSet:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class CriterionReport:
     """Outcome of one criterion.
 
@@ -96,7 +101,7 @@ class Outcome(enum.Enum):
     NONPHYSICAL = "nonphysical"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Verdict:
     """Classification outcome with per-criterion reports.
 
@@ -279,13 +284,6 @@ def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
                                       [2.0 * s, 2.0 * s], tol))
 
 
-#: The stringent report at the coherent-excess ensemble: V - (V - I/2) is I/2
-#: exactly (computed per state, it rounds once a diagonal entry reaches 2^53),
-#: so it is the report of I/2: margin 0.0, branches tied, no witness. Written
-#: out, so importing the package runs no eigensolver.
-_COHERENT_EXCESS_REPORT = CriterionReport(True, 0.0, None, 0)
-
-
 def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     """Classify a covariance matrix as nonphysical, entangled or separable.
 
@@ -319,7 +317,10 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     reports["duan"] = _branch_report(ok, lam, vec)
 
     if ok[2]:
-        ens_kind, stringent = "coherent_excess", _COHERENT_EXCESS_REPORT
+        # V - (V - I/2) is I/2 exactly (computed per state, it rounds once a
+        # diagonal entry reaches 2^53), so this is the report of I/2: margin
+        # 0.0, branches tied, no witness. Built per verdict, which owns it.
+        ens_kind, stringent = "coherent_excess", CriterionReport(True, 0.0, None, 0)
     else:  # V - 0 is V, so the zero-ensemble condition is Simon's criterion.
         ens_kind, stringent = "zero", simon
     reports["stringent"] = stringent

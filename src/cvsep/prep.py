@@ -41,7 +41,7 @@ def char_fn(v, lam) -> float:
     return value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class PWeight:
     """Gaussian weight sqrt(det P)/(4 pi^2) * exp(-z^T P z / 2) on phase space."""
 

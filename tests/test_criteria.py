@@ -297,6 +297,24 @@ class TestSimon:
             _, lam_pt = is_physical(partial_transpose(v))
             assert rep.margin == pytest.approx(min(lam_direct, lam_pt), abs=1e-12)
 
+    @pytest.mark.parametrize("c2, branch", [(1e-9, 1), (-1e-9, -1)])
+    def test_a_branch_lower_by_a_few_1e_10_binds(self, c2, branch):
+        # Nonphysical and almost uncorrelated in p: the two branches' smallest
+        # eigenvalues (about -0.0403) differ by 3.8e-10, past the 1e-12
+        # relative tie, so the lower one binds and gives the witness.
+        v = standard_matrix(1.0, 1.0, 0.8, c2)
+        matrices = v + _UNCERTAINTY_SHIFT
+        for rep in (simon_criterion(v), classify(v).reports["simon"]):
+            assert not rep.satisfied
+            assert rep.sign_branch == branch
+            w = rep.witness
+            x = np.concatenate([w.d, w.f]) + 1j * np.concatenate([w.g, w.h])
+            quotient = np.vdot(x, matrices[(1 - branch) // 2] @ x).real / np.vdot(x, x).real
+            assert quotient == pytest.approx(rep.margin, abs=1e-12)
+            # Only the sigma = -1 witness passes the physicality gap.
+            assert (gap_general(v, None, w) > 0.0) == (branch == -1)
+            assert gap_separable(v, None, w) < 0.0
+
 
 class TestSimonAlgebraic:
     def test_boundary_case_exact(self):
@@ -378,11 +396,13 @@ class TestDuan:
                 with pytest.raises(OutOfDomain, match="row sum"):
                     call(v)
 
-    @pytest.mark.parametrize("c2, branch", [(1e-15, 0), (-1e-15, 0), (1e-3, 1), (-1e-3, -1)])
+    @pytest.mark.parametrize("c2, branch", [(1e-15, 0), (-1e-15, 0), (1e-9, 1), (-1e-9, -1),
+                                            (1e-3, 1), (-1e-3, -1)])
     def test_witness_comes_from_the_plus_branch_unless_minus_binds(self, c2, branch):
         # Sub-vacuum blocks with correlations (1e-3, c2): the EPR branches
         # have smallest eigenvalues -0.2 - |1e-3 + sigma c2|, so c2 = -1e-15
-        # leaves sigma = -1 lower by 2e-15, inside the 1e-12 tie.
+        # leaves sigma = -1 lower by 2e-15, inside the 1e-12 tie, and
+        # c2 = -1e-9 lower by 2e-9, outside it.
         v = 0.4 * np.eye(4)
         v[0, 2] = v[2, 0] = 1e-3
         v[1, 3] = v[3, 1] = c2
@@ -423,6 +443,21 @@ class TestWeakGap:
     def test_rejects_a_sign_that_is_not_the_integer_plus_or_minus_one(self, sign):
         with pytest.raises(InvalidInput, match=r"sign branch must be \+1 or -1"):
             weak_gap(statezoo.vacuum(), None, sign)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3, 0.1])
+    @pytest.mark.parametrize("m", [0.5, 1.0])
+    def test_epr_margin_is_judged_at_twice_the_tolerance(self, tol, m):
+        # diag(n, n, m, m) has EPR margin 2n - 1 = -1.5 tol on both signs and
+        # tolerance scale 1: between -2 tol and -tol, so it passes only at
+        # Duan's 2 tol * s, as duan_criterion judges the same matrices.
+        v = np.diag([0.5 - 0.75 * tol, 0.5 - 0.75 * tol, m, m])
+        for sign in (1, -1):
+            for ens in (None, ZERO):
+                rep = weak_gap(v, ens, sign, tol)
+                assert -2.0 * tol <= rep.margin < -tol
+                assert (rep.satisfied, rep.witness, rep.sign_branch) == (True, None, sign)
+        assert duan_criterion(v, tol).satisfied
+        assert classify(v, tol).reports["duan"].satisfied
 
     def test_numpy_integer_signs_are_accepted(self):
         for sign in (np.int64(1), np.int32(-1)):
@@ -513,6 +548,22 @@ class TestVerdictInvariance:
                 assert classify(apply_symp(v, s1, s2)).outcome is outcome
 
 
+def _verdict_bits(verdict) -> tuple:
+    """Every field of a verdict, its reports' witnesses and its standard form
+    as bytes, so two verdicts compare bit for bit."""
+    def bits(x):
+        return None if x is None else np.asarray(x).tobytes()
+
+    reports = tuple(
+        (name, rep.satisfied, bits(rep.margin), rep.sign_branch,
+         None if rep.witness is None else tuple(bits(x) for x in vars(rep.witness).values()))
+        for name, rep in verdict.reports.items()
+    )
+    sf = verdict.standard_form
+    form = None if sf is None else tuple(bits(x) for x in vars(sf).values())
+    return verdict.outcome, verdict.ensemble_used, verdict.consistent, reports, form
+
+
 class TestClassify:
     def test_vacuum_separable(self):
         assert classify(statezoo.vacuum()).outcome is Outcome.SEPARABLE
@@ -564,16 +615,37 @@ class TestClassify:
 
     def test_coherent_excess_report_is_the_vacuum_report(self):
         # V - (V - I/2) is I/2 exactly, so the coherent-excess stringent
-        # report is one constant: that of the vacuum, at every tol.
-        rep = cvsep.criteria._COHERENT_EXCESS_REPORT
-        assert (rep.satisfied, rep.margin, rep.witness, rep.sign_branch) == (True, 0.0, None, 0)
+        # report is, field by field, that of the vacuum, at every tol.
+        verdicts = [classify(statezoo.thermal(1.0, 1.5), tol) for tol in (5e-324, 1e-10, 0.5)]
+        assert {verdict.ensemble_used for verdict in verdicts} == {"coherent_excess"}
         vac = stringent_criterion(0.5 * np.eye(4), ZERO, 5e-324)
-        assert (vac.satisfied, vac.witness, vac.sign_branch) == (True, None, 0)
-        assert np.float64(vac.margin).tobytes() == np.float64(0.0).tobytes()
-        for tol in (5e-324, 1e-10, 0.5):
-            verdict = classify(statezoo.thermal(1.0, 1.5), tol)
-            assert verdict.ensemble_used == "coherent_excess"
-            assert verdict.reports["stringent"] is rep
+        for rep in [vac] + [verdict.reports["stringent"] for verdict in verdicts]:
+            assert (rep.satisfied, rep.witness, rep.sign_branch) == (True, None, 0)
+            assert np.float64(rep.margin).tobytes() == np.float64(0.0).tobytes()
+
+    @pytest.mark.parametrize("v", [
+        statezoo.two_mode_squeezed(0.5),  # entangled: witnesses, zero ensemble
+        statezoo.thermal(1.0, 1.5),  # separable: coherent-excess ensemble
+        0.4 * np.eye(4),  # nonphysical: a physicality witness, no standard form
+    ])
+    def test_each_verdict_owns_its_records(self, v):
+        # Records are plain dataclasses, so a caller may edit them; nothing a
+        # caller edits may reach a later verdict of the same V.
+        verdict = classify(v)
+        before = _verdict_bits(verdict)
+        for rep in verdict.reports.values():
+            if rep.witness is not None:
+                for x in vars(rep.witness).values():
+                    x[...] = 99.0
+            rep.satisfied, rep.margin, rep.sign_branch = None, math.nan, 7
+            rep.witness = params([1, 0], [0, 1], [0, 1], [1, 0])
+        sf = verdict.standard_form
+        if sf is not None:
+            sf.s1[...] = sf.s2[...] = 99.0
+            sf.a = sf.b = sf.c1 = sf.c2 = math.nan
+        verdict.reports.clear()
+        verdict.outcome, verdict.ensemble_used, verdict.consistent = None, "edited", None
+        assert _verdict_bits(classify(v)) == before
 
     @pytest.mark.parametrize("n1", [2.0**53, 1e16 + 3, 2.0**60, 1e75])
     def test_huge_occupation_keeps_the_stringent_report_exact(self, n1):
