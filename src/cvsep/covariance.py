@@ -49,12 +49,18 @@ def symplectic_form(sign: int = 1) -> np.ndarray:
 _UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
 
 
+def _max_row_sum(rows: list) -> float:
+    """Largest absolute row sum of a 4x4 matrix given as rows of Python floats,
+    each sum taken left to right; inf, without a warning, past the float maximum."""
+    return max(abs(x0) + abs(x1) + abs(x2) + abs(x3) for x0, x1, x2, x3 in rows)
+
+
 def _tol_scale(rows: list) -> float:
     """s = max(1, largest absolute row sum of V), from the rows of Python floats
-    of a checked V: the one tolerance scale of every PSD test of the state.
-    Every matrix built from V has entries and row sums at most 2s + 1, so
-    OutOfDomain refuses V unless 2s is finite."""
-    s = max(1.0, *(abs(x0) + abs(x1) + abs(x2) + abs(x3) for x0, x1, x2, x3 in rows))
+    of a checked V: the one tolerance scale of every PSD test of the state,
+    a caller's ensemble matrix included. Every matrix built from V has entries
+    and row sums at most 2s + 1, so OutOfDomain refuses V unless 2s is finite."""
+    s = max(1.0, _max_row_sum(rows))
     if 2.0 * s == math.inf:  # Python floats overflow to inf without a warning
         raise OutOfDomain("PSD test: a row sum of the matrix overflows")
     return s
@@ -107,7 +113,8 @@ def as_covariance(v) -> np.ndarray:
     """The symmetric float matrix every criterion judges: v as is when it is
     exactly symmetric, else 0.5 * v + 0.5 * v^T, which cannot overflow where
     (v + v^T) / 2 can. Raises InvalidInput unless v is a finite 4x4 matrix
-    of real numbers (_as_real) with max |v - v^T| at most 1e-9 * norm_scale(v)."""
+    of real numbers (_as_real) with max |v - v^T| at most 1e-9 * max(1, largest
+    absolute row sum of v), the scale _tol_scale gives a checked V."""
     v = _as_real(v, "covariance")
     if v.shape != (4, 4) or not np.isfinite(v).all():
         raise InvalidInput("covariance must be a finite 4x4 matrix")
@@ -118,7 +125,7 @@ def as_covariance(v) -> np.ndarray:
     (_, v01, v02, v03), (v10, _, v12, v13), (v20, v21, _, v23), (v30, v31, v32, _) = v.tolist()
     asym = max(abs(v01 - v10), abs(v02 - v20), abs(v03 - v30),
                abs(v12 - v21), abs(v13 - v31), abs(v23 - v32))
-    if asym > 1e-9 and asym / 4 > 1e-9 * np.abs(v / 4).sum(axis=1).max():  # norm_scale >= 1
+    if asym > 1e-9 and asym / 4 > 1e-9 * _max_row_sum((v / 4).tolist()):  # asym > 1e-9: the floor 1
         raise InvalidInput(f"covariance asymmetry {asym:.3e} exceeds 1e-9 relative")
     return v if asym == 0.0 else 0.5 * v + 0.5 * v.T
 

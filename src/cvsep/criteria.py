@@ -19,12 +19,12 @@ every call. classify() makes two LAPACK calls: one complex stack for
 physicality and Simon, and one real stack holding Duan's two branches and
 the coherent excess V - I/2, whose PSD verdict is P-representability.
 
-Every matrix is decided by matkit.decide_psd against one scale per state,
-s = covariance._tol_scale(V): V - ens + (i/2) diag(J, sigma*J) and V - I/2
-within -tol * s, the EPR matrices of Duan and weak_gap within -2 tol * s.
-Duan's smallest eigenvalue is at least twice Simon's, so every implication
-of the hierarchy holds at every tol. Only a caller's ensemble matrix goes
-through matkit.is_psd_herm, against its own norm_scale.
+Every matrix of a call is decided by matkit.decide_psd against one scale,
+that of the state, s = covariance._tol_scale(V): a caller's ensemble matrix
+ens, V - ens + (i/2) diag(J, sigma*J) and V - I/2 within -tol * s, the EPR
+matrices of Duan and weak_gap within -2 tol * s. Duan's smallest eigenvalue
+is at least twice Simon's, so every implication of the hierarchy holds at
+every tol.
 
 The result records (Verdict, CriterionReport, ParamSet) are plain
 dataclasses, each owned by the call that built it: a caller's edits reach
@@ -186,31 +186,27 @@ def _branch_report(ok, lam, vec: np.ndarray) -> CriterionReport:
     return CriterionReport(satisfied, plus if binding == 1 else minus, witness, branch)
 
 
-def _as_ensemble(ens, tol: float) -> np.ndarray:
-    """as_covariance(ens), which must also be PSD within tol."""
-    ens = as_covariance(ens)
-    if not matkit.is_psd_herm(ens, tol)[0]:
-        raise InvalidEnsembleMatrix("ensemble matrix must be positive semidefinite")
-    return ens
-
-
-def _finite(m: np.ndarray) -> np.ndarray:
-    """m, a 4x4 matrix computed from V and an ensemble matrix; OutOfDomain
-    unless its entries are finite and _tol_scale accepts it as it accepts V."""
+def _difference(m: np.ndarray, ens: np.ndarray, s: float, tol: float) -> np.ndarray:
+    """m, a 4x4 matrix computed from V and ens, a caller's ensemble matrix that
+    passed as_covariance: OutOfDomain unless m's entries are finite and
+    _tol_scale accepts m as it accepts V, then InvalidEnsembleMatrix unless
+    ens is PSD within -tol * s, s = _tol_scale(V), as every matrix of the call."""
     if not np.isfinite(m).all():
         raise OutOfDomain("an entry computed from finite input overflows "
                           "(PSD test needs finite entries)")
     _tol_scale(m.tolist())
+    if not decide_psd(ens[None], [s], tol)[0][0]:
+        raise InvalidEnsembleMatrix("ensemble matrix must be positive semidefinite")
     return m
 
 
 def _uncertainty_report(v: np.ndarray, ens, tol: float) -> CriterionReport:
     """Report of V - ens + (i/2) diag(J, sigma*J) PSD for both sigma, each
-    within -tol * _tol_scale(V); ens is a checked ensemble matrix or None."""
+    within -tol * _tol_scale(V); ens is None or passed as_covariance."""
     s = _tol_scale(v.tolist())
     if ens is not None:
         with np.errstate(over="ignore"):  # an inf entry is refused as OutOfDomain
-            v = _finite(v - ens)
+            v = _difference(v - ens, ens, s, tol)
     return _branch_report(*decide_psd(v + _UNCERTAINTY_SHIFT, [s, s], tol))
 
 
@@ -226,9 +222,10 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     some decomposition of the state.
 
     Implies Simon's criterion for every admissible ens and reduces to it at
-    ens = 0. Both v and ens must pass as_covariance, and ens must be PSD.
+    ens = 0. Both v and ens must pass as_covariance, and ens must be PSD
+    within -tol * _tol_scale(V).
     """
-    return _uncertainty_report(as_covariance(v), _as_ensemble(ens, tol), matkit.check_tol(tol))
+    return _uncertainty_report(as_covariance(v), as_covariance(ens), matkit.check_tol(tol))
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -260,17 +257,18 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     """
     if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
         raise InvalidInput("sign branch must be +1 or -1")
-    ens = None if ens is None else _as_ensemble(ens, tol)
+    ens = None if ens is None else as_covariance(ens)
     rows = as_covariance(v).tolist()
     tol = matkit.check_tol(tol)
-    scale = 2.0 * _tol_scale(rows)
+    s = _tol_scale(rows)
     entries = _epr_entries(rows, 0.0)
     if ens is not None:  # Python floats overflow to inf, and inf - inf is nan
         entries = [x - y for x, y in zip(entries, _epr_entries(ens.tolist(), 0.0))]
     entries[1:3] = entries[1] - 1.0, entries[2] - 1.0
     k = (1 - sign) // 2
     m = np.array(entries)[_REAL_INDEX[k]]
-    ok, lam, vec = decide_psd((m if ens is None else _finite(m))[None], [scale], tol)
+    ok, lam, vec = decide_psd((m if ens is None else _difference(m, ens, s, tol))[None],
+                              [2.0 * s], tol)
     return CriterionReport(ok[0], lam[0], None if ok[0] else _witness(vec[0], sign), sign)
 
 

@@ -1,9 +1,9 @@
 """Dense kernels for the small symmetric and Hermitian matrices used throughout.
 
 One kernel, decide_psd, makes every positive-semidefinite decision: one eigh
-call per stack, then each smallest eigenvalue against -tol times a float scale:
-the state's one tolerance scale (covariance module), or in is_psd_herm, the
-front end for any array, each matrix's own norm_scale.
+call per stack, then each smallest eigenvalue against -tol times a float scale,
+the one tolerance scale of the state the matrix was built from or checked
+against (covariance._tol_scale).
 The 2x2 rotation SVD and every 2x2 product of a local symplectic are
 closed-form, on Python floats, so their bits do not depend on the BLAS kernel;
 clear conventions matter more than speed.
@@ -82,11 +82,6 @@ def _check_count_and_seed(n, seed, caller: str) -> tuple[int, int]:
     return n, _check_seed(seed, caller)
 
 
-def norm_scale(m: np.ndarray):
-    """Tolerance scale max(1, max absolute row sum), per matrix of a stack (..., n, n)."""
-    return np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
-
-
 def eigh(stack: np.ndarray):
     """np.linalg.eigh, or OutOfDomain where LAPACK does not converge, as on some
     finite matrices with entries near the float maximum."""
@@ -104,37 +99,6 @@ def decide_psd(stack: np.ndarray, scales: list, tol: float):
     values, vectors = eigh(stack)
     lam = values[:, 0].tolist()
     return [x >= -tol * s for x, s in zip(lam, scales)], lam, vectors[..., 0]
-
-
-def is_psd_herm(h, tol: float = DEFAULT_TOL):
-    """decide_psd of a Hermitian or real symmetric matrix, or of a stack
-    (..., n, n) with arrays of its shape: (verdict, smallest eigenvalue, its
-    eigenvector), against tol times the matrix's own norm_scale. Raises
-    InvalidInput on a non-finite entry and OutOfDomain on an overflowing row sum."""
-    tol = check_tol(tol)
-    h = np.asarray(h)
-    if not np.isfinite(h).all():
-        raise InvalidInput("PSD test needs finite entries")
-    with np.errstate(over="ignore"):  # a row sum past the float maximum is inf
-        scales = norm_scale(h)
-    if not np.isfinite(scales).all():
-        raise OutOfDomain("PSD test: a row sum of the matrix overflows")
-    n = h.shape[-1]
-    ok, lam, vec = decide_psd(h.reshape(-1, n, n), scales.ravel().tolist(), tol)
-    if h.ndim == 2:
-        return ok[0], lam[0], vec[0]
-    shape = h.shape[:-2]
-    return np.array(ok).reshape(shape), np.array(lam).reshape(shape), vec.reshape(*shape, n)
-
-
-def real_embedding(h) -> np.ndarray:
-    """Real symmetric embedding [[X, -Y], [Y, X]] of a Hermitian X + iY.
-
-    Its spectrum is the Hermitian spectrum with every eigenvalue doubled,
-    which the test suite uses to cross-check is_psd_herm, stacked or not.
-    """
-    h = np.asarray(h, dtype=complex)
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
 def _rotation_rows(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from cvsep.errors import OutOfDomain
+from cvsep.matkit import DEFAULT_TOL
+
 
 def random_symmetric(rng, scale=1.0):
     m = rng.standard_normal((4, 4)) * scale
@@ -35,3 +38,33 @@ def no_convergence_matrix():
         513.9730398628325,
     ]
     return v
+
+
+def row_sum_scale(m):
+    """max(1, largest absolute row sum) of m, per matrix of a stack (..., n, n),
+    from numpy's own sums: the reference for covariance._tol_scale."""
+    return np.maximum(1.0, np.abs(m).sum(axis=-1).max(axis=-1))
+
+
+def reference_psd(m, bound):
+    """(smallest eigenvalue >= bound, that eigenvalue, its eigenvector) of one
+    matrix from np.linalg.eigh alone, or the refusal of a solve that does not
+    converge."""
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        raise OutOfDomain("did not converge") from None
+    return bool(values[0] >= bound), float(values[0]), vectors[:, 0]
+
+
+def is_psd(m, tol=DEFAULT_TOL):
+    """Whether the smallest eigenvalue of m is at least -tol times its own
+    row_sum_scale (reference_psd)."""
+    return reference_psd(m, -tol * float(row_sum_scale(m)))[0]
+
+
+def real_embedding(h):
+    """Real symmetric embedding [[X, -Y], [Y, X]] of a Hermitian X + iY, whose
+    spectrum is the Hermitian spectrum with every eigenvalue doubled."""
+    h = np.asarray(h, dtype=complex)
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])

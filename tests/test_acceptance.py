@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import is_psd
 from cvsep import statezoo
 from cvsep.audit import run_audit
 from cvsep.covariance import (
@@ -27,7 +28,6 @@ from cvsep.criteria import (
     simon_criterion,
 )
 from cvsep.errors import NotPRepresentable
-from cvsep.matkit import is_psd_herm
 from cvsep.prep import p_moment_residual, p_sample, p_weight
 from cvsep.squeezing import (
     duan_bound_at,
@@ -181,7 +181,7 @@ def test_criterion_06_symplectic_invariance():
     # P-representability is not invariant: squeezing one mode of a unit
     # thermal state pushes a momentum variance below the vacuum floor.
     v = np.eye(4)
-    assert is_psd_herm(p_rep_ensemble(v))[0]
+    assert is_psd(p_rep_ensemble(v))
     v_squeezed = apply_symp(v, np.diag([2.0, 0.5]), np.eye(2))
     with pytest.raises(NotPRepresentable):
         p_rep_ensemble(v_squeezed)

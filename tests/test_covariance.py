@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_symmetric, rotation, squeezed_symp
+from conftest import is_psd, random_symmetric, rotation, squeezed_symp
 import cvsep
 from cvsep import cli, statezoo
 from cvsep.covariance import (
@@ -35,7 +35,6 @@ from cvsep.errors import (
     NotPRepresentable,
     OutOfDomain,
 )
-from cvsep.matkit import is_psd_herm
 
 
 def det2(m):
@@ -306,7 +305,7 @@ class TestEnsembleMatrix:
                 total = 1.0
             w /= total
             devs = rng.standard_normal((k, 4)) * rng.uniform(0.1, 3.0)
-            assert is_psd_herm(ensemble_matrix(w, devs))[0]
+            assert is_psd(ensemble_matrix(w, devs))
 
     def test_invalid_ensembles_rejected(self):
         with pytest.raises(InvalidEnsemble):
@@ -354,7 +353,7 @@ def test_standard_form_t_ratio():
     [(1.0, 5e-10, True), (1.0, 2e-9, False), (1e4, 5e-6, True), (1e4, 2e-5, False)],
 )
 def test_as_covariance_asymmetry_bound_is_relative(scale, skew, accepted):
-    # The bound is 1e-9 * norm_scale(v), and norm_scale(scale * I) = max(1, scale).
+    # The bound is 1e-9 * max(1, largest absolute row sum of v), max(1, scale) here.
     v = scale * np.eye(4)
     v[0, 1] += skew
     if accepted:  # averaged, as the CLI averages it

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import no_convergence_matrix, squeezed_symp
+from conftest import no_convergence_matrix, reference_psd, row_sum_scale, squeezed_symp
 import cvsep
 import cvsep.covariance
 import cvsep.criteria
@@ -58,7 +58,7 @@ from cvsep.covariance import (
     _real_entries,
     _tol_scale,
 )
-from cvsep.matkit import DEFAULT_TOL, norm_scale
+from cvsep.matkit import DEFAULT_TOL
 
 
 def params(d, f, g, h):
@@ -97,19 +97,10 @@ BAD_MATRICES = [
 ]
 
 
-class _LinalgCalls(list):
-    """Names of the np.linalg functions called, in order; is_psd_herm counts
-    the calls to matkit.is_psd_herm, the PSD kernel's front end for any array,
-    which runs one of them."""
-
-    is_psd_herm = 0
-
-
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Names of the np.linalg functions called while the test runs, in order,
-    with the count of matkit.is_psd_herm calls among them (_LinalgCalls)."""
-    calls = _LinalgCalls()
+    """Names of the np.linalg functions called while the test runs, in order."""
+    calls = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -122,13 +113,6 @@ def linalg_calls(monkeypatch):
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counting(name, fn))
-    kernel = cvsep.matkit.is_psd_herm
-
-    def counting_kernel(*args, **kwargs):
-        calls.is_psd_herm += 1
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(cvsep.matkit, "is_psd_herm", counting_kernel)
     return calls
 
 
@@ -235,6 +219,40 @@ class TestStringent:
 
     @pytest.mark.parametrize("call", [
         stringent_criterion,
+        lambda v, ens: weak_gap(v, ens, 1),
+    ], ids=["stringent", "weak_gap_plus"])
+    def test_ensemble_is_judged_against_the_scale_of_the_state(self, call):
+        # Against its own row sum, diag(1e6, 1e6, 1e6, -5e-5) was accepted
+        # beside the vacuum (scale 1), which then read violated at margin
+        # about -1e6, and diag(0.1, 0.1, 0.1, -1e-6) was refused beside
+        # thermal(1e6, 1e6) (scale about 1e6), which now reads satisfied.
+        with pytest.raises(InvalidEnsembleMatrix):
+            call(statezoo.vacuum(), np.diag([1e6, 1e6, 1e6, -5e-5]))
+        rep = call(statezoo.thermal(1e6, 1e6), np.diag([0.1, 0.1, 0.1, -1e-6]))
+        assert rep.satisfied and rep.witness is None
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3, 0.1])
+    @pytest.mark.parametrize("call", [
+        stringent_criterion,
+        lambda v, ens, tol: weak_gap(v, ens, 1, tol),
+        lambda v, ens, tol: weak_gap(v, ens, -1, tol),
+    ], ids=["stringent", "weak_gap_plus", "weak_gap_minus"])
+    @pytest.mark.parametrize("v", [statezoo.vacuum(), statezoo.thermal(1e6, 1e6)],
+                             ids=["scale_1", "scale_1e6"])
+    def test_ensemble_passes_at_tol_times_the_scale_of_the_state(self, v, call, tol):
+        # An ensemble eigenvalue of -0.5 tol * s passes and one of -1.5 tol * s,
+        # between -2 tol * s and -tol * s, is refused, unlike Duan's EPR
+        # matrices; s = _tol_scale(V) is 1 for the vacuum and 1e6 + 0.5 for
+        # thermal(1e6, 1e6), so the state's scale, not 1, decides.
+        s = _tol_scale(v.tolist())
+        ens = np.diag([0.0, 0.0, 0.0, -0.5 * tol * s])
+        assert call(v, ens, tol).satisfied
+        ens[3, 3] = -1.5 * tol * s
+        with pytest.raises(InvalidEnsembleMatrix):
+            call(v, ens, tol)
+
+    @pytest.mark.parametrize("call", [
+        stringent_criterion,
         lambda v, ens, tol=DEFAULT_TOL: weak_gap(v, ens, 1, tol),
         lambda v, ens, tol=DEFAULT_TOL: weak_gap(v, ens, -1, tol),
     ], ids=["stringent", "weak_gap_plus", "weak_gap_minus"])
@@ -266,6 +284,15 @@ class TestStringent:
             warnings.simplefilter("error")
             with pytest.raises(OutOfDomain, match="finite entries"):
                 call(v, ens)
+        # The ensemble is decided after the difference: an indefinite one
+        # (eigenvalue -1e300, below -tol * s = -8e297) whose difference with
+        # V overflows is OutOfDomain too, not InvalidEnsembleMatrix.
+        ens[3, 3] = -1e300
+        with pytest.raises(OutOfDomain, match="finite entries"):
+            call(v, ens)
+        ens[0, 0] = 0.0
+        with pytest.raises(InvalidEnsembleMatrix):
+            call(v, ens)
 
 
 class TestSimon:
@@ -717,17 +744,17 @@ class TestClassify:
         assert linalg_calls == ["eigh", "eigh"]
 
     @pytest.mark.parametrize(
-        "call, eigh_calls, kernel_calls",
+        "call, eigh_calls",
         [
-            (classify, 2, 0),
-            (simon_criterion, 1, 0),
-            (duan_criterion, 1, 0),
-            (is_physical, 1, 0),
-            (p_rep_ensemble, 1, 0),
-            (p_weight, 1, 0),
-            (lambda v: weak_gap(v, 0.1 * np.eye(4), -1), 2, 1),
-            # The ensemble check goes through the front end: the count counts.
-            (lambda v: stringent_criterion(v, 0.1 * np.eye(4)), 2, 1),
+            (classify, 2),
+            (simon_criterion, 1),
+            (duan_criterion, 1),
+            (is_physical, 1),
+            (p_rep_ensemble, 1),
+            (p_weight, 1),
+            # One eigh call decides the caller's ensemble matrix, one the stack.
+            (lambda v: weak_gap(v, 0.1 * np.eye(4), -1), 2),
+            (lambda v: stringent_criterion(v, 0.1 * np.eye(4)), 2),
         ],
         ids=["classify", "simon_criterion", "duan_criterion", "is_physical",
              "p_rep_ensemble", "p_weight", "weak_gap_ens", "stringent_ens"],
@@ -742,17 +769,14 @@ class TestClassify:
         ],
         ids=["separable", "p_representable", "entangled", "nonphysical"],
     )
-    def test_decides_its_stacks_without_is_psd_herm(
-        self, linalg_calls, call, eigh_calls, kernel_calls, v
-    ):
-        # Every criterion reads its tolerance scales off V's entries and
-        # hands its stack to matkit.decide_psd, one eigh call per stack;
-        # p_weight decides from its own full eigendecomposition. Only a
-        # caller's ensemble matrix goes through the is_psd_herm front end.
+    def test_makes_one_eigh_call_per_stack(self, linalg_calls, call, eigh_calls, v):
+        # Every criterion reads its tolerance scale off V's entries and hands
+        # each stack, a caller's ensemble matrix included, to
+        # matkit.decide_psd, one eigh call per stack; p_weight decides from
+        # its own full eigendecomposition.
         with contextlib.suppress(NotPRepresentable):  # V - I/2 indefinite
             call(v)
         assert linalg_calls == ["eigh"] * eigh_calls
-        assert linalg_calls.is_psd_herm == kernel_calls
 
     def test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria(self):
         # The real stack decides P-representability and Duan together; each
@@ -829,6 +853,32 @@ class TestClassify:
             margin = verdict.reports["p_rep_bound"].margin
             assert np.float64(margin).tobytes() == np.float64(bound - abs(sf.c1)).tobytes()
 
+    @staticmethod
+    def _locally_squeezed_thermal_two_mode_squeezed(n):
+        """two_mode_squeezed(r) + n I under the local pair diag(x, 1/x),
+        diag(y, 1/y): tolerance scale about 3.13, entangled below n of about
+        0.1324007."""
+        x, y = 1.9788139672173568, 1.8017493360094594
+        v = statezoo.two_mode_squeezed(0.15380737517637963) + n * np.eye(4)
+        return apply_symp(v, np.diag([x, 1.0 / x]), np.diag([y, 1.0 / y]))
+
+    @pytest.mark.parametrize("n, tol, consistent", [
+        (0.13240045231886344, 1.7012581665586314e-07, False),
+        (0.132400742789921, 3e-9, True),
+    ], ids=["margins_past_1e-8", "margins_within_1e-8"])
+    def test_consistent_allows_a_disagreement_only_within_1e_8(self, n, tol, consistent):
+        # Simon passes at -tol * s, the p_rep_bound margin at -tol, so both
+        # states are ENTANGLED with Simon satisfied. The first has margins
+        # -1.55e-7 and -2.98e-7, so its disagreement is no tie; the second
+        # -4.1e-9 and -8.0e-9, a tie within 1e-8.
+        v = self._locally_squeezed_thermal_two_mode_squeezed(n)
+        verdict = classify(v, tol)
+        simon, bound = verdict.reports["simon"], verdict.reports["p_rep_bound"]
+        assert verdict.outcome is Outcome.ENTANGLED and simon.satisfied
+        assert bound.margin < -tol and -tol * _tol_scale(v.tolist()) <= simon.margin < 0.0
+        assert (max(abs(bound.margin), abs(simon.margin)) <= 1e-8) is consistent
+        assert verdict.consistent is consistent
+
     def test_consistent_on_mixed_pool(self):
         rng = np.random.default_rng(37)
         for i in range(2000):
@@ -860,11 +910,12 @@ def _nested_real_stack(v):
 
 
 def _nested_weak_gap(v, ens, sign, tol):
-    """weak_gap's report from the nested-list EPR matrices."""
-    m = np.array(_nested_epr(as_covariance(v).tolist(), sign))
+    """weak_gap's report from the nested-list EPR matrices, for a PSD ens."""
+    v = as_covariance(v)
+    m = np.array(_nested_epr(v.tolist(), sign))
     if ens is not None:
         m = m - np.array(_nested_epr(as_covariance(ens).tolist(), sign))
-    ok, lam, vec = cvsep.matkit.is_psd_herm(m - np.eye(4), tol)
+    ok, lam, vec = reference_psd(m - np.eye(4), -2.0 * tol * float(row_sum_scale(v)))
     return cvsep.criteria.CriterionReport(
         ok, lam, None if ok else cvsep.criteria._witness(vec, sign), sign)
 
@@ -891,7 +942,9 @@ def test_real_stack_and_epr_reports_match_the_nested_lists_bitwise(seed):
         assert _real_stack(v).tobytes() == expected.tobytes()
         if i % 8:
             continue
-        duan = cvsep.criteria._branch_report(*cvsep.matkit.is_psd_herm(expected[:2], DEFAULT_TOL))
+        bound = -2.0 * DEFAULT_TOL * float(row_sum_scale(v))
+        ok, lam, vec = zip(*(reference_psd(m, bound) for m in expected[:2]))
+        duan = cvsep.criteria._branch_report(list(ok), list(lam), np.array(vec))
         assert _bits(duan_criterion(v)) == _bits(duan)
         g = 0.3 * erng.standard_normal((4, 4))
         for ens in (None, g @ g.T):
@@ -945,6 +998,7 @@ def _symmetric(upper):
 @settings(max_examples=400)
 @example([1.7e308, 0.0, 0.0, 0.0, 1.7e308, 0.0, 0.0, 1.0, 0.0, 1.0])  # refused
 @example([4.4e307, 0.0, 4.4e307, 0.0, 4.4e307, 0.0, 4.4e307, 1.0, 0.0, 1.0])  # EPR rows 2s
+@example([2.0, 2.0**-52, 2.0**-52, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # sums left to right
 @given(st.lists(_ENTRIES, min_size=10, max_size=10))
 def test_every_matrix_built_from_an_accepted_v_is_finite(upper):
     # _tol_scale accepts V exactly when 2s is finite, and then the Hermitian
@@ -953,7 +1007,7 @@ def test_every_matrix_built_from_an_accepted_v_is_finite(upper):
     v = _symmetric(upper)
     rows = v.tolist()
     with np.errstate(over="ignore"):
-        s = float(norm_scale(v))
+        s = float(row_sum_scale(v))
         if not math.isfinite(2.0 * s):
             with pytest.raises(OutOfDomain, match="row sum"):
                 _tol_scale(rows)
@@ -961,14 +1015,14 @@ def test_every_matrix_built_from_an_accepted_v_is_finite(upper):
         assert _tol_scale(rows) == s
         epr = np.array(cvsep.covariance._epr_entries(rows, 0.0))[_REAL_INDEX[:2]] - np.eye(4)
         for m in (v + _UNCERTAINTY_SHIFT, _real_stack(v), epr):
-            assert np.isfinite(m).all() and np.isfinite(norm_scale(m)).all()
+            assert np.isfinite(m).all() and np.isfinite(row_sum_scale(m)).all()
 
 
 def _reference_scale(v):
-    """norm_scale of v, the one tolerance scale of all its PSD tests, or the
+    """row_sum_scale of v, the one tolerance scale of all its PSD tests, or the
     refusal of a v whose twice that overflows."""
     with np.errstate(over="ignore"):  # a row sum past the float maximum is inf
-        scale = float(norm_scale(v))
+        scale = float(row_sum_scale(v))
     if not math.isfinite(2.0 * scale):
         raise OutOfDomain("row sum")
     return scale
@@ -976,50 +1030,46 @@ def _reference_scale(v):
 
 def _reference_difference(m):
     """m, a matrix computed from v and an ensemble matrix, or the refusal of a
-    non-finite entry or of an m whose twice norm_scale overflows."""
+    non-finite entry or of an m whose twice row_sum_scale overflows."""
     if not np.isfinite(m).all():
         raise OutOfDomain("finite entries")
     _reference_scale(m)
     return m
 
 
-def _reference_psd(m, bound):
-    """(smallest eigenvalue >= bound, that eigenvalue, its eigenvector) of one
-    matrix from np.linalg.eigh alone, or the refusal of a solve that does not
-    converge."""
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError:
-        raise OutOfDomain("did not converge") from None
-    return bool(values[0] >= bound), float(values[0]), vectors[:, 0]
-
-
 def _reference_results(v, ens, tol):
     """is_physical, p_rep_ensemble, simon_criterion, duan_criterion,
     stringent_criterion at ens and weak_gap (both signs, at None and ens) of
-    v, each from _reference_psd of the matrix it decides, built entry by
+    v, each from reference_psd of the matrix it decides, built entry by
     entry, against -tol * s, or -2 tol * s for the EPR matrices, with s the
-    _reference_scale of v."""
+    _reference_scale of v. An ensemble matrix, once its difference with v is
+    accepted, is judged against -tol * s too."""
     def uncertainty(m, sign):
         return m + 0.5j * cvsep.covariance.symplectic_form(sign)
 
     def branches(ms, bound):
-        ok, lam, vec = zip(*(_reference_psd(m, bound) for m in ms))
+        ok, lam, vec = zip(*(reference_psd(m, bound) for m in ms))
         return cvsep.criteria._branch_report(list(ok), list(lam), np.array(vec))
 
     def physical():
-        ok, lam, _ = _reference_psd(uncertainty(v, 1), -tol * _reference_scale(v))
+        ok, lam, _ = reference_psd(uncertainty(v, 1), -tol * _reference_scale(v))
         return ok, lam
 
+    def ensemble(e, m):
+        """m, once e is PSD within -tol * s; decided after m, as the criteria do."""
+        if not reference_psd(e, -tol * _reference_scale(v))[0]:
+            raise InvalidEnsembleMatrix("ensemble matrix must be positive semidefinite")
+        return m
+
     def p_rep():
-        if not _reference_psd(v - 0.5 * np.eye(4), -tol * _reference_scale(v))[0]:
+        if not reference_psd(v - 0.5 * np.eye(4), -tol * _reference_scale(v))[0]:
             raise NotPRepresentable("V - I/2 has a negative eigenvalue")
         return v - 0.5 * np.eye(4)
 
     def stringent(e):
         bound = -tol * _reference_scale(v)
         with np.errstate(over="ignore"):
-            excess = _reference_difference(v - e)
+            excess = ensemble(e, _reference_difference(v - e))
         return branches([uncertainty(excess, 1), uncertainty(excess, -1)], bound)
 
     def epr(e, sign):
@@ -1028,7 +1078,7 @@ def _reference_results(v, ens, tol):
             return m - np.eye(4)
         with np.errstate(over="ignore", invalid="ignore"):
             m = m - np.array(_nested_epr(e.tolist(), sign))
-        return _reference_difference(m - np.eye(4))
+        return ensemble(e, _reference_difference(m - np.eye(4)))
 
     def duan():
         bound = -2.0 * tol * _reference_scale(v)
@@ -1036,7 +1086,7 @@ def _reference_results(v, ens, tol):
 
     def weak(e, sign):
         bound = -2.0 * tol * _reference_scale(v)
-        ok, lam, vec = _reference_psd(epr(e, sign), bound)
+        ok, lam, vec = reference_psd(epr(e, sign), bound)
         return cvsep.criteria.CriterionReport(
             ok, lam, None if ok else cvsep.criteria._witness(vec, sign), sign)
 
@@ -1051,7 +1101,7 @@ def _typed_bits(call):
     converge on entries near the float maximum; both sides refuse then."""
     try:
         out = call()
-    except (NotPRepresentable, OutOfDomain) as exc:
+    except (InvalidEnsembleMatrix, NotPRepresentable, OutOfDomain) as exc:
         return type(exc).__name__, "finite entries" in str(exc), "row sum" in str(exc)
     fields = vars(out).values() if dataclasses.is_dataclass(out) else out
     return _bits(out), tuple(type(x).__name__ for x in fields)
@@ -1080,10 +1130,10 @@ def _assert_kernel_matches_reference(v, ens, tol=DEFAULT_TOL):
 @settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([1.0, 0.8]),
        st.integers(-30, 150), st.sampled_from([1e-10, 1e-3]))
-def test_kernel_criteria_match_a_norm_scale_and_eigh_reference(seed, index, factor, k, tol):
+def test_kernel_criteria_match_a_row_sum_and_eigh_reference(seed, index, factor, k, tol):
     # Every criterion decides through matkit.decide_psd against the one
     # tolerance scale read off V's floats; each must be what one eigh call
-    # per matrix and norm_scale of V give.
+    # per matrix and row_sum_scale of V give.
     rng = np.random.default_rng(seed)
     v = factor * mixed_physical_state(rng, index)
     # A random ensemble below the coherent excess, drawn as the audit draws it.
@@ -1101,15 +1151,18 @@ def test_kernel_criteria_match_a_norm_scale_and_eigh_reference(seed, index, fact
 @example([5e307, 0.0, 0.0, 0.0, 5e307, 0.0, 0.0, 1.0, 0.0, 1.0],
          [1.7e308, 1.7e308, 0.0, 0.0])  # tr A - tr A_ens is 1e308 - inf
 @example([-0.0, -0.0, -0.0, 0.0, 0.5, -0.0, 0.0, 0.5, -0.0, 5e-324], [0.0, 5e-324, 0.0, 0.5])
+@example([0.5 - 1.5e-7, 0.0, 0.0, 0.0, 0.5 - 1.5e-7, 0.0, 0.0, 1e3, 0.0, 1e3],
+         [0.0, 0.0, 0.0, 0.0])  # physicality eigenvalue -1.5 tol * s
 @given(st.lists(_ENTRIES, min_size=10, max_size=10),
        st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 0.5]), st.floats(0.0, 10.0),
-                          st.floats(1e307, sys.float_info.max)), min_size=4, max_size=4))
+                          st.floats(1e307, sys.float_info.max), st.floats(-1e-8, 0.0)),
+                min_size=4, max_size=4))
 def test_kernel_criteria_match_the_reference_on_extreme_entries(upper, diagonal):
     # Signed zeros, subnormals and entries near 1e308, against an ensemble
-    # diag(e) with entries as large: a V whose twice tolerance scale
-    # overflows, an overflowed entry or row sum of V - ens or of its EPR
-    # matrix and a solve that does not converge are refused as the reference
-    # refuses them.
+    # diag(e) with entries as large, or slightly negative: a V whose twice
+    # tolerance scale overflows, an overflowed entry or row sum of V - ens or
+    # of its EPR matrix, a solve that does not converge and an ensemble below
+    # -tol times V's scale are refused as the reference refuses them.
     _assert_kernel_matches_reference(_symmetric(upper), np.diag(diagonal))
 
 

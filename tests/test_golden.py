@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import row_sum_scale
 from cvsep import statezoo
 from cvsep.cli import main
 from cvsep.criteria import classify
 from cvsep.covariance import _REAL_INDEX, _real_entries, apply_symp
-from cvsep.matkit import norm_scale
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -218,14 +218,14 @@ MOVED_AT_TOL_1E_3 = {
 
 def test_verdicts_moved_by_one_scale_per_state_lie_between_the_two_thresholds():
     # Each moved margin lies at or above its new threshold and below the old
-    # one, -tol times the norm_scale of its own matrix.
+    # one, -tol times the row_sum_scale of its own matrix.
     tol = 1e-3
     for (seed, index), moved in MOVED_AT_TOL_1E_3.items():
         v = _verdict_pool(seed)[index]
         verdict = classify(v, tol)
         duan = verdict.reports["duan"]
         assert duan.satisfied
-        s = float(norm_scale(v))
+        s = float(row_sum_scale(v))
         if moved == "duan":
             assert verdict.ensemble_used == "zero" and duan.sign_branch == -1
             m = np.array(_real_entries(v.tolist()))[_REAL_INDEX[1]]
@@ -234,4 +234,4 @@ def test_verdicts_moved_by_one_scale_per_state_lie_between_the_two_thresholds():
             assert verdict.ensemble_used == "coherent_excess"
             m = v - 0.5 * np.eye(4)
             lam, new = float(np.linalg.eigvalsh(m)[0]), -tol * s
-        assert new <= lam < -tol * float(norm_scale(m))
+        assert new <= lam < -tol * float(row_sum_scale(m))

@@ -6,99 +6,85 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import real_embedding, row_sum_scale
 from cvsep import statezoo, symplectic_form
 from cvsep.covariance import _REAL_INDEX, _UNCERTAINTY_SHIFT, _real_entries
-from cvsep.errors import InvalidInput, OutOfDomain
+from cvsep.errors import InvalidInput
 from cvsep.matkit import (
     DEFAULT_TOL,
     _check_real,
     check_tol,
-    is_psd_herm,
-    norm_scale,
-    real_embedding,
+    decide_psd,
     svd2_rotations,
 )
 
 
-def test_is_psd_herm_cases():
-    assert is_psd_herm(np.eye(4))[0]
-    assert not is_psd_herm(np.diag([1.0, -1.0, 1.0, 1.0]))[0]
-    assert is_psd_herm(np.zeros((4, 4)))[0]
+def decide_one(h):
+    """decide_psd of one matrix against scale 1: (verdict, smallest eigenvalue,
+    its eigenvector)."""
+    ok, lam, vec = decide_psd(np.asarray(h)[None], [1.0], DEFAULT_TOL)
+    return ok[0], lam[0], vec[0]
 
 
-def test_is_psd_herm_real_identity():
-    ok, lam, vec = is_psd_herm(np.eye(4))
+def test_decide_psd_cases():
+    stack = np.stack([np.eye(4), np.diag([1.0, -1.0, 1.0, 1.0]), np.zeros((4, 4))])
+    assert decide_psd(stack, [1.0, 1.0, 1.0], DEFAULT_TOL)[0] == [True, False, True]
+
+
+def test_decide_psd_real_identity():
+    ok, lam, vec = decide_one(np.eye(4))
     assert ok
     assert lam == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_is_psd_herm_identity():
-    ok, lam, vec = is_psd_herm(np.eye(4, dtype=complex))
+def test_decide_psd_identity():
+    ok, lam, vec = decide_one(np.eye(4, dtype=complex))
     assert ok
     assert lam == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_is_psd_herm_already_diagonal():
-    ok, lam, vec = is_psd_herm(np.diag([-1.0, 0.0, 2.0, 3.0]))
+def test_decide_psd_already_diagonal():
+    ok, lam, vec = decide_one(np.diag([-1.0, 0.0, 2.0, 3.0]))
     assert not ok
     assert lam == pytest.approx(-1.0, abs=1e-14)
     np.testing.assert_allclose(np.abs(vec), [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
-def test_is_psd_herm_two_mode_squeezed():
+def test_decide_psd_two_mode_squeezed():
     # Analytic oracle: the cosh/sinh block structure diagonalizes by +-45 degree
     # rotations into e^{+-2r}/2, each doubly degenerate.
-    ok, lam, _ = is_psd_herm(statezoo.two_mode_squeezed(0.5))
+    ok, lam, _ = decide_one(statezoo.two_mode_squeezed(0.5))
     assert ok
     assert lam == pytest.approx(0.5 * math.exp(-1.0), abs=1e-10)
 
 
-def test_is_psd_herm_rejects_nonfinite():
-    for bad in (np.nan, np.inf, -np.inf):
-        m = np.eye(4)
-        m[0, 0] = bad
-        with pytest.raises(InvalidInput, match="finite entries"):
-            is_psd_herm(m)
-        with pytest.raises(InvalidInput, match="finite entries"):
-            is_psd_herm(np.stack([np.eye(4), m]))
-
-
-def test_is_psd_herm_refuses_an_overflowing_row_sum_of_finite_entries():
-    # A modulus past the float maximum is a row sum that overflows, not a
-    # non-finite entry; no eigensolve runs on either matrix.
-    z = 1.5e308 + 1.5e308j
-    for h in (np.array([[1.0, z], [z.conjugate(), 1.0]]), np.full((4, 4), 5e307)):
-        with pytest.raises(OutOfDomain, match="row sum"):
-            is_psd_herm(h)
-
-
-def test_is_psd_herm_smallest_eigenpair_random():
+def test_decide_psd_smallest_eigenpair_random():
     # The smallest eigenvalue and a unit eigenvector for it, which reports
     # hand out as the witness, on random symmetric matrices.
     rng = np.random.default_rng(42)
     for _ in range(1000):
         m = rng.standard_normal((4, 4)) * rng.uniform(0.1, 10.0)
         m = 0.5 * (m + m.T)
-        _, lam, vec = is_psd_herm(m)
+        _, lam, vec = decide_one(m)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(m @ vec - lam * vec) <= 1e-10 * max(1.0, np.linalg.norm(m))
         assert lam == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-10 * max(1.0, np.linalg.norm(m)))
 
 
-def test_is_psd_herm_rank_deficient_boundary():
+def test_decide_psd_rank_deficient_boundary():
     h = np.eye(4, dtype=complex)
     h[0, 1] = 1j
     h[1, 0] = -1j
-    ok, lam, _ = is_psd_herm(h)
+    ok, lam, _ = decide_one(h)
     assert ok
     assert lam == pytest.approx(0.0, abs=1e-12)
 
 
-def test_is_psd_herm_vacuum_uncertainty_matrix():
+def test_decide_psd_vacuum_uncertainty_matrix():
     h = 0.5 * np.eye(4) + 0.5j * symplectic_form(1)
-    ok, lam, _ = is_psd_herm(h)
+    ok, lam, _ = decide_one(h)
     assert ok
     assert lam == pytest.approx(0.0, abs=1e-12)
     w = np.linalg.eigvalsh(h)
@@ -116,10 +102,9 @@ def test_real_embedding_duplicates_spectrum():
         herm = np.linalg.eigvalsh(h)
         emb = np.linalg.eigvalsh(real_embedding(h))
         np.testing.assert_allclose(emb, np.sort(np.repeat(herm, 2)), atol=1e-10)
-        # The real solver also checks is_psd_herm's smallest eigenvalue, for
-        # one matrix and for a stack holding it and its conjugate.
-        assert is_psd_herm(h)[1] == pytest.approx(emb[0], abs=1e-10)
-        _, lam, _ = is_psd_herm(np.stack([h, h.conj()]))
+        # The real solver also checks decide_psd's smallest eigenvalue, for a
+        # stack holding h and its conjugate.
+        _, lam, _ = decide_psd(np.stack([h, h.conj()]), [1.0, 1.0], DEFAULT_TOL)
         np.testing.assert_allclose(lam, [emb[0], emb[0]], atol=1e-10)
 
 
@@ -139,23 +124,18 @@ def test_stacked_kernel_equals_one_eigh_per_branch_bitwise():
     # The criteria decide both branches in one stacked call; their reports
     # stay what one solve per branch gave only if the stack changes no bit.
     for stack in _branch_stacks(300):
-        ok, lam, vec = is_psd_herm(stack, DEFAULT_TOL)
-        assert ok.shape == lam.shape == (len(stack),) and vec.shape == (len(stack), 4)
+        scales = [float(x) for x in row_sum_scale(stack)]
+        ok, lam, vec = decide_psd(stack, scales, DEFAULT_TOL)
+        assert len(ok) == len(lam) == len(stack) and vec.shape == (len(stack), 4)
         for k, h in enumerate(stack):
             values, vectors = np.linalg.eigh(h)
-            assert lam[k].tobytes() == values[0].tobytes()
+            assert np.float64(lam[k]).tobytes() == values[0].tobytes()
             assert vec[k].tobytes() == vectors[:, 0].tobytes()
-            assert ok[k] == (values[0] >= -DEFAULT_TOL * max(1.0, np.abs(h).sum(axis=1).max()))
-            single = is_psd_herm(h, DEFAULT_TOL)
-            assert type(single[0]) is bool and type(single[1]) is float
-            assert (single[0], single[1]) == (ok[k], lam[k])
-            assert single[2].tobytes() == vec[k].tobytes()
-
-
-def test_norm_scale_is_per_matrix():
-    m = np.stack([0.1 * np.eye(4), np.diag([3.0, -5.0, 1.0, 2.0])])
-    np.testing.assert_array_equal(norm_scale(m), [1.0, 5.0])
-    assert norm_scale(m[1]) == 5.0
+            assert ok[k] == (values[0] >= -DEFAULT_TOL * scales[k])
+            single = decide_psd(h[None], [scales[k]], DEFAULT_TOL)
+            assert type(single[0][0]) is bool and type(single[1][0]) is float
+            assert (single[0][0], single[1][0]) == (ok[k], lam[k])
+            assert single[2][0].tobytes() == vec[k].tobytes()
 
 
 class _Float(float):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import is_psd
 from cvsep import statezoo
 from cvsep.covariance import apply_symp, p_rep_ensemble
 from cvsep.errors import BoundaryPRep, InvalidInput, NotPRepresentable, OutOfDomain
-from cvsep.matkit import is_psd_herm
 from cvsep.prep import PWeight, char_fn, p_density, p_moment_residual, p_sample, p_weight
 
 
@@ -298,7 +298,7 @@ def test_p_representability_not_symplectically_invariant():
     # A thermal state with unit occupations is P-representable, but squeezing
     # one mode pushes a momentum variance below the vacuum floor.
     v = np.eye(4)
-    assert is_psd_herm(p_rep_ensemble(v))[0]
+    assert is_psd(p_rep_ensemble(v))
     squeezer = np.diag([2.0, 0.5])
     v_squeezed = apply_symp(v, squeezer, np.eye(2))
     with pytest.raises(NotPRepresentable):

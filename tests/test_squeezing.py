@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import is_psd
 import cvsep
 from cvsep import statezoo
 from cvsep.covariance import StandardForm, apply_symp, standard_matrix
 from cvsep.errors import CvsepError, InvalidInput, InvalidSpec, OutOfDomain
-from cvsep.matkit import is_psd_herm
 from cvsep.prep import PWeight, p_density
 from cvsep.squeezing import (
     SCAN_HEADER,
@@ -352,11 +352,11 @@ class TestBoundEquivalence:
             inside = sol.c1_bound * (1.0 - 1e-12)
             sf = StandardForm.from_params(a, b, inside, -t * inside)
             v = apply_squeeze(sf, sol.params)
-            assert is_psd_herm(v - 0.5 * np.eye(4))[0]
+            assert is_psd(v - 0.5 * np.eye(4))
             outside = sol.c1_bound * (1.0 + 1e-6)
             sf_out = StandardForm.from_params(a, b, outside, -t * outside)
             v_out = apply_squeeze(sf_out, sol.params)
-            assert not is_psd_herm(v_out - 0.5 * np.eye(4))[0]
+            assert not is_psd(v_out - 0.5 * np.eye(4))
 
 
 #: (a, b) pairs whose product is exactly 1e150, the largest the routes accept.
