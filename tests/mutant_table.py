@@ -10,8 +10,7 @@ tests/test_mutant_table.py checks on every tier-1 run that each fragment
 still occurs exactly once, so the table cannot rot. tests/run_mutants.py
 applies each row to a temporary copy of the repository and runs its tests:
 
-    python tests/run_mutants.py            # every row
-    python tests/run_mutants.py NAME ...   # the named rows
+    python tests/run_mutants.py
 """
 
 from typing import NamedTuple

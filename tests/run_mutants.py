@@ -1,8 +1,7 @@
 """Apply each mutant of tests/mutant_table.py to a temporary copy of the
 repository and run the tests its row names; pytest does not collect this file.
 
-    python tests/run_mutants.py            # every row
-    python tests/run_mutants.py NAME ...   # the named rows
+    python tests/run_mutants.py
 
 The listed tests first run once on an unmutated copy, where they must pass.
 Then each mutant prints "killed", "SURVIVED" or, for a row recorded as
@@ -50,12 +49,8 @@ def _mutate(copy: Path, mutant) -> None:
     path.write_text(text.replace(mutant.fragment, mutant.replacement))
 
 
-def main(names) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
-    rows = [m for m in MUTANTS if not names or m.name in names]
-    tests = sorted({t for m in rows for t in m.tests})
+def main() -> int:
+    tests = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory(prefix="cvsep-mutants-") as tmp:
         clean = Path(tmp) / "clean"
         _copy_repo(clean)
@@ -64,7 +59,7 @@ def main(names) -> int:
             print(f"the listed tests do not pass unmutated (pytest exit {status})")
             return 1
     failures = 0
-    for mutant in rows:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="cvsep-mutant-") as tmp:
             copy = Path(tmp)
@@ -81,9 +76,9 @@ def main(names) -> int:
             result, ok = ("killed" if status == 1 else "SURVIVED"), status == 1
         failures += not ok
         print(f"{result:<10} {mutant.name} ({seconds:.1f} s)", flush=True)
-    print(f"{len(rows) - failures} of {len(rows)} mutants as expected")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants as expected")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

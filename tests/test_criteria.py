@@ -294,6 +294,30 @@ class TestStringent:
         with pytest.raises(InvalidEnsembleMatrix):
             call(v, ens)
 
+    @pytest.mark.parametrize("call", [
+        stringent_criterion,
+        lambda v, ens: weak_gap(v, ens, 1),
+        lambda v, ens: weak_gap(v, ens, -1),
+    ], ids=["stringent", "weak_gap_plus", "weak_gap_minus"])
+    def test_overflowing_row_sum_of_v_is_refused_before_the_ensemble(self, call):
+        # The ensemble is decided against V's scale, so a V without one is
+        # OutOfDomain "row sum" even beside an indefinite ensemble.
+        v = np.eye(4)
+        v[:2, :2] = 1e308
+        with pytest.raises(OutOfDomain, match="row sum"):
+            call(v, np.diag([0.0, 0.0, 0.0, -1.0]))
+
+    @pytest.mark.parametrize("call", [
+        stringent_criterion,
+        lambda v, ens: weak_gap(v, ens, 1),
+        lambda v, ens: weak_gap(v, ens, -1),
+    ], ids=["stringent", "weak_gap_plus", "weak_gap_minus"])
+    def test_malformed_v_is_refused_before_the_ensemble(self, call):
+        # v is checked before the ensemble is decided: InvalidInput, not
+        # InvalidEnsembleMatrix, beside an indefinite ensemble.
+        with pytest.raises(InvalidInput, match="finite 4x4"):
+            call(np.eye(3), np.diag([0.0, 0.0, 0.0, -1.0]))
+
 
 class TestSimon:
     def test_vacuum(self):
