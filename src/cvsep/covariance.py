@@ -1,7 +1,8 @@
 """Two-mode covariance matrices: block structure, local symplectic action,
-reduction to the four-parameter standard form, and physicality; and the
+reduction to the four-parameter standard form, and physicality; the
 matrices the PSD tests decide, with the one tolerance scale of a state
-(_tol_scale) that every test of it is judged against.
+(_tol_scale) that every test of it is judged against; and the entries of
+the EPR matrices (_epr_entries) that the Duan criteria decide in closed form.
 
 Conventions: quadrature ordering (q1, p1, q2, p2), units chosen so the vacuum
 covariance is I/2. First moments are assumed to vanish and are not modeled.
@@ -68,34 +69,18 @@ def _tol_scale(rows: list) -> float:
 
 def _epr_entries(rows: list, shift: float) -> list:
     """The distinct entries of EPR(+1) - shift * I and EPR(-1) - shift * I of a
-    symmetric 4x4 matrix given as rows, each computed once: 0.0, tr A - shift,
-    tr B - shift, then c00 + c11, c01 - c10, c10 - c01 (sigma = +1) and
-    c00 - c11, c11 - c00, c01 + c10 (sigma = -1). _REAL_INDEX[k] places them as
-    EPR(sigma) - shift * I, sigma = 1 - 2k, where EPR(sigma) = [[A + JAJ^T,
-    C + sigma*JCJ^T], [.., B + JBJ^T]] is written out from J X J^T =
-    [[x11, -x10], [-x01, x00]]; on a symmetric block X + JXJ^T is tr(X) * I.
-    Python floats overflow to inf without a warning."""
+    symmetric 4x4 matrix given as rows, each computed once: tr A - shift,
+    tr B - shift, then the first row (k0, k1) of K(+1), c00 + c11 and
+    c01 - c10, and of K(-1), c00 - c11 and c01 + c10. EPR(sigma) =
+    [[A + JAJ^T, K(sigma)], [K(sigma)^T, B + JBJ^T]] is written out from
+    J X J^T = [[x11, -x10], [-x01, x00]]: on a symmetric block X + JXJ^T is
+    tr(X) * I, and K(sigma) = C + sigma*JCJ^T = [[k0, k1], [-sigma*k1,
+    sigma*k0]] is a scaled rotation (sigma = +1) or reflection (sigma = -1),
+    both of whose singular values are hypot(k0, k1). criteria._epr_report
+    decides EPR(sigma) - I from these in closed form. Python floats overflow
+    to inf without a warning."""
     (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
-    return [0.0, a00 + a11 - shift, b00 + b11 - shift, c00 + c11, c01 - c10, c10 - c01,
-            c00 - c11, c11 - c00, c01 + c10]
-
-
-#: Positions in [*_epr_entries(rows, 1.0), V - I/2 row by row] of the entries
-#: of the real stack [EPR(+1) - I, EPR(-1) - I, V - I/2]: Duan's two branches,
-#: sigma = +1 then -1, and the coherent excess.
-_REAL_INDEX = np.array([
-    [[1, 0, 3, 4], [0, 1, 5, 3], [3, 5, 2, 0], [4, 3, 0, 2]],
-    [[1, 0, 6, 8], [0, 1, 8, 7], [6, 8, 2, 0], [8, 7, 0, 2]],
-    np.arange(9, 25).reshape(4, 4),
-])
-
-
-def _real_entries(rows: list) -> list:
-    """The entries _REAL_INDEX gathers, of a symmetric 4x4 matrix given as rows."""
-    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
-    return _epr_entries(rows, 1.0) + [
-        v00 - 0.5, v01, v02, v03, v10, v11 - 0.5, v12, v13,
-        v20, v21, v22 - 0.5, v23, v30, v31, v32, v33 - 0.5]
+    return [a00 + a11 - shift, b00 + b11 - shift, c00 + c11, c01 - c10, c00 - c11, c01 + c10]
 
 
 def _as_real(x, what: str) -> np.ndarray:
@@ -343,18 +328,30 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
     return out
 
 
+def _coherent_excess(rows: list, s: float, tol: float) -> tuple[bool, np.ndarray]:
+    """(whether V - I/2 is PSD within -tol * s, V - I/2) of a checked V given
+    as its rows of Python floats, s its _tol_scale: the one
+    P-representability decision, of classify's ensemble_used and of
+    p_rep_ensemble. Only the diagonal is computed, v_ii - 0.5; the other
+    entries are V's own."""
+    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
+    excess = np.array([v00 - 0.5, v01, v02, v03, v10, v11 - 0.5, v12, v13,
+                       v20, v21, v22 - 0.5, v23, v30, v31, v32, v33 - 0.5]).reshape(4, 4)
+    return matkit.decide_psd(excess[None], [s], tol)[0][0], excess
+
+
 def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ensemble matrix of the coherent-state decomposition, V - I/2.
 
     Defined whenever V - I/2 is PSD, i.e. whenever the state is
-    P-representable without further squeezing. Decided as classify decides
-    its ensemble_used: the same matrix against the same -tol * _tol_scale.
-    Raises InvalidInput unless v passes as_covariance and tol passes
-    check_tol, and OutOfDomain when _tol_scale refuses V.
+    P-representable without further squeezing, as _coherent_excess decides
+    it for classify's ensemble_used too. Raises InvalidInput unless v passes
+    as_covariance and tol passes check_tol, and OutOfDomain when _tol_scale
+    refuses V.
     """
-    v = as_covariance(v)
+    rows = as_covariance(v).tolist()
     tol = matkit.check_tol(tol)
-    excess = v - 0.5 * np.eye(4)
-    if not matkit.decide_psd(excess[None], [_tol_scale(v.tolist())], tol)[0][0]:
+    ok, excess = _coherent_excess(rows, _tol_scale(rows), tol)
+    if not ok:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     return excess

@@ -2,29 +2,34 @@
 
 Each criterion is a quadratic-form inequality quantified over all real
 coefficient choices. The universal quantifier is settled spectrally: the
-inequality holds for every choice exactly when a small Hermitian matrix is
-positive semidefinite for both relative signs sigma = +1, -1 of the two
-single-mode commutator terms, decided as one stack; the margin is the smaller
-eigenvalue. Whenever a matrix-form criterion fails, the minimizing
-eigenvector of branch +1, or of -1 if it binds beyond a 1e-12 relative tie,
-is converted back into an explicit real parameter witness that drives the
-corresponding scalar gap negative.
+inequality holds for every choice exactly when a small matrix is positive
+semidefinite for both relative signs sigma = +1, -1 of the two single-mode
+commutator terms; the margin is the smaller eigenvalue. Whenever a
+matrix-form criterion fails, the minimizing eigenvector of branch +1, or of
+-1 if it binds beyond a 1e-12 relative tie (_binding), is converted back
+into an explicit real parameter witness that drives the corresponding
+scalar gap negative.
 
 The hierarchy, from strongest to weakest: the ensemble-refined condition
 (stringent_criterion), Simon's partial-transpose condition, and the
 Duan-type condition obtained by restricting the coefficients. For Gaussian
 states the extremal-squeezing bound of the squeezing module is necessary and
 sufficient, and classify() cross-checks it against Simon's criterion on
-every call. classify() makes two LAPACK calls: one complex stack for
-physicality and Simon, and one real stack holding Duan's two branches and
-the coherent excess V - I/2, whose PSD verdict is P-representability.
+every call. Physicality, Simon and the stringent condition decide a
+Hermitian (2, 4, 4) stack in one LAPACK call. Duan's EPR matrices
+[[alpha I, K], [K^T, beta I]], K a scaled rotation or reflection, are
+decided in closed form on Python floats (_epr_report), so their margins,
+branches and witnesses do not depend on the BLAS kernel. classify() makes
+two LAPACK calls: the Hermitian stack, and a real (1, 4, 4) stack holding
+the coherent excess V - I/2, whose PSD verdict is P-representability
+(covariance._coherent_excess, as p_rep_ensemble decides it).
 
-Every matrix of a call is decided by matkit.decide_psd against one scale,
-that of the state, s = covariance._tol_scale(V): a caller's ensemble matrix
-ens, V - ens + (i/2) diag(J, sigma*J) and V - I/2 within -tol * s, the EPR
-matrices of Duan and weak_gap within -2 tol * s. Duan's smallest eigenvalue
-is at least twice Simon's, so every implication of the hierarchy holds at
-every tol.
+Every matrix of a call is judged against one scale, that of the state,
+s = covariance._tol_scale(V): a caller's ensemble matrix ens,
+V - ens + (i/2) diag(J, sigma*J) and V - I/2 within -tol * s through
+matkit.decide_psd, the EPR matrices of Duan and weak_gap within
+-2 tol * s. Duan's smallest eigenvalue is at least twice Simon's, so every
+implication of the hierarchy holds at every tol.
 
 The result records (Verdict, CriterionReport, ParamSet) are plain
 dataclasses, each owned by the call that built it: a caller's edits reach
@@ -42,13 +47,12 @@ import numpy as np
 
 from . import matkit
 from .covariance import (
-    _REAL_INDEX,
     _UNCERTAINTY_SHIFT,
     J2,
     StandardForm,
     _as_vector,
+    _coherent_excess,
     _epr_entries,
-    _real_entries,
     _standard_form,
     _tol_scale,
     as_covariance,
@@ -164,26 +168,71 @@ def gap_separable(v, ens, p: ParamSet) -> float:
     return _finite_gap(total - abs(float(d @ J2 @ g)) - abs(float(f @ J2 @ h)))
 
 
-def _witness(vec: np.ndarray, sign: int) -> ParamSet:
-    """Witness from a branch's minimizing eigenvector: a complex one splits as
-    (d, f) + i(g, h), a real (EPR) one ties g = J^T d and h = sign * J^T f."""
-    if np.iscomplexobj(vec):
-        return ParamSet.from_complex(vec)
-    d, f = vec[:2].copy(), vec[2:].copy()
-    return ParamSet(d, f, J2.T @ d, sign * (J2.T @ f))
+def _binding(plus: float, minus: float) -> tuple[float, int]:
+    """(margin, sign_branch) of two branch margins: the smaller one, and +1 or
+    -1 for the branch that gives it, or 0 when they tie within 1e-12 relative."""
+    binding = 1 if plus <= minus else -1
+    branch = 0 if abs(plus - minus) <= 1e-12 * max(1.0, abs(min(plus, minus))) else binding
+    return (plus if binding == 1 else minus), branch
 
 
 def _branch_report(ok, lam, vec: np.ndarray) -> CriterionReport:
     """Report of "the sigma = +1 and sigma = -1 matrices are PSD" from the first
-    two entries of a stacked PSD result (verdicts, eigenvalues, vectors), as
-    matkit.decide_psd gives it."""
-    plus, minus = float(lam[0]), float(lam[1])
-    binding = 1 if plus <= minus else -1
-    branch = 0 if abs(plus - minus) <= 1e-12 * max(1.0, abs(min(plus, minus))) else binding
+    two entries of a stacked Hermitian PSD result (verdicts, eigenvalues,
+    vectors), as matkit.decide_psd gives it; the witness is the minimizing
+    eigenvector of branch +1, or of -1 if it binds beyond the tie."""
+    margin, branch = _binding(float(lam[0]), float(lam[1]))
     satisfied = bool(ok[0] and ok[1])
-    k = 1 if branch == -1 else 0  # stack index of the witness branch, sigma = 1 - 2k
-    witness = None if satisfied else _witness(vec[k], 1 - 2 * k)
-    return CriterionReport(satisfied, plus if binding == 1 else minus, witness, branch)
+    witness = None if satisfied else ParamSet.from_complex(vec[1 if branch == -1 else 0])
+    return CriterionReport(satisfied, margin, witness, branch)
+
+
+def _epr_lowest(alpha: float, beta: float, k0: float, k1: float) -> float:
+    """Smallest eigenvalue of [[alpha*I, K], [K^T, beta*I]], K a scaled
+    rotation or reflection with first row (k0, k1), in closed form: both
+    singular values of K are rho = hypot(k0, k1), so it is the doubly
+    degenerate (alpha + beta)/2 - hypot((alpha - beta)/2, rho). Halving
+    before the sums keeps them finite; OutOfDomain if the value is not."""
+    half_a, half_b = 0.5 * alpha, 0.5 * beta
+    lam = half_a + half_b - math.hypot(half_a - half_b, k0, k1)
+    if not math.isfinite(lam):
+        raise OutOfDomain("EPR margin: a value computed from finite input overflows")
+    return lam
+
+
+def _epr_witness(alpha: float, beta: float, k0: float, k1: float, sign: int) -> ParamSet:
+    """Witness from a unit eigenvector (d, f) of _epr_lowest's eigenvalue: d =
+    x * e1 and f = y * (k0, k1) / rho (y * e1 when rho = 0), where (x, y) =
+    (sin t, -cos t), t = atan2(rho, (alpha - beta)/2) / 2, is the lower
+    eigenvector of the 2x2 [[alpha, rho], [rho, beta]], with x >= 0; then
+    g = J^T d, h = sign * J^T f. No step overflows."""
+    rho = math.hypot(k0, k1)
+    t = 0.5 * math.atan2(rho, 0.5 * alpha - 0.5 * beta)
+    x, y = math.sin(t), -math.cos(t)
+    f0, f1 = (y * (k0 / rho), y * (k1 / rho)) if rho > 0.0 else (y, 0.0)
+    return ParamSet(np.array([x, 0.0]), np.array([f0, f1]), np.array([0.0, x]),
+                    np.array([-sign * f1, sign * f0]))
+
+
+def _epr_report(epr: list, signs: tuple, bound: float) -> CriterionReport:
+    """Report of "EPR(sigma) - I is PSD within bound" for each sigma of signs,
+    (1, -1) for Duan's two branches or one sign for weak_gap, decided by
+    _epr_lowest on epr = [tr A - 1, tr B - 1, k0 and k1 of K(+1), of K(-1)],
+    the _epr_entries of V, or of V less an ensemble matrix, less I. Both
+    branches go through _binding; the witness is built only for a violated
+    report, from its witness branch."""
+    alpha, beta = epr[0], epr[1]
+    if len(signs) == 2:
+        margin, branch = _binding(_epr_lowest(alpha, beta, epr[2], epr[3]),
+                                  _epr_lowest(alpha, beta, epr[4], epr[5]))
+    else:
+        branch = signs[0]
+        margin = _epr_lowest(alpha, beta, epr[3 - branch], epr[4 - branch])
+    if margin >= bound:
+        return CriterionReport(True, margin, None, branch)
+    sign = -1 if branch == -1 else 1  # K(sigma)'s first row is epr[3 - sigma], epr[4 - sigma]
+    return CriterionReport(False, margin,
+                           _epr_witness(alpha, beta, epr[3 - sign], epr[4 - sign], sign), branch)
 
 
 def _difference(m: np.ndarray, ens: np.ndarray, s: float, tol: float) -> np.ndarray:
@@ -261,25 +310,27 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     rows = as_covariance(v).tolist()
     tol = matkit.check_tol(tol)
     s = _tol_scale(rows)
-    entries = _epr_entries(rows, 0.0)
-    if ens is not None:  # Python floats overflow to inf, and inf - inf is nan
-        entries = [x - y for x, y in zip(entries, _epr_entries(ens.tolist(), 0.0))]
-    entries[1:3] = entries[1] - 1.0, entries[2] - 1.0
-    k = (1 - sign) // 2
-    m = np.array(entries)[_REAL_INDEX[k]]
-    ok, lam, vec = decide_psd((m if ens is None else _difference(m, ens, s, tol))[None],
-                              [2.0 * s], tol)
-    return CriterionReport(ok[0], lam[0], None if ok[0] else _witness(vec[0], sign), sign)
+    if ens is None:
+        epr = _epr_entries(rows, 1.0)
+    else:  # Python floats overflow to inf, and inf - inf is nan
+        epr = [x - y for x, y in zip(_epr_entries(rows, 0.0), _epr_entries(ens.tolist(), 0.0))]
+        alpha, beta, k0, k1 = epr[0] - 1.0, epr[1] - 1.0, epr[3 - sign], epr[4 - sign]
+        epr[:2] = alpha, beta
+        # The matrix EPR(sign) - EPR(ens) - I itself, for _difference's checks.
+        _difference(np.array([[alpha, 0.0, k0, k1], [0.0, alpha, -sign * k1, sign * k0],
+                              [k0, -sign * k1, beta, 0.0], [k1, sign * k0, 0.0, beta]]),
+                    ens, s, tol)
+    return _epr_report(epr, (sign,), -2.0 * tol * s)
 
 
 def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """EPR-variance separability condition over both sign branches; weaker
-    than Simon's criterion."""
+    than Simon's criterion. Decided in closed form (_epr_report), with no
+    eigensolver call."""
     rows = as_covariance(v).tolist()
     tol = matkit.check_tol(tol)
     s = _tol_scale(rows)
-    return _branch_report(*decide_psd(np.array(_real_entries(rows))[_REAL_INDEX[:2]],
-                                      [2.0 * s, 2.0 * s], tol))
+    return _epr_report(_epr_entries(rows, 1.0), (1, -1), -2.0 * tol * s)
 
 
 def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
@@ -305,16 +356,13 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     phys_ok = ok[0]
     reports: dict[str, CriterionReport] = {}
     reports["physical"] = CriterionReport(
-        phys_ok, lam[0], None if phys_ok else _witness(vec[0], 1), 1
+        phys_ok, lam[0], None if phys_ok else ParamSet.from_complex(vec[0]), 1
     )
     reports["simon"] = simon
-    # Duan's two EPR branches, then V - I/2: the state is P-representable
-    # when it is PSD.
-    stack = np.array(_real_entries(rows))[_REAL_INDEX]
-    ok, lam, vec = decide_psd(stack, [2.0 * s, 2.0 * s, s], tol)
-    reports["duan"] = _branch_report(ok, lam, vec)
+    reports["duan"] = _epr_report(_epr_entries(rows, 1.0), (1, -1), -2.0 * tol * s)
 
-    if ok[2]:
+    # The state is P-representable when V - I/2 is PSD.
+    if _coherent_excess(rows, s, tol)[0]:
         # V - (V - I/2) is I/2 exactly (computed per state, it rounds once a
         # diagonal entry reaches 2^53), so this is the report of I/2: margin
         # 0.0, branches tied, no witness. Built per verdict, which owns it.

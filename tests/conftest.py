@@ -68,3 +68,28 @@ def real_embedding(h):
     spectrum is the Hermitian spectrum with every eigenvalue doubled."""
     h = np.asarray(h, dtype=complex)
     return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
+def epr_matrix(rows, sign):
+    """The EPR block matrix [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]] of
+    a symmetric 4x4 matrix given as rows, from its definition: the quadratic
+    form of V at (d, f) plus that at (J^T d, sign * J^T f) is the form of this
+    matrix at (d, f). Written out entry by entry from J X J^T = [[x11, -x10],
+    [-x01, x00]] as nested lists, with every sum and difference done once."""
+    (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
+    ta, tb = a00 + a11, b00 + b11
+    return [
+        [ta, 0.0, c00 + sign * c11, c01 - sign * c10],
+        [0.0, ta, c10 - sign * c01, c11 + sign * c00],
+        [c00 + sign * c11, c10 - sign * c01, tb, 0.0],
+        [c01 - sign * c10, c11 + sign * c00, 0.0, tb],
+    ]
+
+
+def epr_margin_bound(lam, m):
+    """How far a computed smallest eigenvalue lam of the EPR matrix m may lie
+    from np.linalg.eigvalsh's: 1e-12 relative to max(1, |lam|), plus 1e-14
+    (about 45 eps) of the row-sum norm of m for eigvalsh's own error, which
+    reaches a few eps of that norm and dominates once it exceeds |lam|
+    by a factor of about 100."""
+    return 1e-12 * max(1.0, abs(lam)) + 1e-14 * float(row_sum_scale(np.asarray(m)))

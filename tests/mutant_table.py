@@ -30,7 +30,7 @@ CRITERIA = "tests/test_criteria.py::"
 MUTANTS = (
     Mutant(
         "weak_gap_at_tol_s", "criteria.py",
-        "[2.0 * s], tol)", "[s], tol)",
+        "_epr_report(epr, (sign,), -2.0 * tol * s)", "_epr_report(epr, (sign,), -tol * s)",
         (CRITERIA + "TestWeakGap::test_epr_margin_is_judged_at_twice_the_tolerance",),
     ),
     Mutant(
@@ -53,14 +53,31 @@ MUTANTS = (
     ),
     Mutant(
         "duan_in_classify_at_tol_s", "criteria.py",
-        "[2.0 * s, 2.0 * s, s]", "[s, s, s]",
-        ("tests/test_golden.py::test_cli_outputs_match_golden",),
+        'reports["duan"] = _epr_report(_epr_entries(rows, 1.0), (1, -1), -2.0 * tol * s)',
+        'reports["duan"] = _epr_report(_epr_entries(rows, 1.0), (1, -1), -tol * s)',
+        (CRITERIA + "TestWeakGap::test_epr_margin_is_judged_at_twice_the_tolerance",
+         "tests/test_golden.py::test_cli_outputs_match_golden"),
     ),
     Mutant(
         "coherent_excess_at_twice_the_scale", "criteria.py",
-        "[2.0 * s, 2.0 * s, s]", "[2.0 * s, 2.0 * s, 2.0 * s]",
+        "if _coherent_excess(rows, s, tol)[0]:", "if _coherent_excess(rows, 2.0 * s, tol)[0]:",
         (CRITERIA + "TestClassify::test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria",
          "tests/test_golden.py::test_cli_outputs_match_golden"),
+    ),
+    Mutant(
+        "epr_larger_root", "criteria.py",
+        "half_a + half_b - math.hypot(", "half_a + half_b + math.hypot(",
+        (CRITERIA + "TestDuan::test_two_mode_squeezed_violation",
+         CRITERIA + "test_closed_form_epr_margin_matches_eigvalsh_under_local_squeezing"),
+    ),
+    Mutant(
+        "epr_branches_swap_rho", "criteria.py",
+        "_binding(_epr_lowest(alpha, beta, epr[2], epr[3]),\n"
+        "                                  _epr_lowest(alpha, beta, epr[4], epr[5]))",
+        "_binding(_epr_lowest(alpha, beta, epr[4], epr[5]),\n"
+        "                                  _epr_lowest(alpha, beta, epr[2], epr[3]))",
+        (CRITERIA + "TestDuan::test_witness_comes_from_the_plus_branch_unless_minus_binds",
+         CRITERIA + "test_epr_reports_match_the_eigh_reference_on_the_pools"),
     ),
     Mutant(
         "ensemble_at_twice_the_scale", "criteria.py",

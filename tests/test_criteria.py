@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import decimal
 import math
 import sys
 import warnings
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import no_convergence_matrix, reference_psd, row_sum_scale, squeezed_symp
+from conftest import (
+    epr_margin_bound,
+    epr_matrix,
+    no_convergence_matrix,
+    reference_psd,
+    row_sum_scale,
+    squeezed_symp,
+)
 import cvsep
 import cvsep.covariance
 import cvsep.criteria
@@ -51,11 +59,10 @@ from cvsep.prep import PWeight, char_fn, p_density, p_moment_residual, p_sample,
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze, optimal_squeeze
 from cvsep.covariance import (
-    _REAL_INDEX,
     _UNCERTAINTY_SHIFT,
     J2,
     StandardForm,
-    _real_entries,
+    _epr_entries,
     _tol_scale,
 )
 from cvsep.matkit import DEFAULT_TOL
@@ -632,8 +639,8 @@ class TestClassify:
 
     def test_overflowing_epr_sum_of_a_standard_matrix_is_out_of_domain(self):
         # c00 + c11 = 2e308: every row sum of V stays finite, but twice the
-        # largest does not, and the real stack's EPR entry would overflow; a
-        # bad tol is still bad input.
+        # largest does not, and Duan's EPR entry would overflow; a bad tol is
+        # still bad input.
         v = standard_matrix(1.0, 1.0, 0.0, 0.0)
         v[0, 2] = v[2, 0] = v[1, 3] = v[3, 1] = 1e308
         with pytest.raises(OutOfDomain, match="overflows"):
@@ -761,26 +768,33 @@ class TestClassify:
         ],
         ids=["separable", "p_representable", "entangled", "nonphysical"],
     )
-    def test_makes_two_lapack_calls(self, linalg_calls, v):
+    def test_makes_two_lapack_calls(self, linalg_calls, v, monkeypatch):
         # One complex (2, 4, 4) stack for physicality and Simon, one real
-        # (3, 4, 4) stack for Duan's branches and the coherent excess.
+        # (1, 4, 4) stack for the coherent excess V - I/2; Duan's two
+        # branches are decided in closed form.
+        stacks, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: stacks.append((a.shape, a.dtype.kind)) or eigh(a))
         classify(v)
         assert linalg_calls == ["eigh", "eigh"]
+        assert stacks == [((2, 4, 4), "c"), ((1, 4, 4), "f")]
 
     @pytest.mark.parametrize(
         "call, eigh_calls",
         [
             (classify, 2),
             (simon_criterion, 1),
-            (duan_criterion, 1),
+            (duan_criterion, 0),
+            (lambda v: weak_gap(v, None, 1), 0),
             (is_physical, 1),
             (p_rep_ensemble, 1),
             (p_weight, 1),
-            # One eigh call decides the caller's ensemble matrix, one the stack.
-            (lambda v: weak_gap(v, 0.1 * np.eye(4), -1), 2),
+            # One eigh call decides the caller's ensemble matrix; weak_gap
+            # decides its EPR matrix in closed form, stringent in a stack.
+            (lambda v: weak_gap(v, 0.1 * np.eye(4), -1), 1),
             (lambda v: stringent_criterion(v, 0.1 * np.eye(4)), 2),
         ],
-        ids=["classify", "simon_criterion", "duan_criterion", "is_physical",
+        ids=["classify", "simon_criterion", "duan_criterion", "weak_gap", "is_physical",
              "p_rep_ensemble", "p_weight", "weak_gap_ens", "stringent_ens"],
     )
     @pytest.mark.parametrize(
@@ -796,14 +810,15 @@ class TestClassify:
     def test_makes_one_eigh_call_per_stack(self, linalg_calls, call, eigh_calls, v):
         # Every criterion reads its tolerance scale off V's entries and hands
         # each stack, a caller's ensemble matrix included, to
-        # matkit.decide_psd, one eigh call per stack; p_weight decides from
-        # its own full eigendecomposition.
+        # matkit.decide_psd, one eigh call per stack; the EPR matrices of
+        # Duan and weak_gap need none, and p_weight decides from its own full
+        # eigendecomposition.
         with contextlib.suppress(NotPRepresentable):  # V - I/2 indefinite
             call(v)
         assert linalg_calls == ["eigh"] * eigh_calls
 
     def test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria(self):
-        # The real stack decides P-representability and Duan together; each
+        # classify decides P-representability and Duan on its own path; each
         # must be what the public function alone gives, bit for bit.
         def same(rep, ref):
             assert (rep.satisfied, rep.sign_branch) == (ref.satisfied, ref.sign_branch)
@@ -912,41 +927,49 @@ class TestClassify:
             assert verdict.consistent
 
 
-def _nested_epr(rows, sign):
-    """Reference for covariance._epr_entries: the EPR block matrix
-    [[A + JAJ^T, C + sign*JCJ^T], [.., B + JBJ^T]] written out entry by entry
-    as nested lists."""
-    (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
-    ta, tb = a00 + a11, b00 + b11
-    return [
-        [ta, 0.0, c00 + sign * c11, c01 - sign * c10],
-        [0.0, ta, c10 - sign * c01, c11 + sign * c00],
-        [c00 + sign * c11, c10 - sign * c01, tb, 0.0],
-        [c01 - sign * c10, c11 + sign * c00, 0.0, tb],
-    ]
-
-
-def _nested_real_stack(v):
-    """[EPR(+1) - I, EPR(-1) - I, V - I/2] as one nested list less a constant stack."""
-    rows = v.tolist()
-    shift = np.array([np.eye(4), np.eye(4), 0.5 * np.eye(4)])
-    return np.array([_nested_epr(rows, 1), _nested_epr(rows, -1), rows]) - shift
-
-
-def _nested_weak_gap(v, ens, sign, tol):
-    """weak_gap's report from the nested-list EPR matrices, for a PSD ens."""
-    v = as_covariance(v)
-    m = np.array(_nested_epr(v.tolist(), sign))
+def _epr_less_identity(v, ens, sign):
+    """EPR(sign) of v, less that of ens unless None, less I: the matrix
+    weak_gap decides, built from the reference epr_matrix."""
+    m = np.array(epr_matrix(as_covariance(v).tolist(), sign))
     if ens is not None:
-        m = m - np.array(_nested_epr(as_covariance(ens).tolist(), sign))
-    ok, lam, vec = reference_psd(m - np.eye(4), -2.0 * tol * float(row_sum_scale(v)))
-    return cvsep.criteria.CriterionReport(
-        ok, lam, None if ok else cvsep.criteria._witness(vec, sign), sign)
+        m = m - np.array(epr_matrix(as_covariance(ens).tolist(), sign))
+    return m - np.eye(4)
 
 
-def _real_stack(v):
-    """The real stack classify decides, [EPR(+1) - I, EPR(-1) - I, V - I/2]."""
-    return np.array(_real_entries(v.tolist()))[_REAL_INDEX]
+def _assert_epr_report_matches(rep, ms, signs, bound):
+    """rep, a report of duan_criterion (signs (1, -1)) or of weak_gap (one
+    sign), against np.linalg.eigvalsh of ms, the matrix EPR(sigma) - I (less
+    an ensemble's) of each sigma of signs: the margin lies within
+    epr_margin_bound of the reference's; the verdict and sign_branch are the
+    reference's wherever it lies farther than that from the threshold and
+    from the 1e-12 branch tie; and a violated report's witness is a unit
+    eigenvector (d, f) of its witness branch's matrix for the margin, with
+    g = J^T d and h = sigma * J^T f. Where LAPACK does not converge only
+    the report's own consistency is checked."""
+    assert type(rep.margin) is float and type(rep.satisfied) is bool
+    assert rep.satisfied == (rep.margin >= bound)
+    assert (rep.witness is None) == rep.satisfied
+    try:
+        lams = [float(np.linalg.eigvalsh(m)[0]) for m in ms]
+    except np.linalg.LinAlgError:
+        assert math.isfinite(rep.margin)
+        return
+    err = max(epr_margin_bound(lam, m) for lam, m in zip(lams, ms))
+    margin, branch = (cvsep.criteria._binding(*lams) if len(signs) == 2
+                      else (lams[0], signs[0]))
+    assert abs(rep.margin - margin) <= err
+    if abs(margin - bound) > err:
+        assert rep.satisfied == (margin >= bound)
+    tie = 1e-12 * max(1.0, abs(margin))
+    if len(signs) == 1 or abs(abs(lams[0] - lams[1]) - tie) > 2.0 * err:
+        assert rep.sign_branch == branch
+    if rep.witness is not None:
+        w, sign = rep.witness, -1 if rep.sign_branch == -1 else 1
+        x = np.concatenate([w.d, w.f])
+        assert abs(float(x @ x) - 1.0) <= 1e-14
+        assert np.abs(ms[signs.index(sign)] @ x - rep.margin * x).max() <= err
+        np.testing.assert_array_equal(w.g, J2.T @ w.d)
+        np.testing.assert_array_equal(w.h, sign * (J2.T @ w.f))
 
 
 def _scaled_pool(seed, n):
@@ -956,25 +979,26 @@ def _scaled_pool(seed, n):
 
 
 @pytest.mark.parametrize("seed", [7, 13, 31])
-def test_real_stack_and_epr_reports_match_the_nested_lists_bitwise(seed):
-    # The stacks are built from each distinct entry once and one constant
-    # index; every bit must stay what the nested lists gave, for both the
-    # stack classify decides and the reports of duan_criterion and weak_gap.
+def test_epr_reports_match_the_eigh_reference_on_the_pools(seed):
+    # Duan's two branches and weak_gap's one, with and without an ensemble,
+    # are decided in closed form; each must give what np.linalg.eigvalsh of
+    # the reference EPR matrix gives. On these pools Duan's margin is also
+    # within 1e-12 relative to max(1, |lambda|), with no term for the norm.
     erng = np.random.default_rng(seed + 1)
     for i, v in enumerate(_scaled_pool(seed, 4000)):
-        expected = _nested_real_stack(v)
-        assert _real_stack(v).tobytes() == expected.tobytes()
+        bound = -2.0 * DEFAULT_TOL * float(row_sum_scale(v))
+        branches = [_epr_less_identity(v, None, sign) for sign in (1, -1)]
+        duan = duan_criterion(v)
+        _assert_epr_report_matches(duan, branches, (1, -1), bound)
+        lowest = min(float(np.linalg.eigvalsh(m)[0]) for m in branches)
+        assert abs(duan.margin - lowest) <= 1e-12 * max(1.0, abs(lowest))
         if i % 8:
             continue
-        bound = -2.0 * DEFAULT_TOL * float(row_sum_scale(v))
-        ok, lam, vec = zip(*(reference_psd(m, bound) for m in expected[:2]))
-        duan = cvsep.criteria._branch_report(list(ok), list(lam), np.array(vec))
-        assert _bits(duan_criterion(v)) == _bits(duan)
         g = 0.3 * erng.standard_normal((4, 4))
         for ens in (None, g @ g.T):
             for sign in (1, -1):
-                assert _bits(weak_gap(v, ens, sign)) == _bits(
-                    _nested_weak_gap(v, ens, sign, DEFAULT_TOL))
+                _assert_epr_report_matches(weak_gap(v, ens, sign),
+                                           [_epr_less_identity(v, ens, sign)], (sign,), bound)
 
 
 @pytest.mark.parametrize(
@@ -988,15 +1012,74 @@ def test_real_stack_and_epr_reports_match_the_nested_lists_bitwise(seed):
     ],
     ids=["negative-zeros", "mixed-zeros", "subnormals", "subnormal-blocks", "huge-and-tiny"],
 )
-def test_real_stack_keeps_signed_zeros_and_subnormals(entries):
-    # Signed zeros and subnormals pass through each sum and difference as the
-    # nested lists gave them, including the sign of every zero.
+def test_epr_entries_keep_signed_zeros_and_subnormals(entries):
+    # Signed zeros and subnormals pass through each sum and difference of
+    # the closed form's entries as the reference EPR matrix gives them,
+    # including the sign of every zero, and K(sigma) is the scaled rotation
+    # or reflection [[k0, k1], [-sigma k1, sigma k0]] the closed form assumes.
     v = standard_matrix(1.0, 1.5, 0.0, 0.0)
     for (i, j), x in entries.items():
         v[i, j] = v[j, i] = x
-    assert _real_stack(v).tobytes() == _nested_real_stack(v).tobytes()
+    rows = v.tolist()
+    epr = _epr_entries(rows, 1.0)
     for sign in (1, -1):
-        assert _bits(weak_gap(v, None, sign)) == _bits(_nested_weak_gap(v, None, sign, DEFAULT_TOL))
+        m = np.array(epr_matrix(rows, sign)) - np.eye(4)
+        k0, k1 = epr[3 - sign], epr[4 - sign]
+        assert _bits([m[0, 0], m[2, 2], m[0, 2], m[0, 3]]) == _bits([epr[0], epr[1], k0, k1])
+        assert (m[1, 2], m[1, 3]) == (-sign * k1, sign * k0)
+        bound = -2.0 * DEFAULT_TOL * float(row_sum_scale(v))
+        _assert_epr_report_matches(weak_gap(v, None, sign), [m], (sign,), bound)
+
+
+def _high_precision_epr_margin(m):
+    """The closed form of the smallest eigenvalue of the EPR matrix m, less
+    I, evaluated on its float entries with 60 decimal digits."""
+    alpha, beta, k0, k1 = (decimal.Decimal(float(m[i, j])) for i, j in
+                           ((0, 0), (2, 2), (0, 2), (0, 3)))
+    with decimal.localcontext(decimal.Context(prec=60)):
+        half_sum, half_diff = (alpha + beta) / 2, (alpha - beta) / 2
+        return float(half_sum - (half_diff * half_diff + k0 * k0 + k1 * k1).sqrt())
+
+
+@settings(max_examples=300, deadline=None)
+@example("two_mode_squeezed", 0, 0.5, 1.0, 1.0, 0.0, 0.0, 0.0)  # the golden state
+@example("standard", 0, 0.5, 1e6, 1e6, 1.0, -1.0, 3.0)  # pure, squeezed by e^3
+@given(st.sampled_from(["mixed", "two_mode_squeezed", "standard"]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 3.0), st.floats(0.5, 1e6), st.floats(0.5, 1e6), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0), st.floats(-3.0, 3.0))
+def test_closed_form_epr_margin_matches_eigvalsh_under_local_squeezing(family, seed, r, a, b,
+                                                                       t1, t2, log_x):
+    # Audit-pool states, two-mode squeezed states and standard forms with
+    # a, b up to 1e6 and |c1|, |c2| up to sqrt((a - 1/2)(b - 1/2)), under a
+    # local pair of squeezers e^(+-log_x), e^(-+log_x). Each branch's closed-form
+    # margin is eigvalsh's smallest eigenvalue of the reference EPR matrix
+    # within epr_margin_bound, whose two smallest eigenvalues agree as
+    # closely (the degenerate pair); it is within 2 eps of the matrix's
+    # row-sum norm of a 60-digit evaluation; and every violated report's
+    # witness drives gap_separable negative.
+    rng = np.random.default_rng(seed)
+    if family == "mixed":
+        v = mixed_physical_state(rng, seed % 4)
+    elif family == "two_mode_squeezed":
+        v = statezoo.two_mode_squeezed(r)
+    else:
+        cap = math.sqrt((a - 0.5) * (b - 0.5))
+        v = standard_matrix(a, b, t1 * cap, t2 * cap)
+    v = apply_symp(v, squeezed_symp(rng, log_x), squeezed_symp(rng, -log_x))
+    rows, eps = v.tolist(), np.finfo(float).eps
+    reports = [weak_gap(v, None, sign) for sign in (1, -1)]
+    for sign, rep in zip((1, -1), reports):
+        m = np.array(epr_matrix(rows, sign)) - np.eye(4)
+        lowest, second = np.linalg.eigvalsh(m)[:2]
+        assert abs(rep.margin - lowest) <= epr_margin_bound(lowest, m)
+        assert second - lowest <= epr_margin_bound(lowest, m)
+        exact = _high_precision_epr_margin(m)
+        assert abs(rep.margin - exact) <= 2.0 * eps * float(row_sum_scale(m))
+    duan = duan_criterion(v)
+    assert duan.margin == min(rep.margin for rep in reports)
+    for rep in (*reports, duan):
+        if not rep.satisfied:
+            assert gap_separable(v, None, rep.witness) < 0.0
 
 
 #: Entries of every size a finite matrix can hold: signed zeros, subnormals,
@@ -1026,8 +1109,9 @@ def _symmetric(upper):
 @given(st.lists(_ENTRIES, min_size=10, max_size=10))
 def test_every_matrix_built_from_an_accepted_v_is_finite(upper):
     # _tol_scale accepts V exactly when 2s is finite, and then the Hermitian
-    # pair, the real stack and weak_gap's EPR matrices, whose entries and row
-    # sums are at most 2s + 1, are finite with finite row sums.
+    # pair, the coherent excess V - I/2 and the EPR matrices of Duan and
+    # weak_gap, whose entries and row sums are at most 2s + 1, are finite
+    # with finite row sums.
     v = _symmetric(upper)
     rows = v.tolist()
     with np.errstate(over="ignore"):
@@ -1037,9 +1121,11 @@ def test_every_matrix_built_from_an_accepted_v_is_finite(upper):
                 _tol_scale(rows)
             return
         assert _tol_scale(rows) == s
-        epr = np.array(cvsep.covariance._epr_entries(rows, 0.0))[_REAL_INDEX[:2]] - np.eye(4)
-        for m in (v + _UNCERTAINTY_SHIFT, _real_stack(v), epr):
+        epr = [np.array(epr_matrix(rows, sign)) - np.eye(4) for sign in (1, -1)]
+        for m in (v + _UNCERTAINTY_SHIFT, v - 0.5 * np.eye(4), *epr):
             assert np.isfinite(m).all() and np.isfinite(row_sum_scale(m)).all()
+        # So Duan's closed form, on those entries, answers.
+        assert math.isfinite(duan_criterion(v).margin)
 
 
 def _reference_scale(v):
@@ -1062,12 +1148,13 @@ def _reference_difference(m):
 
 
 def _reference_results(v, ens, tol):
-    """is_physical, p_rep_ensemble, simon_criterion, duan_criterion,
-    stringent_criterion at ens and weak_gap (both signs, at None and ens) of
-    v, each from reference_psd of the matrix it decides, built entry by
-    entry, against -tol * s, or -2 tol * s for the EPR matrices, with s the
-    _reference_scale of v. An ensemble matrix, once its difference with v is
-    accepted, is judged against -tol * s too."""
+    """References for is_physical, p_rep_ensemble, simon_criterion and
+    stringent_criterion at ens, each from reference_psd of the matrix it
+    decides, built entry by entry, against -tol * s, with s the
+    _reference_scale of v; then for duan_criterion and weak_gap (both signs,
+    at None and ens), the EPR matrices less I each decides with the signs and
+    the bound -2 tol * s, for _assert_epr_report_matches. An ensemble matrix,
+    once its difference with v is accepted, is judged against -tol * s too."""
     def uncertainty(m, sign):
         return m + 0.5j * cvsep.covariance.symplectic_form(sign)
 
@@ -1097,58 +1184,71 @@ def _reference_results(v, ens, tol):
         return branches([uncertainty(excess, 1), uncertainty(excess, -1)], bound)
 
     def epr(e, sign):
-        m = np.array(_nested_epr(v.tolist(), sign))
+        m = np.array(epr_matrix(v.tolist(), sign))
         if e is None:
             return m - np.eye(4)
         with np.errstate(over="ignore", invalid="ignore"):
-            m = m - np.array(_nested_epr(e.tolist(), sign))
+            m = m - np.array(epr_matrix(e.tolist(), sign))
         return ensemble(e, _reference_difference(m - np.eye(4)))
 
     def duan():
         bound = -2.0 * tol * _reference_scale(v)
-        return branches([epr(None, 1), epr(None, -1)], bound)
+        return [epr(None, 1), epr(None, -1)], (1, -1), bound
 
     def weak(e, sign):
         bound = -2.0 * tol * _reference_scale(v)
-        ok, lam, vec = reference_psd(epr(e, sign), bound)
-        return cvsep.criteria.CriterionReport(
-            ok, lam, None if ok else cvsep.criteria._witness(vec, sign), sign)
+        return [epr(e, sign)], (sign,), bound
 
-    return [physical, p_rep, lambda: stringent(np.zeros((4, 4))), duan,
-            lambda: stringent(ens)] + [
+    exact = [physical, p_rep, lambda: stringent(np.zeros((4, 4))), lambda: stringent(ens)]
+    return exact, [duan] + [
         lambda e=e, sign=sign: weak(e, sign) for e in (None, ens) for sign in (1, -1)]
 
 
+def _refusal(exc):
+    """A refusal's class and whether it names a non-finite entry or a row sum."""
+    return type(exc).__name__, "finite entries" in str(exc), "row sum" in str(exc)
+
+
 def _typed_bits(call):
-    """_bits of call(), with the type of each field, or its refusal's class
-    and whether it names a non-finite entry or a row sum. LAPACK may fail to
-    converge on entries near the float maximum; both sides refuse then."""
+    """_bits of call(), with the type of each field, or its _refusal. LAPACK
+    may fail to converge on entries near the float maximum; both sides
+    refuse then."""
     try:
         out = call()
     except (InvalidEnsembleMatrix, NotPRepresentable, OutOfDomain) as exc:
-        return type(exc).__name__, "finite entries" in str(exc), "row sum" in str(exc)
+        return _refusal(exc)
     fields = vars(out).values() if dataclasses.is_dataclass(out) else out
     return _bits(out), tuple(type(x).__name__ for x in fields)
 
 
 def _assert_kernel_matches_reference(v, ens, tol=DEFAULT_TOL):
-    """is_physical, p_rep_ensemble, simon_criterion, duan_criterion,
-    stringent_criterion and weak_gap give the reference's result, bit for
-    bit and type for type."""
-    calls = [
+    """is_physical, p_rep_ensemble, simon_criterion and stringent_criterion
+    give the reference's result, bit for bit and type for type; Duan and
+    weak_gap refuse as the reference refuses, or match its EPR matrices
+    (_assert_epr_report_matches)."""
+    exact_calls = [
         lambda: is_physical(v, tol),
         lambda: p_rep_ensemble(v, tol),
         lambda: simon_criterion(v, tol),
-        lambda: duan_criterion(v, tol),
         lambda: stringent_criterion(v, ens, tol),
+    ]
+    epr_calls = [
+        lambda: duan_criterion(v, tol),
         lambda: weak_gap(v, None, 1, tol),
         lambda: weak_gap(v, None, -1, tol),
         lambda: weak_gap(v, ens, 1, tol),
         lambda: weak_gap(v, ens, -1, tol),
     ]
-    references = _reference_results(as_covariance(v), as_covariance(ens), tol)
-    for call, reference in zip(calls, references):
+    exact, epr = _reference_results(as_covariance(v), as_covariance(ens), tol)
+    for call, reference in zip(exact_calls, exact):
         assert _typed_bits(call) == _typed_bits(reference)
+    for call, reference in zip(epr_calls, epr):
+        try:
+            ms, signs, bound = reference()
+        except (InvalidEnsembleMatrix, OutOfDomain) as exc:
+            assert _typed_bits(call) == _refusal(exc)
+            continue
+        _assert_epr_report_matches(call(), ms, signs, bound)
 
 
 @settings(max_examples=200)
@@ -1177,6 +1277,8 @@ def test_kernel_criteria_match_a_row_sum_and_eigh_reference(seed, index, factor,
 @example([-0.0, -0.0, -0.0, 0.0, 0.5, -0.0, 0.0, 0.5, -0.0, 5e-324], [0.0, 5e-324, 0.0, 0.5])
 @example([0.5 - 1.5e-7, 0.0, 0.0, 0.0, 0.5 - 1.5e-7, 0.0, 0.0, 1e3, 0.0, 1e3],
          [0.0, 0.0, 0.0, 0.0])  # physicality eigenvalue -1.5 tol * s
+@example([0.0, 0.0, 8.682947293235298e307, 0.0, 0.0, 0.0, 4.0286627683011654e307, 0.0, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 0.0])  # Duan's witness, from hypot(k0, k1) of 1.3e308
 @given(st.lists(_ENTRIES, min_size=10, max_size=10),
        st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 0.5]), st.floats(0.0, 10.0),
                           st.floats(1e307, sys.float_info.max), st.floats(-1e-8, 0.0)),

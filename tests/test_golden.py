@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import row_sum_scale
+from conftest import epr_matrix, row_sum_scale
 from cvsep import statezoo
 from cvsep.cli import main
 from cvsep.criteria import classify
-from cvsep.covariance import _REAL_INDEX, _real_entries, apply_symp
+from cvsep.covariance import apply_symp
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -118,18 +118,21 @@ def _verdict_pool(seed: int) -> list:
 def _verdicts_digest() -> str:
     """SHA-256 over every verdict field whose bits do not depend on the BLAS
     kernel, on audit pools with one state in five scaled by 0.8: outcome,
-    ensemble_used, consistent, each report's satisfied flag, the raw bits of
+    ensemble_used, consistent, each report's satisfied flag, Duan's margin and
+    sign_branch (decided in closed form on Python floats), the raw bits of
     the standard form (a, b, c1, c2, s1, s2) and of the simon_algebraic and
-    p_rep_bound margins. Eigen margins, witnesses and sign_branch follow the
-    LAPACK kernel and are left out."""
+    p_rep_bound margins. The physical, Simon and stringent margins, witnesses
+    and sign_branch follow the LAPACK kernel and are left out."""
     digest = hashlib.sha256()
     for seed in VERDICT_SEEDS:
         for tol in VERDICT_TOLS:
             for v in _verdict_pool(seed):
                 verdict = classify(v, tol)
                 flags = " ".join(f"{name}={rep.satisfied}" for name, rep in verdict.reports.items())
+                duan = verdict.reports["duan"]
                 digest.update(f"{verdict.outcome.value} {verdict.ensemble_used} "
-                              f"{verdict.consistent} {flags}\n".encode())
+                              f"{verdict.consistent} {flags} {duan.sign_branch}\n".encode())
+                digest.update(struct.pack("<d", duan.margin))
                 sf = verdict.standard_form
                 if sf is not None:
                     digest.update(struct.pack(
@@ -228,7 +231,7 @@ def test_verdicts_moved_by_one_scale_per_state_lie_between_the_two_thresholds():
         s = float(row_sum_scale(v))
         if moved == "duan":
             assert verdict.ensemble_used == "zero" and duan.sign_branch == -1
-            m = np.array(_real_entries(v.tolist()))[_REAL_INDEX[1]]
+            m = np.array(epr_matrix(v.tolist(), -1)) - np.eye(4)
             lam, new = duan.margin, -2.0 * tol * s
         else:
             assert verdict.ensemble_used == "coherent_excess"

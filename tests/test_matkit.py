@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import real_embedding, row_sum_scale
+from conftest import epr_matrix, real_embedding, row_sum_scale
 from cvsep import statezoo, symplectic_form
-from cvsep.covariance import _REAL_INDEX, _UNCERTAINTY_SHIFT, _real_entries
+from cvsep.covariance import _UNCERTAINTY_SHIFT
 from cvsep.errors import InvalidInput
 from cvsep.matkit import (
     DEFAULT_TOL,
@@ -109,15 +109,17 @@ def test_real_embedding_duplicates_spectrum():
 
 
 def _branch_stacks(n):
-    """Both uncertainty branches (complex), and both EPR branches with the
-    coherent excess (real), of states from the audit pool and of nonphysical
-    copies scaled by 0.8."""
+    """Both uncertainty branches (complex), and a real stack of both EPR
+    branches less I with the coherent excess V - I/2, of states from the audit
+    pool and of nonphysical copies scaled by 0.8."""
     rng = np.random.default_rng(3)
     for i in range(n):
         v = statezoo.mixed_physical_state(rng, i)
         for w in (v, 0.8 * v):
             yield w + _UNCERTAINTY_SHIFT
-            yield np.array(_real_entries(w.tolist()))[_REAL_INDEX]
+            rows = w.tolist()
+            yield np.array([epr_matrix(rows, 1), epr_matrix(rows, -1), rows]) - np.array(
+                [np.eye(4), np.eye(4), 0.5 * np.eye(4)])
 
 
 def test_stacked_kernel_equals_one_eigh_per_branch_bitwise():
