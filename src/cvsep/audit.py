@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statezoo
+from .covariance import _HALF_I
 from .criteria import classify, stringent_criterion
 from .matkit import DEFAULT_TOL, _check_count_and_seed, check_tol
 
@@ -64,7 +65,7 @@ def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
         # ensemble the stringent condition is Simon's criterion itself.
         if not si.satisfied:
             bad += 1
-        random_ens = _scaled_random_psd(rng, v - 0.5 * np.eye(4))
+        random_ens = _scaled_random_psd(rng, v - _HALF_I)
         for st in (verdict.reports["stringent"], stringent_criterion(v, random_ens, tol)):
             if not (st.satisfied and si.satisfied):
                 bad += 1

@@ -1,8 +1,9 @@
 """Two-mode covariance matrices: block structure, local symplectic action,
-reduction to the four-parameter standard form, and physicality; the
-matrices the PSD tests decide, with the one tolerance scale of a state
-(_tol_scale) that every test of it is judged against; and the entries of
-the EPR matrices (_epr_entries) that the Duan criteria decide in closed form.
+reduction to the four-parameter standard form, and physicality; the one
+reader of a state that every PSD route opens with (_state), which gives the
+one tolerance scale (_tol_scale) every test of the state is judged against;
+the matrices the PSD tests decide; and the entries of the EPR matrices
+(_epr_entries) that the Duan criteria decide in closed form.
 
 Conventions: quadrature ordering (q1, p1, q2, p2), units chosen so the vacuum
 covariance is I/2. First moments are assumed to vanish and are not modeled.
@@ -48,6 +49,10 @@ def symplectic_form(sign: int = 1) -> np.ndarray:
 
 #: (i/2) diag(J, sign*J) stacked for sign = +1, then -1 (the partial transpose).
 _UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
+
+#: I/2, the vacuum covariance. V - _HALF_I keeps V's off-diagonal bits, since
+#: x - 0.0 is x exactly, signed zeros included.
+_HALF_I = 0.5 * np.eye(4)
 
 
 def _max_row_sum(rows: list) -> float:
@@ -113,6 +118,16 @@ def as_covariance(v) -> np.ndarray:
     if asym > 1e-9 and asym / 4 > 1e-9 * _max_row_sum((v / 4).tolist()):  # asym > 1e-9: the floor 1
         raise InvalidInput(f"covariance asymmetry {asym:.3e} exceeds 1e-9 relative")
     return v if asym == 0.0 else 0.5 * v + 0.5 * v.T
+
+
+def _state(v, tol) -> tuple[np.ndarray, list, float, float]:
+    """(V, its rows of Python floats, s, tol) as every PSD route reads a state:
+    V = as_covariance(v), then tol = matkit.check_tol(tol), then
+    s = _tol_scale(rows), each raising as it does, in that order."""
+    v = as_covariance(v)
+    tol = matkit.check_tol(tol)
+    rows = v.tolist()
+    return v, rows, _tol_scale(rows), tol
 
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
@@ -228,8 +243,12 @@ def invariants(v) -> tuple[float, float, float, float]:
     as_covariance(v), which raises InvalidInput on a bad v. det V is the
     Laplace expansion along the first two rows, six products of complementary
     2x2 minors summed left to right on Python floats (the same bits on any
-    BLAS); past the float maximum it is inf or nan, without a warning."""
-    rows = as_covariance(v).tolist()
+    BLAS). Where a product overflows, det V is that expansion of V / 2^k, k
+    the exponent of its largest absolute row sum, whose products cannot
+    overflow, times 2^4k, which is exact: +-inf only past the float maximum,
+    without a warning."""
+    v = as_covariance(v)
+    rows = v.tolist()
     (t0, t1, t2, t3), (u0, u1, u2, u3), (w0, w1, w2, w3), (z0, z1, z2, z3) = rows
     det_a, det_b, det_c = _block_dets(rows)
     det_v = (det_a * det_b
@@ -238,6 +257,11 @@ def invariants(v) -> tuple[float, float, float, float]:
              + (t1 * u2 - t2 * u1) * (w0 * z3 - w3 * z0)
              - (t1 * u3 - t3 * u1) * (w0 * z2 - w2 * z0)
              + det_c * (w0 * z1 - w1 * z0))
+    if not math.isfinite(det_v):
+        row_sum = _max_row_sum(rows)  # inf past the float maximum, yet below 2^1026
+        k = math.frexp(row_sum)[1] if row_sum < math.inf else 1026
+        with np.errstate(over="ignore"):
+            det_v = float(np.ldexp(invariants(np.ldexp(v, -k))[3], 4 * k))
     return det_a, det_b, det_c, det_v
 
 
@@ -294,9 +318,8 @@ def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     InvalidInput unless v passes as_covariance and tol passes check_tol, and
     OutOfDomain when _tol_scale refuses V.
     """
-    v = as_covariance(v)
-    tol = matkit.check_tol(tol)
-    ok, lam, _ = matkit.decide_psd(v + _UNCERTAINTY_SHIFT[:1], [_tol_scale(v.tolist())], tol)
+    v, _, s, tol = _state(v, tol)
+    ok, lam, _ = matkit.decide_psd(v + _UNCERTAINTY_SHIFT[:1], [s], tol)
     return ok[0], lam[0]
 
 
@@ -328,15 +351,11 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
     return out
 
 
-def _coherent_excess(rows: list, s: float, tol: float) -> tuple[bool, np.ndarray]:
-    """(whether V - I/2 is PSD within -tol * s, V - I/2) of a checked V given
-    as its rows of Python floats, s its _tol_scale: the one
-    P-representability decision, of classify's ensemble_used and of
-    p_rep_ensemble. Only the diagonal is computed, v_ii - 0.5; the other
-    entries are V's own."""
-    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
-    excess = np.array([v00 - 0.5, v01, v02, v03, v10, v11 - 0.5, v12, v13,
-                       v20, v21, v22 - 0.5, v23, v30, v31, v32, v33 - 0.5]).reshape(4, 4)
+def _coherent_excess(v: np.ndarray, s: float, tol: float) -> tuple[bool, np.ndarray]:
+    """(whether V - I/2 is PSD within -tol * s, V - I/2) of a checked V, s its
+    _tol_scale: the one P-representability decision, of classify's
+    ensemble_used and of p_rep_ensemble."""
+    excess = v - _HALF_I
     return matkit.decide_psd(excess[None], [s], tol)[0][0], excess
 
 
@@ -349,9 +368,8 @@ def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     as_covariance and tol passes check_tol, and OutOfDomain when _tol_scale
     refuses V.
     """
-    rows = as_covariance(v).tolist()
-    tol = matkit.check_tol(tol)
-    ok, excess = _coherent_excess(rows, _tol_scale(rows), tol)
+    v, _, s, tol = _state(v, tol)
+    ok, excess = _coherent_excess(v, s, tol)
     if not ok:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     return excess

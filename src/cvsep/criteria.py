@@ -54,6 +54,7 @@ from .covariance import (
     _coherent_excess,
     _epr_entries,
     _standard_form,
+    _state,
     _tol_scale,
     as_covariance,
 )
@@ -214,13 +215,14 @@ def _epr_witness(alpha: float, beta: float, k0: float, k1: float, sign: int) -> 
                     np.array([-sign * f1, sign * f0]))
 
 
-def _epr_report(epr: list, signs: tuple, bound: float) -> CriterionReport:
-    """Report of "EPR(sigma) - I is PSD within bound" for each sigma of signs,
-    (1, -1) for Duan's two branches or one sign for weak_gap, decided by
-    _epr_lowest on epr = [tr A - 1, tr B - 1, k0 and k1 of K(+1), of K(-1)],
-    the _epr_entries of V, or of V less an ensemble matrix, less I. Both
-    branches go through _binding; the witness is built only for a violated
-    report, from its witness branch."""
+def _epr_report(epr: list, signs: tuple, tol: float, s: float) -> CriterionReport:
+    """Report of "EPR(sigma) - I is PSD within -2 tol * s", Duan's bound, for
+    each sigma of signs, (1, -1) for Duan's two branches or one sign for
+    weak_gap, decided by _epr_lowest on epr = [tr A - 1, tr B - 1, k0 and k1
+    of K(+1), of K(-1)], the _epr_entries of V, or of V less an ensemble
+    matrix, less I. Both branches go through _binding; the witness is built
+    only for a violated report, from its witness branch."""
+    bound = -2.0 * tol * s
     alpha, beta = epr[0], epr[1]
     if len(signs) == 2:
         margin, branch = _binding(_epr_lowest(alpha, beta, epr[2], epr[3]),
@@ -235,11 +237,14 @@ def _epr_report(epr: list, signs: tuple, bound: float) -> CriterionReport:
                            _epr_witness(alpha, beta, epr[3 - sign], epr[4 - sign], sign), branch)
 
 
-def _difference(m: np.ndarray, ens: np.ndarray, s: float, tol: float) -> np.ndarray:
-    """m, a 4x4 matrix computed from V and ens, a caller's ensemble matrix that
-    passed as_covariance: OutOfDomain unless m's entries are finite and
-    _tol_scale accepts m as it accepts V, then InvalidEnsembleMatrix unless
-    ens is PSD within -tol * s, s = _tol_scale(V), as every matrix of the call."""
+def _less(v: np.ndarray, ens, s: float, tol: float) -> np.ndarray:
+    """V - ens for a caller's ensemble matrix ens, read by as_covariance:
+    OutOfDomain unless its entries are finite and _tol_scale accepts it as it
+    accepts V, then InvalidEnsembleMatrix unless ens is PSD within -tol * s,
+    s = _tol_scale(V), as every matrix of the call."""
+    ens = as_covariance(ens)
+    with np.errstate(over="ignore"):  # an inf entry is refused as OutOfDomain
+        m = v - ens
     if not np.isfinite(m).all():
         raise OutOfDomain("an entry computed from finite input overflows "
                           "(PSD test needs finite entries)")
@@ -249,20 +254,11 @@ def _difference(m: np.ndarray, ens: np.ndarray, s: float, tol: float) -> np.ndar
     return m
 
 
-def _uncertainty_report(v: np.ndarray, ens, tol: float) -> CriterionReport:
-    """Report of V - ens + (i/2) diag(J, sigma*J) PSD for both sigma, each
-    within -tol * _tol_scale(V); ens is None or passed as_covariance."""
-    s = _tol_scale(v.tolist())
-    if ens is not None:
-        with np.errstate(over="ignore"):  # an inf entry is refused as OutOfDomain
-            v = _difference(v - ens, ens, s, tol)
-    return _branch_report(*decide_psd(v + _UNCERTAINTY_SHIFT, [s, s], tol))
-
-
 def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
-    return _uncertainty_report(as_covariance(v), None, matkit.check_tol(tol))
+    v, _, s, tol = _state(v, tol)
+    return _branch_report(*decide_psd(v + _UNCERTAINTY_SHIFT, [s, s], tol))
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -271,10 +267,12 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     some decomposition of the state.
 
     Implies Simon's criterion for every admissible ens and reduces to it at
-    ens = 0. Both v and ens must pass as_covariance, and ens must be PSD
-    within -tol * _tol_scale(V).
+    ens = 0. The state is read first (covariance._state), then the ensemble
+    (_less): ens must pass as_covariance, V - ens must have finite entries
+    and row sums, and ens is decided last, PSD within -tol * _tol_scale(V).
     """
-    return _uncertainty_report(as_covariance(v), as_covariance(ens), matkit.check_tol(tol))
+    v, _, s, tol = _state(v, tol)
+    return _branch_report(*decide_psd(_less(v, ens, s, tol) + _UNCERTAINTY_SHIFT, [s, s], tol))
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -297,40 +295,28 @@ def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionRepo
 
 def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Subsidiary-condition (EPR-type) criterion for one commutator sign
-    branch: the EPR block matrix of V minus that of ens minus I must be PSD.
+    branch: the EPR block matrix of V - ens, less I, must be PSD.
 
     Obtained from the full separability condition by tying g = J^T d and
-    h = sign * J^T f; with ens = 0 it coincides with the matching branch of
-    duan_criterion, within the same -2 tol * _tol_scale(V). v and ens
-    (unless None) are checked as in stringent_criterion.
+    h = sign * J^T f; V - ens is the matrix stringent_criterion checks
+    (_less), read and decided in the same order, so with ens = 0 or None it
+    coincides bit for bit with the matching branch of duan_criterion,
+    within the same -2 tol * _tol_scale(V).
     """
     if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
         raise InvalidInput("sign branch must be +1 or -1")
-    ens = None if ens is None else as_covariance(ens)
-    rows = as_covariance(v).tolist()
-    tol = matkit.check_tol(tol)
-    s = _tol_scale(rows)
-    if ens is None:
-        epr = _epr_entries(rows, 1.0)
-    else:  # Python floats overflow to inf, and inf - inf is nan
-        epr = [x - y for x, y in zip(_epr_entries(rows, 0.0), _epr_entries(ens.tolist(), 0.0))]
-        alpha, beta, k0, k1 = epr[0] - 1.0, epr[1] - 1.0, epr[3 - sign], epr[4 - sign]
-        epr[:2] = alpha, beta
-        # The matrix EPR(sign) - EPR(ens) - I itself, for _difference's checks.
-        _difference(np.array([[alpha, 0.0, k0, k1], [0.0, alpha, -sign * k1, sign * k0],
-                              [k0, -sign * k1, beta, 0.0], [k1, sign * k0, 0.0, beta]]),
-                    ens, s, tol)
-    return _epr_report(epr, (sign,), -2.0 * tol * s)
+    v, rows, s, tol = _state(v, tol)
+    if ens is not None:
+        rows = _less(v, ens, s, tol).tolist()
+    return _epr_report(_epr_entries(rows, 1.0), (sign,), tol, s)
 
 
 def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """EPR-variance separability condition over both sign branches; weaker
     than Simon's criterion. Decided in closed form (_epr_report), with no
     eigensolver call."""
-    rows = as_covariance(v).tolist()
-    tol = matkit.check_tol(tol)
-    s = _tol_scale(rows)
-    return _epr_report(_epr_entries(rows, 1.0), (1, -1), -2.0 * tol * s)
+    _, rows, s, tol = _state(v, tol)
+    return _epr_report(_epr_entries(rows, 1.0), (1, -1), tol, s)
 
 
 def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
@@ -346,10 +332,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     form exceeds the bound of the squeezing routes or a value computed from
     v overflows.
     """
-    v = as_covariance(v)
-    tol = matkit.check_tol(tol)
-    rows = v.tolist()
-    s = _tol_scale(rows)
+    v, rows, s, tol = _state(v, tol)
     ok, lam, vec = decide_psd(v + _UNCERTAINTY_SHIFT, [s, s], tol)
     simon = _branch_report(ok, lam, vec)
     # Physicality is the sigma = +1 branch of Simon's criterion.
@@ -359,10 +342,10 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
         phys_ok, lam[0], None if phys_ok else ParamSet.from_complex(vec[0]), 1
     )
     reports["simon"] = simon
-    reports["duan"] = _epr_report(_epr_entries(rows, 1.0), (1, -1), -2.0 * tol * s)
+    reports["duan"] = _epr_report(_epr_entries(rows, 1.0), (1, -1), tol, s)
 
     # The state is P-representable when V - I/2 is PSD.
-    if _coherent_excess(rows, s, tol)[0]:
+    if _coherent_excess(v, s, tol)[0]:
         # V - (V - I/2) is I/2 exactly (computed per state, it rounds once a
         # diagonal entry reaches 2^53), so this is the report of I/2: margin
         # 0.0, branches tied, no witness. Built per verdict, which owns it.

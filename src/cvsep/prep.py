@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import _as_vector, _tol_scale, as_covariance
+from .covariance import _HALF_I, _as_vector, _state, as_covariance
 from .errors import BoundaryPRep, InvalidInput, NotPRepresentable, OutOfDomain
 from .matkit import DEFAULT_TOL
 
@@ -60,10 +60,8 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     passes matkit.check_tol, and OutOfDomain when _tol_scale refuses V, the
     eigensolver does not converge or the determinant of V - I/2 overflows.
     """
-    v = as_covariance(v)
-    tol = matkit.check_tol(tol)
-    scale = _tol_scale(v.tolist())
-    values, vectors = matkit.eigh(v - 0.5 * np.eye(4))
+    v, _, scale, tol = _state(v, tol)
+    values, vectors = matkit.eigh(v - _HALF_I)
     if not values[0] >= -tol * scale:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     if values[0] <= tol * scale:
@@ -102,8 +100,7 @@ def p_moment_residual(v, tol: float = DEFAULT_TOL) -> float:
     v = as_covariance(v)
     w = p_weight(v, tol)
     cov = np.linalg.inv(w.pmat)
-    excess = v - 0.5 * np.eye(4)
-    return float(np.abs(cov - excess).max())
+    return float(np.abs(cov - (v - _HALF_I)).max())
 
 
 def p_sample(w: PWeight, n: int, seed) -> np.ndarray:

@@ -29,9 +29,10 @@ CRITERIA = "tests/test_criteria.py::"
 
 MUTANTS = (
     Mutant(
-        "weak_gap_at_tol_s", "criteria.py",
-        "_epr_report(epr, (sign,), -2.0 * tol * s)", "_epr_report(epr, (sign,), -tol * s)",
-        (CRITERIA + "TestWeakGap::test_epr_margin_is_judged_at_twice_the_tolerance",),
+        "epr_at_tol_s", "criteria.py",
+        "bound = -2.0 * tol * s", "bound = -tol * s",
+        (CRITERIA + "TestWeakGap::test_epr_margin_is_judged_at_twice_the_tolerance",
+         "tests/test_golden.py::test_cli_outputs_match_golden"),
     ),
     Mutant(
         "branch_tie_at_1e-6", "criteria.py",
@@ -52,15 +53,8 @@ MUTANTS = (
         (CRITERIA + "TestClassify::test_consistent_allows_a_disagreement_only_within_1e_8",),
     ),
     Mutant(
-        "duan_in_classify_at_tol_s", "criteria.py",
-        'reports["duan"] = _epr_report(_epr_entries(rows, 1.0), (1, -1), -2.0 * tol * s)',
-        'reports["duan"] = _epr_report(_epr_entries(rows, 1.0), (1, -1), -tol * s)',
-        (CRITERIA + "TestWeakGap::test_epr_margin_is_judged_at_twice_the_tolerance",
-         "tests/test_golden.py::test_cli_outputs_match_golden"),
-    ),
-    Mutant(
         "coherent_excess_at_twice_the_scale", "criteria.py",
-        "if _coherent_excess(rows, s, tol)[0]:", "if _coherent_excess(rows, 2.0 * s, tol)[0]:",
+        "if _coherent_excess(v, s, tol)[0]:", "if _coherent_excess(v, 2.0 * s, tol)[0]:",
         (CRITERIA + "TestClassify::test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria",
          "tests/test_golden.py::test_cli_outputs_match_golden"),
     ),
@@ -96,6 +90,11 @@ MUTANTS = (
         (CRITERIA + "TestStringent::test_overflowing_difference_with_the_ensemble_is_out_of_domain",),
     ),
     Mutant(
+        "difference_row_sum_not_checked", "criteria.py",
+        "    _tol_scale(m.tolist())\n", "",
+        (CRITERIA + "TestStringent::test_overflowing_difference_with_the_ensemble_is_out_of_domain",),
+    ),
+    Mutant(
         "shared_coherent_excess_report", "criteria.py",
         "CriterionReport(True, 0.0, None, 0)",
         'classify.__dict__.setdefault("shared", CriterionReport(True, 0.0, None, 0))',
@@ -123,8 +122,7 @@ MUTANTS = (
     ),
     Mutant(
         "is_physical_at_twice_the_scale", "covariance.py",
-        "_UNCERTAINTY_SHIFT[:1], [_tol_scale(v.tolist())]",
-        "_UNCERTAINTY_SHIFT[:1], [2.0 * _tol_scale(v.tolist())]",
+        "_UNCERTAINTY_SHIFT[:1], [s], tol)", "_UNCERTAINTY_SHIFT[:1], [2.0 * s], tol)",
         (CRITERIA + "test_kernel_criteria_match_the_reference_on_extreme_entries",),
     ),
     Mutant(

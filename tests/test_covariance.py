@@ -1,10 +1,12 @@
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,20 @@ def det4(m):
             + (t1 * u2 - t2 * u1) * (w0 * z3 - w3 * z0)
             - (t1 * u3 - t3 * u1) * (w0 * z2 - w2 * z0)
             + (t2 * u3 - t3 * u2) * (w0 * z1 - w1 * z0))
+
+
+def exact_det(m):
+    """det of m's float entries in rational arithmetic, as the nearest float,
+    or +-inf past the float maximum: the Leibniz sum over permutations."""
+    rows = [[Fraction(x) for x in row] for row in m.tolist()]
+    det = Fraction(0)
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
+        det += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(4))
+    try:
+        return float(det)
+    except OverflowError:
+        return math.inf if det > 0 else -math.inf
 
 
 class TestApplySymp:
@@ -257,6 +273,44 @@ class TestInvariants:
             v = (0.8 if i % 5 == 4 else 1.0) * statezoo.mixed_physical_state(rng, i)
             expected = (det2(v[:2, :2]), det2(v[2:, 2:]), det2(v[:2, 2:]), det4(v))
             assert np.array(invariants(v)).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("v", [
+        1.9e77 * statezoo.two_mode_squeezed(0.5),
+        1e100 * statezoo.two_mode_squeezed(0.5),
+        1e100 * np.diag([1.0, 1.0, 1.0, -1.0]),
+        np.array([[1e308, 1e308, 0.0, 0.0], [1e308, 1e308, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    ], ids=["squeezed_1.9e77", "squeezed_1e100", "negative_1e100", "row_sum_inf"])
+    def test_det_v_is_the_exact_value_where_the_expansion_overflows(self, v):
+        # The expansion's products overflow to nan or -inf, but det V is the
+        # exact determinant of the float matrix: within a few ulps below the
+        # float maximum (5 for the squeezed state), +-inf past it, and 0.0
+        # for a singular block whose row sum is itself past the maximum.
+        det_v, exact = invariants(v)[3], exact_det(v)
+        assert not math.isfinite(det4(v))
+        if math.isfinite(exact):
+            assert abs(det_v - exact) <= 8 * math.ulp(exact)
+        else:
+            assert det_v == exact
+
+    @pytest.mark.parametrize("seed", [7, 13])
+    def test_det_v_scales_exactly_by_a_power_of_two(self, seed):
+        # 2^255 V has entries near 1e77, so the expansion overflows on many
+        # pool states; its det V is still 2^1020 det V bit for bit, since a
+        # power-of-two scale commutes with rounding, or +-inf past the float
+        # maximum.
+        rng = np.random.default_rng(seed)
+        overflowed = 0
+        for i in range(500):
+            v = statezoo.mixed_physical_state(rng, i)
+            big = math.ldexp(1.0, 255) * v
+            overflowed += not math.isfinite(det4(big))
+            try:
+                expected = math.ldexp(invariants(v)[3], 1020)
+            except OverflowError:
+                expected = math.copysign(math.inf, invariants(v)[3])
+            assert np.float64(invariants(big)[3]).tobytes() == np.float64(expected).tobytes()
+        assert overflowed > 100
 
 
 class TestPhysicality:

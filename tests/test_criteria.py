@@ -275,6 +275,12 @@ class TestStringent:
             call(v, ens)
         with pytest.raises(InvalidInput, match="tol must be"):
             call(v, ens, tol=2.0)
+        # The ensemble is read after the state, so a malformed one is refused
+        # for the state's faults first: V's row sum, and before it a bad tol.
+        with pytest.raises(OutOfDomain, match="row sum"):
+            call(v, np.eye(3))
+        with pytest.raises(InvalidInput, match="tol must be"):
+            call(v, np.eye(3), tol=2.0)
 
     @pytest.mark.parametrize("call", [
         stringent_criterion,
@@ -283,7 +289,8 @@ class TestStringent:
     ], ids=["stringent", "weak_gap_plus", "weak_gap_minus"])
     def test_overflowing_difference_with_the_ensemble_is_out_of_domain(self, call):
         # V has a finite tolerance scale and the ensemble is PSD, but
-        # v00 - e00 (and tr A - tr A_ens) pass the float maximum.
+        # v00 - e00 of V - ens, the one matrix both criteria decide, passes
+        # the float maximum.
         v = np.eye(4)
         v[0, 0] = -0.8e308
         ens = np.diag([1e308, 0.0, 0.0, 0.0])
@@ -300,6 +307,10 @@ class TestStringent:
         ens[0, 0] = 0.0
         with pytest.raises(InvalidEnsembleMatrix):
             call(v, ens)
+        # v00 - e00 = -1.3e308 is finite, but twice that row sum of V - ens
+        # is not, though V's own 2s = 1.6e308 is.
+        with pytest.raises(OutOfDomain, match="row sum"):
+            call(v, np.diag([0.5e308, 0.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("call", [
         stringent_criterion,
@@ -928,8 +939,9 @@ class TestClassify:
 
 
 def _epr_less_identity(v, ens, sign):
-    """EPR(sign) of v, less that of ens unless None, less I: the matrix
-    weak_gap decides, built from the reference epr_matrix."""
+    """EPR(sign) of v, less that of ens unless None, less I, each from the
+    reference epr_matrix: by linearity the EPR matrix, less I, of the
+    V - ens that weak_gap decides."""
     m = np.array(epr_matrix(as_covariance(v).tolist(), sign))
     if ens is not None:
         m = m - np.array(epr_matrix(as_covariance(ens).tolist(), sign))
@@ -1152,9 +1164,10 @@ def _reference_results(v, ens, tol):
     stringent_criterion at ens, each from reference_psd of the matrix it
     decides, built entry by entry, against -tol * s, with s the
     _reference_scale of v; then for duan_criterion and weak_gap (both signs,
-    at None and ens), the EPR matrices less I each decides with the signs and
-    the bound -2 tol * s, for _assert_epr_report_matches. An ensemble matrix,
-    once its difference with v is accepted, is judged against -tol * s too."""
+    at None and ens), the EPR matrix, less I, of v or of the checked v - ens
+    that each decides, with the signs and the bound -2 tol * s, for
+    _assert_epr_report_matches. An ensemble matrix, once its difference with
+    v is accepted, is judged against -tol * s too."""
     def uncertainty(m, sign):
         return m + 0.5j * cvsep.covariance.symplectic_form(sign)
 
@@ -1177,19 +1190,19 @@ def _reference_results(v, ens, tol):
             raise NotPRepresentable("V - I/2 has a negative eigenvalue")
         return v - 0.5 * np.eye(4)
 
+    def less(e):
+        """v - e, the one matrix stringent and weak_gap decide at e."""
+        with np.errstate(over="ignore"):
+            return ensemble(e, _reference_difference(v - e))
+
     def stringent(e):
         bound = -tol * _reference_scale(v)
-        with np.errstate(over="ignore"):
-            excess = ensemble(e, _reference_difference(v - e))
+        excess = less(e)
         return branches([uncertainty(excess, 1), uncertainty(excess, -1)], bound)
 
     def epr(e, sign):
-        m = np.array(epr_matrix(v.tolist(), sign))
-        if e is None:
-            return m - np.eye(4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = m - np.array(epr_matrix(e.tolist(), sign))
-        return ensemble(e, _reference_difference(m - np.eye(4)))
+        m = v if e is None else less(e)
+        return np.array(epr_matrix(m.tolist(), sign)) - np.eye(4)
 
     def duan():
         bound = -2.0 * tol * _reference_scale(v)
@@ -1271,9 +1284,9 @@ def test_kernel_criteria_match_a_row_sum_and_eigh_reference(seed, index, factor,
 
 @settings(max_examples=300)
 @example([1.7e308, 0.0, 0.0, 0.0, 1.7e308, 0.0, 0.0, 1.0, 0.0, 1.0],
-         [1.7e308, 1.7e308, 0.0, 0.0])  # V refused before tr A - tr A_ens, inf - inf
+         [1.7e308, 1.7e308, 0.0, 0.0])  # V refused before V - ens is formed
 @example([5e307, 0.0, 0.0, 0.0, 5e307, 0.0, 0.0, 1.0, 0.0, 1.0],
-         [1.7e308, 1.7e308, 0.0, 0.0])  # tr A - tr A_ens is 1e308 - inf
+         [1.7e308, 1.7e308, 0.0, 0.0])  # V - ens is finite, but twice its row sum is not
 @example([-0.0, -0.0, -0.0, 0.0, 0.5, -0.0, 0.0, 0.5, -0.0, 5e-324], [0.0, 5e-324, 0.0, 0.5])
 @example([0.5 - 1.5e-7, 0.0, 0.0, 0.0, 0.5 - 1.5e-7, 0.0, 0.0, 1e3, 0.0, 1e3],
          [0.0, 0.0, 0.0, 0.0])  # physicality eigenvalue -1.5 tol * s
@@ -1290,6 +1303,19 @@ def test_kernel_criteria_match_the_reference_on_extreme_entries(upper, diagonal)
     # of its EPR matrix, a solve that does not converge and an ensemble below
     # -tol times V's scale are refused as the reference refuses them.
     _assert_kernel_matches_reference(_symmetric(upper), np.diag(diagonal))
+
+
+@settings(max_examples=300)
+@example([1.0, 0.0, 6e307, 0.0, 1.0, 0.0, 6e307, 1.0, 0.0, 1.0], 1)  # c00 + c11 = 1.2e308
+@given(st.lists(_ENTRIES, min_size=10, max_size=10), st.sampled_from([1, -1]))
+def test_weak_gap_at_the_zero_ensemble_is_weak_gap_without_one(upper, sign):
+    # V - 0 is V bit for bit, signed zeros included, and weak_gap decides
+    # the EPR entries of V - ens, so the zero ensemble changes no bit of the
+    # report, nor a refusal, even where an EPR entry such as c00 + c11 is
+    # past half the float maximum.
+    v = _symmetric(upper)
+    assert (_typed_bits(lambda: weak_gap(v, ZERO, sign))
+            == _typed_bits(lambda: weak_gap(v, None, sign)))
 
 
 @settings(max_examples=300)

@@ -68,8 +68,8 @@ SQUEEZE_DIGEST = "9c422bd031f81583f1d1f19a8c2c8d9a05d05ddfab0662e064869b921c32c9
 
 def _standard_form_docs() -> dict:
     """Input documents of cvsep standard-form: reference states, five locally
-    transformed audit-pool states (two rescaled), a state whose det V
-    overflows (printed as nan), a standard_form document, a slightly
+    transformed audit-pool states (two rescaled), a state whose det V is
+    past the float maximum (printed as inf), a standard_form document, a slightly
     asymmetric matrix and two blocks the reduction refuses."""
     docs = {
         "vacuum": statezoo.vacuum(),
@@ -96,7 +96,7 @@ def _standard_form_docs() -> dict:
 STANDARD_FORM_DOCS = _standard_form_docs()
 
 #: SHA-256 of the standard_form entries as json.dumps(..., sort_keys=True) writes them.
-STANDARD_FORM_DIGEST = "f1baec4ed78ae0ca16971a89daec75d4fa1cc5c8aa2bed9bccccfb9ef76f5245"
+STANDARD_FORM_DIGEST = "eb3205bc7acbaa89fcd8b71fc013774c35aae9a868dc074d87a3677e652d278d"
 
 
 #: Seeds of the audit pools whose verdicts are digested, the size of each pool,
