@@ -72,11 +72,11 @@ def _tol_scale(rows: list) -> float:
     return s
 
 
-def _epr_entries(rows: list, shift: float) -> list:
-    """The distinct entries of EPR(+1) - shift * I and EPR(-1) - shift * I of a
-    symmetric 4x4 matrix given as rows, each computed once: tr A - shift,
-    tr B - shift, then the first row (k0, k1) of K(+1), c00 + c11 and
-    c01 - c10, and of K(-1), c00 - c11 and c01 + c10. EPR(sigma) =
+def _epr_entries(rows: list) -> list:
+    """The distinct entries of EPR(+1) - I and EPR(-1) - I of a symmetric 4x4
+    matrix given as rows, each computed once: tr A - 1, tr B - 1, then the
+    first row (k0, k1) of K(+1), c00 + c11 and c01 - c10, and of K(-1),
+    c00 - c11 and c01 + c10. EPR(sigma) =
     [[A + JAJ^T, K(sigma)], [K(sigma)^T, B + JBJ^T]] is written out from
     J X J^T = [[x11, -x10], [-x01, x00]]: on a symmetric block X + JXJ^T is
     tr(X) * I, and K(sigma) = C + sigma*JCJ^T = [[k0, k1], [-sigma*k1,
@@ -85,7 +85,7 @@ def _epr_entries(rows: list, shift: float) -> list:
     decides EPR(sigma) - I from these in closed form. Python floats overflow
     to inf without a warning."""
     (a00, _, c00, c01), (_, a11, c10, c11), (*_, b00, _), (*_, b11) = rows
-    return [a00 + a11 - shift, b00 + b11 - shift, c00 + c11, c01 - c10, c00 - c11, c01 + c10]
+    return [a00 + a11 - 1.0, b00 + b11 - 1.0, c00 + c11, c01 - c10, c00 - c11, c01 + c10]
 
 
 def _as_real(x, what: str) -> np.ndarray:
@@ -319,8 +319,8 @@ def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     OutOfDomain when _tol_scale refuses V.
     """
     v, _, s, tol = _state(v, tol)
-    ok, lam, _ = matkit.decide_psd(v + _UNCERTAINTY_SHIFT[:1], [s], tol)
-    return ok[0], lam[0]
+    ok, lam, _ = matkit.decide_psd(v + _UNCERTAINTY_SHIFT[:1], s, tol)
+    return ok[0], lam[0][0]
 
 
 def ensemble_matrix(weights, deviations) -> np.ndarray:
@@ -351,12 +351,15 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
     return out
 
 
-def _coherent_excess(v: np.ndarray, s: float, tol: float) -> tuple[bool, np.ndarray]:
-    """(whether V - I/2 is PSD within -tol * s, V - I/2) of a checked V, s its
-    _tol_scale: the one P-representability decision, of classify's
-    ensemble_used and of p_rep_ensemble."""
+def _coherent_excess(v: np.ndarray, s: float, tol: float) -> tuple:
+    """(whether V - I/2 is PSD within -tol * s, V - I/2, its ascending
+    eigenvalues as Python floats, its eigenvectors as columns) of a checked V,
+    s its _tol_scale, from one matkit.decide_psd call: the one
+    P-representability decision, of classify's ensemble_used, p_rep_ensemble
+    and prep.p_weight."""
     excess = v - _HALF_I
-    return matkit.decide_psd(excess[None], [s], tol)[0][0], excess
+    ok, lam, vec = matkit.decide_psd(excess[None], s, tol)
+    return ok[0], excess, lam[0], vec[0]
 
 
 def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -369,7 +372,7 @@ def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
     refuses V.
     """
     v, _, s, tol = _state(v, tol)
-    ok, excess = _coherent_excess(v, s, tol)
+    ok, excess, _, _ = _coherent_excess(v, s, tol)
     if not ok:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     return excess

@@ -22,7 +22,8 @@ decided in closed form on Python floats (_epr_report), so their margins,
 branches and witnesses do not depend on the BLAS kernel. classify() makes
 two LAPACK calls: the Hermitian stack, and a real (1, 4, 4) stack holding
 the coherent excess V - I/2, whose PSD verdict is P-representability
-(covariance._coherent_excess, as p_rep_ensemble decides it).
+(covariance._coherent_excess, as p_rep_ensemble and prep.p_weight decide
+it).
 
 Every matrix of a call is judged against one scale, that of the state,
 s = covariance._tol_scale(V): a caller's ensemble matrix ens,
@@ -178,13 +179,15 @@ def _binding(plus: float, minus: float) -> tuple[float, int]:
 
 
 def _branch_report(ok, lam, vec: np.ndarray) -> CriterionReport:
-    """Report of "the sigma = +1 and sigma = -1 matrices are PSD" from the first
-    two entries of a stacked Hermitian PSD result (verdicts, eigenvalues,
-    vectors), as matkit.decide_psd gives it; the witness is the minimizing
-    eigenvector of branch +1, or of -1 if it binds beyond the tie."""
-    margin, branch = _binding(float(lam[0]), float(lam[1]))
-    satisfied = bool(ok[0] and ok[1])
-    witness = None if satisfied else ParamSet.from_complex(vec[1 if branch == -1 else 0])
+    """Report of "the sigma = +1 and sigma = -1 matrices are PSD" from a
+    stacked Hermitian PSD result (verdicts, eigenvalues, eigenvectors) of the
+    two, as matkit.decide_psd gives it; the margin is the smaller of the two
+    smallest eigenvalues, and the witness, sliced only for a violated report,
+    the minimizing eigenvector of branch +1, or of -1 if it binds beyond the
+    tie."""
+    margin, branch = _binding(lam[0][0], lam[1][0])
+    satisfied = ok[0] and ok[1]
+    witness = None if satisfied else ParamSet.from_complex(vec[1 if branch == -1 else 0][:, 0])
     return CriterionReport(satisfied, margin, witness, branch)
 
 
@@ -249,7 +252,7 @@ def _less(v: np.ndarray, ens, s: float, tol: float) -> np.ndarray:
         raise OutOfDomain("an entry computed from finite input overflows "
                           "(PSD test needs finite entries)")
     _tol_scale(m.tolist())
-    if not decide_psd(ens[None], [s], tol)[0][0]:
+    if not decide_psd(ens[None], s, tol)[0][0]:
         raise InvalidEnsembleMatrix("ensemble matrix must be positive semidefinite")
     return m
 
@@ -258,7 +261,7 @@ def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
     v, _, s, tol = _state(v, tol)
-    return _branch_report(*decide_psd(v + _UNCERTAINTY_SHIFT, [s, s], tol))
+    return _branch_report(*decide_psd(v + _UNCERTAINTY_SHIFT, s, tol))
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -272,7 +275,7 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     and row sums, and ens is decided last, PSD within -tol * _tol_scale(V).
     """
     v, _, s, tol = _state(v, tol)
-    return _branch_report(*decide_psd(_less(v, ens, s, tol) + _UNCERTAINTY_SHIFT, [s, s], tol))
+    return _branch_report(*decide_psd(_less(v, ens, s, tol) + _UNCERTAINTY_SHIFT, s, tol))
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -308,7 +311,7 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     v, rows, s, tol = _state(v, tol)
     if ens is not None:
         rows = _less(v, ens, s, tol).tolist()
-    return _epr_report(_epr_entries(rows, 1.0), (sign,), tol, s)
+    return _epr_report(_epr_entries(rows), (int(sign),), tol, s)
 
 
 def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -316,7 +319,7 @@ def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     than Simon's criterion. Decided in closed form (_epr_report), with no
     eigensolver call."""
     _, rows, s, tol = _state(v, tol)
-    return _epr_report(_epr_entries(rows, 1.0), (1, -1), tol, s)
+    return _epr_report(_epr_entries(rows), (1, -1), tol, s)
 
 
 def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
@@ -333,16 +336,15 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     v overflows.
     """
     v, rows, s, tol = _state(v, tol)
-    ok, lam, vec = decide_psd(v + _UNCERTAINTY_SHIFT, [s, s], tol)
+    ok, lam, vec = decide_psd(v + _UNCERTAINTY_SHIFT, s, tol)
     simon = _branch_report(ok, lam, vec)
-    # Physicality is the sigma = +1 branch of Simon's criterion.
-    phys_ok = ok[0]
+    phys_ok = ok[0]  # physicality is the sigma = +1 branch of Simon's criterion
     reports: dict[str, CriterionReport] = {}
     reports["physical"] = CriterionReport(
-        phys_ok, lam[0], None if phys_ok else ParamSet.from_complex(vec[0]), 1
+        phys_ok, lam[0][0], None if phys_ok else ParamSet.from_complex(vec[0][:, 0]), 1
     )
     reports["simon"] = simon
-    reports["duan"] = _epr_report(_epr_entries(rows, 1.0), (1, -1), tol, s)
+    reports["duan"] = _epr_report(_epr_entries(rows), (1, -1), tol, s)
 
     # The state is P-representable when V - I/2 is PSD.
     if _coherent_excess(v, s, tol)[0]:

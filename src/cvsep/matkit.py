@@ -1,9 +1,9 @@
 """Dense kernels for the small symmetric and Hermitian matrices used throughout.
 
 One kernel, decide_psd, makes every positive-semidefinite decision: one eigh
-call per stack, then each smallest eigenvalue against -tol times a float scale,
-the one tolerance scale of the state the matrix was built from or checked
-against (covariance._tol_scale).
+call per stack, then each smallest eigenvalue against -tol * s, s the one float
+tolerance scale of the state every matrix of the stack was built from or
+checked against (covariance._tol_scale).
 The 2x2 rotation SVD and every 2x2 product of a local symplectic are
 closed-form, on Python floats, so their bits do not depend on the BLAS kernel;
 clear conventions matter more than speed.
@@ -91,14 +91,16 @@ def eigh(stack: np.ndarray):
         raise OutOfDomain("eigensolver: eigenvalues did not converge") from None
 
 
-def decide_psd(stack: np.ndarray, scales: list, tol: float):
-    """(verdicts, smallest eigenvalues, their eigenvectors) of every matrix of a
-    stack (k, n, n) in one eigh call, the first two as lists of Python bools and
-    floats: a matrix is PSD when its smallest eigenvalue is at least -tol times
-    its scale, given per matrix as a finite float, tol checked."""
+def decide_psd(stack: np.ndarray, s: float, tol: float):
+    """(verdicts, eigenvalues, eigenvectors) of every matrix of a stack (k, n, n)
+    from one eigh call: the verdicts as a list of Python bools, the ascending
+    eigenvalues as lists of Python floats, one list per matrix, and the
+    eigenvector array, whose column 0 of matrix k goes with lam[k][0]. A matrix
+    is PSD when its smallest eigenvalue is at least -tol * s, s the finite
+    float scale of the state, tol checked."""
     values, vectors = eigh(stack)
-    lam = values[:, 0].tolist()
-    return [x >= -tol * s for x, s in zip(lam, scales)], lam, vectors[..., 0]
+    lam = values.tolist()
+    return [row[0] >= -tol * s for row in lam], lam, vectors
 
 
 def _rotation_rows(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .covariance import _HALF_I, _as_vector, _state, as_covariance
+from .covariance import _HALF_I, _as_vector, _coherent_excess, _state, as_covariance
 from .errors import BoundaryPRep, InvalidInput, NotPRepresentable, OutOfDomain
 from .matkit import DEFAULT_TOL
 
@@ -52,21 +52,24 @@ class PWeight:
 def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     """Weight matrix P = (V - I/2)^(-1) of the coherent-state mixture.
 
-    Requires V - I/2 positive definite, decided from one eigendecomposition
-    as p_rep_ensemble decides it, within tol * _tol_scale(V): a negative
-    eigenvalue is NotPRepresentable, and a zero eigenvalue means the weight
-    degenerates to a lower-dimensional Gaussian with no phase-space density,
-    BoundaryPRep. Raises InvalidInput unless v passes as_covariance and tol
-    passes matkit.check_tol, and OutOfDomain when _tol_scale refuses V, the
-    eigensolver does not converge or the determinant of V - I/2 overflows.
+    Requires V - I/2 positive definite. Whether it is PSD is the one
+    P-representability decision, covariance._coherent_excess within
+    -tol * s, s = _tol_scale(V), as classify and p_rep_ensemble make it:
+    NotPRepresentable where it is not. Of the eigenvalues and eigenvectors
+    that decision computed, P is built; a smallest eigenvalue within tol * s
+    of zero means the weight degenerates to a lower-dimensional Gaussian with
+    no phase-space density, BoundaryPRep. Raises InvalidInput unless v passes
+    as_covariance and tol passes matkit.check_tol, and OutOfDomain when
+    _tol_scale refuses V, the eigensolver does not converge or the
+    determinant of V - I/2 overflows.
     """
-    v, _, scale, tol = _state(v, tol)
-    values, vectors = matkit.eigh(v - _HALF_I)
-    if not values[0] >= -tol * scale:
+    v, _, s, tol = _state(v, tol)
+    ok, _, values, vectors = _coherent_excess(v, s, tol)
+    if not ok:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
-    if values[0] <= tol * scale:
+    if values[0] <= tol * s:
         raise BoundaryPRep("V - I/2 is singular; the weight has no density")
-    det = math.prod(values.tolist())  # Python floats overflow to inf without a warning
+    det = math.prod(values)  # Python floats overflow to inf without a warning
     if det == math.inf:
         raise OutOfDomain("p_weight: the determinant of V - I/2 overflows")
     pmat = (vectors / values) @ vectors.T

@@ -26,6 +26,7 @@ class Mutant(NamedTuple):
 
 
 CRITERIA = "tests/test_criteria.py::"
+CLI = "tests/test_cli.py::"
 
 MUTANTS = (
     Mutant(
@@ -75,12 +76,12 @@ MUTANTS = (
     ),
     Mutant(
         "ensemble_at_twice_the_scale", "criteria.py",
-        "decide_psd(ens[None], [s], tol)", "decide_psd(ens[None], [2.0 * s], tol)",
+        "decide_psd(ens[None], s, tol)", "decide_psd(ens[None], 2.0 * s, tol)",
         (CRITERIA + "TestStringent::test_ensemble_passes_at_tol_times_the_scale_of_the_state",),
     ),
     Mutant(
         "ensemble_at_unit_scale", "criteria.py",
-        "decide_psd(ens[None], [s], tol)", "decide_psd(ens[None], [1.0], tol)",
+        "decide_psd(ens[None], s, tol)", "decide_psd(ens[None], 1.0, tol)",
         (CRITERIA + "TestStringent::test_ensemble_is_judged_against_the_scale_of_the_state",
          CRITERIA + "TestStringent::test_ensemble_passes_at_tol_times_the_scale_of_the_state"),
     ),
@@ -122,17 +123,27 @@ MUTANTS = (
     ),
     Mutant(
         "is_physical_at_twice_the_scale", "covariance.py",
-        "_UNCERTAINTY_SHIFT[:1], [s], tol)", "_UNCERTAINTY_SHIFT[:1], [2.0 * s], tol)",
+        "_UNCERTAINTY_SHIFT[:1], s, tol)", "_UNCERTAINTY_SHIFT[:1], 2.0 * s, tol)",
         (CRITERIA + "test_kernel_criteria_match_the_reference_on_extreme_entries",),
     ),
     Mutant(
         "p_weight_not_p_representable_at_unit_scale", "prep.py",
-        "values[0] >= -tol * scale", "values[0] >= -tol",
+        "_coherent_excess(v, s, tol)", "_coherent_excess(v, 1.0, tol)",
         ("tests/test_prep.py::TestPWeight::test_decides_against_the_tol_scale_of_v",),
     ),
     Mutant(
+        "classify_margin_rounding_at_unit_scale", "cli.py",
+        "_fmt_value(rep.margin, scale)", "_fmt_value(rep.margin, 1.0)",
+        (CLI + "TestClassify::test_pure_state_prints_its_physical_margin_as_zero",),
+    ),
+    Mutant(
+        "rounding_at_1_eps", "cli.py",
+        "_ROUNDING = 16.0 * sys.float_info.epsilon", "_ROUNDING = 1.0 * sys.float_info.epsilon",
+        (CLI + "TestClassify::test_rounding_prints_as_zero",),
+    ),
+    Mutant(
         "p_weight_boundary_at_unit_scale", "prep.py",
-        "values[0] <= tol * scale", "values[0] <= tol",
+        "values[0] <= tol * s", "values[0] <= tol",
         ("tests/test_prep.py::TestPWeight::test_decides_against_the_tol_scale_of_v",),
     ),
 )

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import cvsep.audit
 from cvsep.audit import run_audit
+from cvsep.cli import main
+from cvsep.criteria import CriterionReport, Outcome, Verdict
 from cvsep.errors import InvalidInput
 
 
@@ -60,3 +64,29 @@ def test_audit_needs_a_nonnegative_seed():
     # reports it as unusable input before drawing anything.
     with pytest.raises(InvalidInput, match="seed -1 must be nonnegative"):
         run_audit(1, -1)
+
+
+def test_audit_counts_each_broken_implication(monkeypatch, capsys):
+    # State 0: Simon satisfied, Duan violated, not P-representable: one
+    # counterexample, and no ensemble pair. State 1: P-representable with
+    # Simon violated: one counterexample for P-rep => Simon, and one for each
+    # of its two ensembles, whose stringent report cannot hold with Simon's;
+    # of those, only the random ensemble's margin -0.5 lies below Simon's -0.2.
+    def verdict(ensemble_used, simon, duan, stringent):
+        reports = {"simon": CriterionReport(simon > 0, simon),
+                   "duan": CriterionReport(duan > 0, duan),
+                   "stringent": CriterionReport(stringent >= 0, stringent)}
+        return Verdict(Outcome.ENTANGLED, reports, None, ensemble_used, True)
+
+    verdicts = itertools.cycle([verdict("zero", 0.1, -0.3, 0.1),
+                                verdict("coherent_excess", -0.2, -0.4, 0.0)])
+    monkeypatch.setattr(cvsep.audit, "classify", lambda v, tol: next(verdicts))
+    monkeypatch.setattr(cvsep.audit, "stringent_criterion",
+                        lambda v, ens, tol: CriterionReport(False, -0.5))
+    result = run_audit(2, 0)
+    assert (result.p_representable, result.pairs, result.nonzero_ensemble_pairs) == (1, 4, 2)
+    assert (result.counterexamples, result.stringent_stricter) == (4, 1)
+    assert main(["audit", "--samples", "2", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "counterexamples: 4\n" in out
+    assert "stringent margin strictly below simon: 1/2 (0.5)\n" in out

@@ -26,6 +26,9 @@ from cvsep.cli import (
 from cvsep.errors import InvalidSpec
 
 
+EPS = sys.float_info.epsilon
+
+
 def write_doc(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -51,6 +54,26 @@ class TestClassify:
         assert "criterion simon: VIOLATED" in out
         margin = (math.exp(-1.0) - 1.0) / 2.0
         assert f"{margin:.12g}"[:8] in out
+
+    @pytest.mark.parametrize("r", [1.0, 3.0, 8.0])
+    def test_pure_state_prints_its_physical_margin_as_zero(self, tmp_path, capsys, r):
+        # A pure state sits on the physicality boundary: its margin is 0 in
+        # exact arithmetic, and eigh's rounding of a few eps * s (up to 2e-9
+        # at r = 8) prints as 0 against the state's scale s.
+        path = matrix_doc(tmp_path, "pure.json", statezoo.two_mode_squeezed(r))
+        assert main(["classify", path]) == EXIT_ENTANGLED
+        assert "criterion physical: ok margin=0 branch=+1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("x, scale, text", [
+        (16 * EPS, 1.0, "0"), (-16 * EPS, 1.0, "0"), (-0.0, 1.0, "0"), (0.0, 1e6, "0"),
+        (17 * EPS, 1.0, "3.77475828373e-15"), (-17 * EPS, 1.0, "-3.77475828373e-15"),
+        (16 * EPS * 1e6, 1e6, "0"), (17 * EPS * 1e6, 1e6, "3.77475828373e-09"),
+        (-0.5, 1e6, "-0.5"),
+    ])
+    def test_rounding_prints_as_zero(self, x, scale, text):
+        # A margin within 16 eps of the state's scale, or a unit-vector entry
+        # within 16 eps of zero, prints as 0; anything larger as it is.
+        assert cvsep.cli._fmt_value(x, scale) == text
 
     def test_sub_vacuum_nonphysical(self, tmp_path):
         path = matrix_doc(tmp_path, "bad.json", 0.4 * np.eye(4))
@@ -183,15 +206,23 @@ def test_document_numbers_must_be_finite_json_numbers(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
-    "raw",
-    [b'{"matrix": \xff}', b'{"matrix": [%s]}' % (b"9" * 5000)],
-    ids=["not_utf8", "integer_past_the_digit_limit"],
+    "raw, message",
+    [(b'{"matrix": \xff}', "{path} is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+     (b'{"matrix": [%s]}' % (b"9" * 5000), "matrix entries must be finite JSON numbers, got inf"),
+     (b'[1, 2]', "input document must be a JSON object\n"),
+     # The rest of the message is numpy's own text.
+     (b'{"matrix": [[0.5, 0, 0, 0], [0, 0.5, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5]]}',
+      "matrix rows must be equally long: "),
+     (b'{"standard_form": {"a": 1, "b": 1}}',
+      "standard_form needs exactly the keys a, b, c1, c2\n")],
+    ids=["not_utf8", "integer_past_the_digit_limit", "not_an_object", "ragged_matrix_rows",
+         "standard_form_missing_keys"],
 )
-def test_unreadable_documents_are_parse_failures(tmp_path, capsys, raw):
+def test_unreadable_documents_are_parse_failures(tmp_path, capsys, raw, message):
     path = tmp_path / "doc.json"
     path.write_bytes(raw)
     assert main(["classify", str(path)]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
 
 
 def test_integer_entries_read_as_their_floats(tmp_path, capsys):
@@ -350,6 +381,17 @@ class TestScan:
         out_path = tmp_path / "bad.csv"
         assert main(["scan", "--a", a_list, "--out", str(out_path)]) == EXIT_DOMAIN
         assert capsys.readouterr().err == f"error: block sizes (a, b) = {pair} must be >= 1/2\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--a", ","], "--a list is empty"),
+        (["--a", "x"], "bad --a list 'x': could not convert string to float: 'x'"),
+        (["--t-steps", "0"], "--t-steps must be at least 1"),
+    ], ids=["empty_list", "bad_list", "no_t_steps"])
+    def test_bad_grid_is_a_parse_error_and_writes_nothing(self, tmp_path, capsys, args, message):
+        out_path = tmp_path / "bad.csv"
+        assert main(["scan", *args, "--out", str(out_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_path.exists()
 
     def test_products_past_the_bound_are_out_of_domain(self, tmp_path, capsys):

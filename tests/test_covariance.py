@@ -104,11 +104,12 @@ class TestApplySymp:
     @pytest.mark.parametrize(
         "s1",
         [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 0.0]],
-         [[1e200, 0.0], [0.0, 1e200]]],
-        ids=["nan", "inf_times_zero", "overflowing_det"],
+         [[1e200, 0.0], [0.0, 1e200]], np.eye(3)],
+        ids=["nan", "inf_times_zero", "overflowing_det", "not_2x2"],
     )
     def test_rejects_non_finite_factors(self, s1):
-        with pytest.raises(InvalidTransform):
+        # A factor that is not 2x2 is refused the same way.
+        with pytest.raises(InvalidTransform, match="^each factor must be a 2x2 symplectic"):
             apply_symp(statezoo.vacuum(), np.array(s1), np.eye(2))
 
     @pytest.mark.parametrize("log_x", [6.0, 8.0])
@@ -370,6 +371,8 @@ class TestEnsembleMatrix:
             ensemble_matrix([1.0], np.zeros((2, 4)))
         with pytest.raises(InvalidEnsemble, match="sum to one"):  # without a warning
             ensemble_matrix([1e308, 1e308], np.zeros((2, 4)))
+        with pytest.raises(InvalidEnsemble, match="^ensemble entries must be finite$"):
+            ensemble_matrix([1.0], [[math.nan, 0.0, 0.0, 0.0]])
 
     @pytest.mark.parametrize(
         "weights, deviations",

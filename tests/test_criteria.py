@@ -49,6 +49,7 @@ from cvsep.criteria import (
 )
 from cvsep.audit import _scaled_random_psd, run_audit
 from cvsep.errors import (
+    BoundaryPRep,
     CvsepError,
     InvalidEnsembleMatrix,
     InvalidInput,
@@ -529,8 +530,12 @@ class TestWeakGap:
         assert classify(v, tol).reports["duan"].satisfied
 
     def test_numpy_integer_signs_are_accepted(self):
-        for sign in (np.int64(1), np.int32(-1)):
-            assert weak_gap(statezoo.vacuum(), None, sign).sign_branch == sign
+        # The report holds the sign as a Python int, as every other report does,
+        # whether it is satisfied (vacuum) or violated with a witness.
+        for v in (statezoo.vacuum(), statezoo.two_mode_squeezed(0.5)):
+            for sign in (np.int64(1), np.int32(-1), np.int64(-1)):
+                rep = weak_gap(v, None, sign)
+                assert rep.sign_branch == sign and type(rep.sign_branch) is int
 
 
 class TestWitnesses:
@@ -822,8 +827,9 @@ class TestClassify:
         # Every criterion reads its tolerance scale off V's entries and hands
         # each stack, a caller's ensemble matrix included, to
         # matkit.decide_psd, one eigh call per stack; the EPR matrices of
-        # Duan and weak_gap need none, and p_weight decides from its own full
-        # eigendecomposition.
+        # Duan and weak_gap need none, and p_weight builds P from the
+        # eigendecomposition of the (1, 4, 4) stack of V - I/2 that
+        # covariance._coherent_excess decides, as classify decides it.
         with contextlib.suppress(NotPRepresentable):  # V - I/2 indefinite
             call(v)
         assert linalg_calls == ["eigh"] * eigh_calls
@@ -852,6 +858,16 @@ class TestClassify:
                 except NotPRepresentable:
                     p_rep = False
                 assert (verdict.ensemble_used == "coherent_excess") == p_rep
+                # p_weight takes NotPRepresentable from the same decision; at
+                # the boundary it refuses as BoundaryPRep instead.
+                try:
+                    p_weight(w)
+                    weight_refused = False
+                except BoundaryPRep:
+                    weight_refused = False
+                except NotPRepresentable:
+                    weight_refused = True
+                assert weight_refused != p_rep
                 phys = verdict.reports["physical"]
                 ok, lam = is_physical(w)
                 assert phys.satisfied == ok
@@ -1033,7 +1049,7 @@ def test_epr_entries_keep_signed_zeros_and_subnormals(entries):
     for (i, j), x in entries.items():
         v[i, j] = v[j, i] = x
     rows = v.tolist()
-    epr = _epr_entries(rows, 1.0)
+    epr = _epr_entries(rows)
     for sign in (1, -1):
         m = np.array(epr_matrix(rows, sign)) - np.eye(4)
         k0, k1 = epr[3 - sign], epr[4 - sign]
@@ -1172,8 +1188,11 @@ def _reference_results(v, ens, tol):
         return m + 0.5j * cvsep.covariance.symplectic_form(sign)
 
     def branches(ms, bound):
+        # In matkit.decide_psd's shape: _branch_report reads only the smallest
+        # eigenvalue of each matrix and column 0 of its eigenvectors.
         ok, lam, vec = zip(*(reference_psd(m, bound) for m in ms))
-        return cvsep.criteria._branch_report(list(ok), list(lam), np.array(vec))
+        return cvsep.criteria._branch_report(list(ok), [[x] for x in lam],
+                                             np.array(vec)[..., None])
 
     def physical():
         ok, lam, _ = reference_psd(uncertainty(v, 1), -tol * _reference_scale(v))

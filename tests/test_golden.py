@@ -15,7 +15,10 @@ import functools
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +188,39 @@ def capture_outputs(work_dir: Path) -> dict:
 def test_cli_outputs_match_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert capture_outputs(tmp_path) == expected
+
+
+#: A child process that runs cvsep classify on each document of a JSON object
+#: {name: path} read from stdin and prints {name: {exit, stdout}} as JSON.
+_CLASSIFY_CHILD = """
+import contextlib, io, json, sys
+from cvsep.cli import main
+out = {}
+for name, path in json.load(sys.stdin).items():
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = main(["classify", path])
+    out[name] = {"exit": code, "stdout": text.getvalue()}
+print(json.dumps(out))
+"""
+
+
+def test_classify_goldens_hold_on_the_sse3_kernel(tmp_path):
+    # The physical, Simon and stringent margins and witnesses come from
+    # LAPACK, whose last bits follow the CPU kernel OpenBLAS runs; classify
+    # prints what is rounding as 0, so its text is the same on every kernel.
+    # Prescott is the SSE3 baseline, which runs on any x86-64; the setting
+    # does nothing where numpy does not use OpenBLAS.
+    paths = {}
+    for name, v in CLASSIFY_STATES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps({"matrix": v.tolist()}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _CLASSIFY_CHILD], input=json.dumps(paths),
+                           capture_output=True, text=True, env=env, check=True)
+    assert json.loads(child.stdout) == json.loads(GOLDEN.read_text(encoding="utf-8"))["classify"]
 
 
 def test_squeeze_goldens_match_their_digest():

@@ -22,13 +22,13 @@ from cvsep.matkit import (
 def decide_one(h):
     """decide_psd of one matrix against scale 1: (verdict, smallest eigenvalue,
     its eigenvector)."""
-    ok, lam, vec = decide_psd(np.asarray(h)[None], [1.0], DEFAULT_TOL)
-    return ok[0], lam[0], vec[0]
+    ok, lam, vec = decide_psd(np.asarray(h)[None], 1.0, DEFAULT_TOL)
+    return ok[0], lam[0][0], vec[0][:, 0]
 
 
 def test_decide_psd_cases():
     stack = np.stack([np.eye(4), np.diag([1.0, -1.0, 1.0, 1.0]), np.zeros((4, 4))])
-    assert decide_psd(stack, [1.0, 1.0, 1.0], DEFAULT_TOL)[0] == [True, False, True]
+    assert decide_psd(stack, 1.0, DEFAULT_TOL)[0] == [True, False, True]
 
 
 def test_decide_psd_real_identity():
@@ -104,8 +104,8 @@ def test_real_embedding_duplicates_spectrum():
         np.testing.assert_allclose(emb, np.sort(np.repeat(herm, 2)), atol=1e-10)
         # The real solver also checks decide_psd's smallest eigenvalue, for a
         # stack holding h and its conjugate.
-        _, lam, _ = decide_psd(np.stack([h, h.conj()]), [1.0, 1.0], DEFAULT_TOL)
-        np.testing.assert_allclose(lam, [emb[0], emb[0]], atol=1e-10)
+        _, lam, _ = decide_psd(np.stack([h, h.conj()]), 1.0, DEFAULT_TOL)
+        np.testing.assert_allclose([lam[0][0], lam[1][0]], [emb[0], emb[0]], atol=1e-10)
 
 
 def _branch_stacks(n):
@@ -125,17 +125,18 @@ def _branch_stacks(n):
 def test_stacked_kernel_equals_one_eigh_per_branch_bitwise():
     # The criteria decide both branches in one stacked call; their reports
     # stay what one solve per branch gave only if the stack changes no bit.
+    # Each matrix is decided against its own row-sum scale, one scale per call.
     for stack in _branch_stacks(300):
         scales = [float(x) for x in row_sum_scale(stack)]
-        ok, lam, vec = decide_psd(stack, scales, DEFAULT_TOL)
-        assert len(ok) == len(lam) == len(stack) and vec.shape == (len(stack), 4)
         for k, h in enumerate(stack):
+            ok, lam, vec = decide_psd(stack, scales[k], DEFAULT_TOL)
+            assert len(ok) == len(lam) == len(stack) and vec.shape == stack.shape
             values, vectors = np.linalg.eigh(h)
-            assert np.float64(lam[k]).tobytes() == values[0].tobytes()
-            assert vec[k].tobytes() == vectors[:, 0].tobytes()
+            assert np.array(lam[k]).tobytes() == values.tobytes()
+            assert vec[k].tobytes() == vectors.tobytes()
             assert ok[k] == (values[0] >= -DEFAULT_TOL * scales[k])
-            single = decide_psd(h[None], [scales[k]], DEFAULT_TOL)
-            assert type(single[0][0]) is bool and type(single[1][0]) is float
+            single = decide_psd(h[None], scales[k], DEFAULT_TOL)
+            assert type(single[0][0]) is bool and {type(x) for x in single[1][0]} == {float}
             assert (single[0][0], single[1][0]) == (ok[k], lam[k])
             assert single[2][0].tobytes() == vec[k].tobytes()
 
