@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from .audit import run_audit
-from .covariance import (_tol_scale, apply_symp, as_covariance, invariants, standard_matrix,
-                         to_standard_form)
+from .covariance import (_as_real, _tol_scale, apply_symp, as_covariance, invariants,
+                         standard_matrix, to_standard_form)
 from .criteria import Outcome, classify
 from .errors import CvsepError, DegenerateBlock, InvalidInput, OutOfDomain
 from .matkit import DEFAULT_TOL, check_tol
@@ -87,16 +86,6 @@ def tolerance(raw: str) -> float:
         raise argparse.ArgumentTypeError(f"{raw} is not in (0, 1)") from exc
 
 
-def _floats(x, what: str, depth: int):
-    """x, if its entries (in lists up to depth levels deep) are finite floats;
-    a string, a boolean or a number read as inf raises InvalidInput."""
-    if isinstance(x, list) and depth > 0:
-        return [_floats(item, what, depth - 1) for item in x]
-    if type(x) is float and math.isfinite(x):
-        return x
-    raise InvalidInput(f"{what} entries must be finite JSON numbers, got {x!r:.40}")
-
-
 def load_document(path: str) -> tuple[np.ndarray, float | None]:
     """Read an input document; returns (covariance matrix, tol override)."""
     try:
@@ -117,10 +106,7 @@ def load_document(path: str) -> tuple[np.ndarray, float | None]:
     tol = None if doc.get("tol") is None else check_tol(doc["tol"])
 
     if "matrix" in doc:
-        try:
-            mat = np.asarray(_floats(doc["matrix"], "matrix", 2), dtype=float)
-        except ValueError as exc:
-            raise InvalidInput(f"matrix rows must be equally long: {exc}") from exc
+        mat = _as_real(doc["matrix"], "matrix")
         if mat.shape == (16,):
             mat = mat.reshape(4, 4)
         # as_covariance bounds and averages any asymmetry; the CLI also warns.
@@ -136,8 +122,7 @@ def load_document(path: str) -> tuple[np.ndarray, float | None]:
     sf = doc["standard_form"]
     if not isinstance(sf, dict) or set(sf) != {"a", "b", "c1", "c2"}:
         raise InvalidInput("standard_form needs exactly the keys a, b, c1, c2")
-    vals = [_floats(sf[k], "standard_form", 0) for k in ("a", "b", "c1", "c2")]
-    return standard_matrix(*vals), tol
+    return standard_matrix(**sf), tol
 
 
 def cmd_classify(args) -> int:

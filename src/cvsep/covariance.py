@@ -89,11 +89,22 @@ def _epr_entries(rows: list) -> list:
 
 
 def _as_real(x, what: str) -> np.ndarray:
-    """x as a float array; raises InvalidInput unless numpy reads it with a
-    real number dtype (float or integer): complex, bool, string and object
-    entries are refused rather than cast, which would drop an imaginary part
-    or read True and "1" as 1.0."""
-    x = np.asarray(x)
+    """x as a float array, the one reader of array input; raises InvalidInput
+    unless numpy reads it with a real number dtype (float or integer):
+    complex, bool, string and object entries are refused rather than cast,
+    which would drop an imaginary part or read True and "1" as 1.0. An x that
+    is not an ndarray is also refused when it is a ragged nested sequence, or
+    when a bool (a Python bool, an np.bool_ or a 0-d bool array) sits among
+    its numbers, which numpy reads as 0 or 1; an ndarray's dtype already says
+    all there is, so it costs no per-entry work."""
+    if not isinstance(x, np.ndarray):
+        try:
+            x, entries = np.asarray(x), np.asarray(x, dtype=object).flat
+        except ValueError as exc:  # numpy's "inhomogeneous shape"
+            raise InvalidInput(f"{what} must be a rectangular array, not ragged") from exc
+        for entry in entries:  # each entry as given, before numpy casts it
+            if np.asarray(entry).dtype == bool:
+                raise InvalidInput(f"{what} must have real number entries, got {entry!r}")
     if x.dtype.kind not in "fiu":
         raise InvalidInput(f"{what} must have real number entries, got dtype {x.dtype}")
     return x.astype(float, copy=False)
@@ -103,8 +114,9 @@ def as_covariance(v) -> np.ndarray:
     """The symmetric float matrix every criterion judges: v as is when it is
     exactly symmetric, else 0.5 * v + 0.5 * v^T, which cannot overflow where
     (v + v^T) / 2 can. Raises InvalidInput unless v is a finite 4x4 matrix
-    of real numbers (_as_real) with max |v - v^T| at most 1e-9 * max(1, largest
-    absolute row sum of v), the scale _tol_scale gives a checked V."""
+    of real numbers, as _as_real reads an ndarray or a nested sequence, with
+    max |v - v^T| at most 1e-9 * max(1, largest absolute row sum of v), the
+    scale _tol_scale gives a checked V."""
     v = _as_real(v, "covariance")
     if v.shape != (4, 4) or not np.isfinite(v).all():
         raise InvalidInput("covariance must be a finite 4x4 matrix")

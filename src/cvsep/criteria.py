@@ -61,7 +61,7 @@ from .covariance import (
 )
 from .errors import InvalidEnsembleMatrix, InvalidInput, OutOfDomain
 from .matkit import DEFAULT_TOL, decide_psd
-from .squeezing import _c1_bound, simon_bound  # noqa: F401 (simon_bound re-exported)
+from .squeezing import _c1_bound
 
 
 @dataclass(eq=False)

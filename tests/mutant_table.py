@@ -146,4 +146,14 @@ MUTANTS = (
         "values[0] <= tol * s", "values[0] <= tol",
         ("tests/test_prep.py::TestPWeight::test_decides_against_the_tol_scale_of_v",),
     ),
+    Mutant(
+        "bool_entries_read_as_numbers", "covariance.py",
+        "if np.asarray(entry).dtype == bool:", "if False:",
+        (CRITERIA + "test_entry_points_refuse_a_bool_among_numbers",),
+    ),
+    Mutant(
+        "ragged_input_not_caught", "covariance.py",
+        "except ValueError as exc:  # numpy's", "except TypeError as exc:  # numpy's",
+        (CRITERIA + "test_matrix_takers_refuse_a_ragged_nested_list",),
+    ),
 )

@@ -24,7 +24,6 @@ from cvsep.criteria import (
     duan_criterion,
     gap_general,
     gap_separable,
-    simon_bound,
     simon_criterion,
 )
 from cvsep.errors import NotPRepresentable
@@ -35,6 +34,7 @@ from cvsep.squeezing import (
     optimal_squeeze,
     p_rep_bound_at,
     r2_of_r1,
+    simon_bound,
     superadditivity_gap,
 )
 

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import decimal
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -42,7 +43,6 @@ from cvsep.criteria import (
     gap_general,
     gap_separable,
     simon_algebraic,
-    simon_bound,
     simon_criterion,
     stringent_criterion,
     weak_gap,
@@ -58,7 +58,7 @@ from cvsep.errors import (
 )
 from cvsep.prep import PWeight, char_fn, p_density, p_moment_residual, p_sample, p_weight
 from cvsep.statezoo import mixed_physical_state
-from cvsep.squeezing import SqueezeParams, apply_squeeze, optimal_squeeze
+from cvsep.squeezing import SqueezeParams, apply_squeeze, optimal_squeeze, simon_bound
 from cvsep.covariance import (
     _UNCERTAINTY_SHIFT,
     J2,
@@ -1029,6 +1029,44 @@ def test_epr_reports_match_the_eigh_reference_on_the_pools(seed):
                                            [_epr_less_identity(v, ens, sign)], (sign,), bound)
 
 
+#: The permutation that swaps the two modes, (q1, p1, q2, p2) -> (q2, p2, q1, p1).
+MODE_SWAP = np.ix_([2, 3, 0, 1], [2, 3, 0, 1])
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3])
+@pytest.mark.parametrize("seed", [7, 13, 31])
+def test_swapping_the_modes_changes_no_verdict(seed, tol):
+    # Every criterion is symmetric in the two modes, so relabelling them
+    # moves no outcome, flag or branch, and each margin only by rounding.
+    for v in _scaled_pool(seed, 2000):
+        got, swapped = classify(v, tol), classify(v[MODE_SWAP], tol)
+        assert ((got.outcome, got.ensemble_used, got.consistent)
+                == (swapped.outcome, swapped.ensemble_used, swapped.consistent))
+        assert got.reports.keys() == swapped.reports.keys()
+        for name, rep in got.reports.items():
+            other = swapped.reports[name]
+            assert (rep.satisfied, rep.sign_branch) == (other.satisfied, other.sign_branch), name
+            assert abs(rep.margin - other.margin) <= 1e-13 * max(1.0, abs(rep.margin)), name
+
+
+def test_two_mode_squeezed_noise_threshold_is_the_closed_form():
+    # two_mode_squeezed(r) + n I is entangled exactly when
+    # n < n* = (1 - e^(-2r)) / 2, the noise that lifts the partially
+    # transposed symplectic eigenvalue e^(-2r)/2 + n to 1/2. consistent is
+    # not asserted: for r >= 7 it is False below the threshold, since the
+    # p_rep_bound margin is judged at -tol where Simon's is at -tol * s.
+    wrong = []
+    for k in range(1, 121):
+        r = k / 10
+        n_star = -0.5 * math.expm1(-2.0 * r)
+        for n, expected in ((n_star * (1 - 1e-4), Outcome.ENTANGLED),
+                            (n_star * (1 + 1e-4), Outcome.SEPARABLE)):
+            outcome = classify(statezoo.two_mode_squeezed(r) + n * np.eye(4)).outcome
+            if outcome is not expected:
+                wrong.append((r, n, outcome))
+    assert wrong == []
+
+
 @pytest.mark.parametrize(
     "entries",
     [
@@ -1463,6 +1501,31 @@ def test_entry_points_take_real_numbers_only(call, arg):
     # Integers stay accepted, with the bits of the float argument.
     for dtype in (int, np.int32, np.uint8):
         assert _bits(call(arg.astype(dtype))) == _bits(call(arg))
+
+
+@pytest.mark.parametrize("flag", [True, np.True_, np.array(True)], ids=["bool", "numpy-bool", "0-d"])
+@pytest.mark.parametrize("call, arg", REAL_ARRAY_TAKERS.values(), ids=REAL_ARRAY_TAKERS.keys())
+def test_entry_points_refuse_a_bool_among_numbers(call, arg, flag):
+    # numpy reads a nested list with one True among floats as float64, True
+    # as 1.0: the value of the entry it replaces here, so only the reader's
+    # own check can refuse it, and its message names the bool.
+    rows = arg.tolist()
+    inner = rows[0] if arg.ndim == 2 else rows
+    inner[0] = flag
+    message = re.escape(f"must have real number entries, got {flag!r}")
+    with pytest.raises(InvalidInput, match=message):
+        call(rows)
+
+
+#: The entry points of REAL_ARRAY_TAKERS that read a matrix.
+MATRIX_TAKERS = {name: taker for name, taker in REAL_ARRAY_TAKERS.items() if taker[1].ndim == 2}
+
+
+@pytest.mark.parametrize("call, arg", MATRIX_TAKERS.values(), ids=MATRIX_TAKERS.keys())
+def test_matrix_takers_refuse_a_ragged_nested_list(call, arg):
+    # numpy raises its own ValueError on rows of unequal length.
+    with pytest.raises(InvalidInput, match="must be a rectangular array, not ragged"):
+        call([*arg.tolist(), arg[0, :-1].tolist()])
 
 
 #: Every public function that takes tol, called with a valid state and a tol.

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from cvsep.cli import DEFAULT_GRID, _csv_text
-from cvsep.criteria import simon_bound
 from cvsep.errors import OutOfDomain
 from cvsep.squeezing import (
     SCAN_HEADER,
@@ -19,6 +18,7 @@ from cvsep.squeezing import (
     optimal_squeeze,
     p_rep_bound_at,
     scan_table,
+    simon_bound,
 )
 
 

@@ -402,7 +402,7 @@ class TestScalarRoutes:
     column kernels at one point and hand back a plain float."""
 
     def test_simon_bound_is_one_function_in_every_namespace(self):
-        assert cvsep.simon_bound is cvsep.criteria.simon_bound is cvsep.squeezing.simon_bound
+        assert cvsep.simon_bound is cvsep.squeezing.simon_bound
 
     @pytest.mark.parametrize(
         "a, b", [(a, b) for a in GRID_AB for b in GRID_AB] + AT_THE_AB_BOUND
