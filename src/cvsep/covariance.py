@@ -367,8 +367,8 @@ def _coherent_excess(v: np.ndarray, s: float, tol: float) -> tuple:
     """(whether V - I/2 is PSD within -tol * s, V - I/2, its ascending
     eigenvalues as Python floats, its eigenvectors as columns) of a checked V,
     s its _tol_scale, from one matkit.decide_psd call: the one
-    P-representability decision, of classify's ensemble_used, p_rep_ensemble
-    and prep.p_weight."""
+    P-representability decision, of classify's ensemble_used where Simon
+    holds, run_audit's where it fails, p_rep_ensemble and prep.p_weight."""
     excess = v - _HALF_I
     ok, lam, vec = matkit.decide_psd(excess[None], s, tol)
     return ok[0], excess, lam[0], vec[0]

@@ -20,10 +20,13 @@ Hermitian (2, 4, 4) stack in one LAPACK call. Duan's EPR matrices
 [[alpha I, K], [K^T, beta I]], K a scaled rotation or reflection, are
 decided in closed form on Python floats (_epr_report), so their margins,
 branches and witnesses do not depend on the BLAS kernel. classify() makes
-two LAPACK calls: the Hermitian stack, and a real (1, 4, 4) stack holding
-the coherent excess V - I/2, whose PSD verdict is P-representability
+one LAPACK call, the Hermitian stack, for a state that violates Simon, and
+two otherwise: where Simon holds, a real (1, 4, 4) stack holding the
+coherent excess V - I/2, whose PSD verdict is P-representability
 (covariance._coherent_excess, as p_rep_ensemble and prep.p_weight decide
-it).
+it). A state violating Simon is not P-representable: V - I/2 PSD within
+-tol * s gives V + (i/2) diag(J, sigma*J) PSD within -tol * s, as
+I/2 + (i/2) diag(J, sigma*J) is PSD.
 
 Every matrix of a call is judged against one scale, that of the state,
 s = covariance._tol_scale(V): a caller's ensemble matrix ens,
@@ -112,8 +115,9 @@ class Verdict:
     """Classification outcome with per-criterion reports.
 
     ensemble_used records which ensemble matrix backed the stringent report
-    ("coherent_excess" when V - I/2 is PSD, "zero" otherwise). consistent
-    records whether Simon's criterion and the extremal-squeezing bound agreed.
+    ("coherent_excess" when V - I/2 is PSD, decided only where Simon holds,
+    which it implies; "zero" otherwise). consistent records whether Simon's
+    criterion and the extremal-squeezing bound agreed.
     """
 
     outcome: Outcome
@@ -329,6 +333,8 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     its standard-form correlation |c1| sits below the extremal-squeezing
     bound; for Gaussian states that coincides with Simon's criterion, and the
     coincidence is re-checked on every call and recorded in the verdict.
+    P-representability (ensemble_used) is decided only where Simon holds,
+    which it implies; a state violating Simon gets the zero ensemble.
     Raises InvalidInput unless v passes as_covariance (finite, 4x4,
     symmetric) and tol passes check_tol, DegenerateBlock if the
     standard-form reduction fails, and OutOfDomain if a * b of the standard
@@ -346,8 +352,10 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     reports["simon"] = simon
     reports["duan"] = _epr_report(_epr_entries(rows), (1, -1), tol, s)
 
-    # The state is P-representable when V - I/2 is PSD.
-    if _coherent_excess(v, s, tol)[0]:
+    # The state is P-representable when V - I/2 is PSD. That implies Simon,
+    # since I/2 + (i/2) diag(J, sigma*J) is PSD, so only a state satisfying
+    # Simon pays for the decision.
+    if simon.satisfied and _coherent_excess(v, s, tol)[0]:
         # V - (V - I/2) is I/2 exactly (computed per state, it rounds once a
         # diagonal entry reaches 2^53), so this is the report of I/2: margin
         # 0.0, branches tied, no witness. Built per verdict, which owns it.

@@ -55,9 +55,20 @@ MUTANTS = (
     ),
     Mutant(
         "coherent_excess_at_twice_the_scale", "criteria.py",
-        "if _coherent_excess(v, s, tol)[0]:", "if _coherent_excess(v, 2.0 * s, tol)[0]:",
+        "simon.satisfied and _coherent_excess(v, s, tol)[0]:",
+        "simon.satisfied and _coherent_excess(v, 2.0 * s, tol)[0]:",
         (CRITERIA + "TestClassify::test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria",
          "tests/test_golden.py::test_cli_outputs_match_golden"),
+    ),
+    Mutant(
+        "prep_decided_on_every_state", "criteria.py",
+        "if simon.satisfied and _coherent_excess(", "if _coherent_excess(",
+        (CRITERIA + "TestClassify::test_makes_two_lapack_calls_only_where_simon_holds",),
+    ),
+    Mutant(
+        "audit_trusts_inferred_prep", "audit.py",
+        "p_rep = _coherent_excess(v, _tol_scale(v.tolist()), tol)[0]", "p_rep = False",
+        ("tests/test_audit.py::test_audit_decides_p_representability_where_simon_fails",),
     ),
     Mutant(
         "epr_larger_root", "criteria.py",

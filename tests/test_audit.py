@@ -6,7 +6,7 @@ import pytest
 import cvsep.audit
 from cvsep.audit import run_audit
 from cvsep.cli import main
-from cvsep.criteria import CriterionReport, Outcome, Verdict
+from cvsep.criteria import CriterionReport, Outcome, Verdict, classify
 from cvsep.errors import InvalidInput
 
 
@@ -90,3 +90,20 @@ def test_audit_counts_each_broken_implication(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "counterexamples: 4\n" in out
     assert "stringent margin strictly below simon: 1/2 (0.5)\n" in out
+
+
+def test_audit_decides_p_representability_where_simon_fails(monkeypatch):
+    # classify infers "not P-representable" from a violated Simon, so there
+    # the audit decides it itself, once per such state; otherwise
+    # P-representable => Simon would hold by construction. A decision that
+    # accepts every state must then find a counterexample at the pool's
+    # first Simon-violated state.
+    verdicts = []
+    monkeypatch.setattr(cvsep.audit, "classify",
+                        lambda v, tol: verdicts.append(classify(v, tol)) or verdicts[-1])
+    decisions = counting(monkeypatch, "_coherent_excess")
+    assert run_audit(40, 55).counterexamples == 0
+    violated = sum(not v.reports["simon"].satisfied for v in verdicts)
+    assert violated > 0 and len(decisions) == violated
+    monkeypatch.setattr(cvsep.audit, "_coherent_excess", lambda v, s, tol: (True, None, None, None))
+    assert run_audit(40, 55).counterexamples > 0

@@ -775,30 +775,32 @@ class TestClassify:
             call(no_convergence_matrix())
 
     @pytest.mark.parametrize(
-        "v",
+        "v, calls",
         [
-            standard_matrix(1.0, 1.0, 0.6, 0.0),  # separable, V - I/2 indefinite
-            statezoo.thermal(1.0, 1.5),  # P-representable
-            statezoo.two_mode_squeezed(0.5),  # entangled
-            0.4 * np.eye(4),  # nonphysical
+            (standard_matrix(1.0, 1.0, 0.6, 0.0), 2),  # separable, V - I/2 indefinite
+            (statezoo.thermal(1.0, 1.5), 2),  # P-representable
+            (statezoo.two_mode_squeezed(0.5), 1),  # entangled
+            (0.4 * np.eye(4), 1),  # nonphysical
         ],
         ids=["separable", "p_representable", "entangled", "nonphysical"],
     )
-    def test_makes_two_lapack_calls(self, linalg_calls, v, monkeypatch):
-        # One complex (2, 4, 4) stack for physicality and Simon, one real
-        # (1, 4, 4) stack for the coherent excess V - I/2; Duan's two
-        # branches are decided in closed form.
+    def test_makes_two_lapack_calls_only_where_simon_holds(self, linalg_calls, v, calls,
+                                                           monkeypatch):
+        # One complex (2, 4, 4) stack for physicality and Simon, and a real
+        # (1, 4, 4) stack for the coherent excess V - I/2 only where Simon
+        # holds: P-representable implies Simon, so a state violating it is
+        # not P-representable. Duan's two branches are decided in closed form.
         stacks, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: stacks.append((a.shape, a.dtype.kind)) or eigh(a))
         classify(v)
-        assert linalg_calls == ["eigh", "eigh"]
-        assert stacks == [((2, 4, 4), "c"), ((1, 4, 4), "f")]
+        assert linalg_calls == ["eigh"] * calls
+        assert stacks == [((2, 4, 4), "c"), ((1, 4, 4), "f")][:calls]
 
     @pytest.mark.parametrize(
         "call, eigh_calls",
         [
-            (classify, 2),
+            (classify, None),  # the stack of V - I/2 only where Simon holds
             (simon_criterion, 1),
             (duan_criterion, 0),
             (lambda v: weak_gap(v, None, 1), 0),
@@ -814,24 +816,28 @@ class TestClassify:
              "p_rep_ensemble", "p_weight", "weak_gap_ens", "stringent_ens"],
     )
     @pytest.mark.parametrize(
-        "v",
+        "v, simon_holds",
         [
-            standard_matrix(1.0, 1.0, 0.6, 0.0),
-            statezoo.thermal(1.0, 1.5),
-            statezoo.two_mode_squeezed(0.5),
-            0.4 * np.eye(4),
+            (standard_matrix(1.0, 1.0, 0.6, 0.0), True),
+            (statezoo.thermal(1.0, 1.5), True),
+            (statezoo.two_mode_squeezed(0.5), False),
+            (0.4 * np.eye(4), False),
         ],
         ids=["separable", "p_representable", "entangled", "nonphysical"],
     )
-    def test_makes_one_eigh_call_per_stack(self, linalg_calls, call, eigh_calls, v):
+    def test_makes_one_eigh_call_per_stack(self, linalg_calls, call, eigh_calls, v,
+                                           simon_holds):
         # Every criterion reads its tolerance scale off V's entries and hands
         # each stack, a caller's ensemble matrix included, to
         # matkit.decide_psd, one eigh call per stack; the EPR matrices of
         # Duan and weak_gap need none, and p_weight builds P from the
         # eigendecomposition of the (1, 4, 4) stack of V - I/2 that
-        # covariance._coherent_excess decides, as classify decides it.
+        # covariance._coherent_excess decides, as classify decides it where
+        # Simon holds.
         with contextlib.suppress(NotPRepresentable):  # V - I/2 indefinite
             call(v)
+        if eigh_calls is None:
+            eigh_calls = 2 if simon_holds else 1
         assert linalg_calls == ["eigh"] * eigh_calls
 
     def test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria(self):
@@ -1375,6 +1381,16 @@ def test_weak_gap_at_the_zero_ensemble_is_weak_gap_without_one(upper, sign):
             == _typed_bits(lambda: weak_gap(v, None, sign)))
 
 
+def _is_p_representable(v, tol):
+    """Whether p_rep_ensemble accepts v, decided apart from classify, whose
+    ensemble_used implies Simon by construction."""
+    try:
+        p_rep_ensemble(v, tol)
+    except NotPRepresentable:
+        return False
+    return True
+
+
 @settings(max_examples=300)
 @example(1, 1, 0.8, -2.0)  # Simon satisfied, Duan violated, with a scale per matrix
 @example(2, 2, 1.0, -1.0)
@@ -1390,10 +1406,39 @@ def test_hierarchy_holds_at_every_tol(seed, index, factor, log_tol):
     v = factor * mixed_physical_state(rng, index)
     simon = simon_criterion(v, tol).satisfied
     assert duan_criterion(v, tol).satisfied or not simon
-    p_rep = classify(v, tol).ensemble_used == "coherent_excess"
+    p_rep = _is_p_representable(v, tol)
     stringent = stringent_criterion(v, _scaled_random_psd(rng, v - 0.5 * np.eye(4)), tol)
     assert simon or not (p_rep or stringent.satisfied)
     assert stringent.satisfied or not p_rep
+
+
+@settings(max_examples=300, deadline=None)
+@example("two_mode_squeezed", 0, 12.0, -1e-4, 0.5, 0.5, 0.0, 0.0, 0.0, -10.0)
+@example("standard", 0, 0.0, 0.0, 1e6, 1e6, 1.0, -1.0, 3.0, -12.0)  # pure, squeezed by e^3
+@given(st.sampled_from(["two_mode_squeezed", "standard"]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 12.0), st.floats(-1e-4, 1e-4), st.floats(0.5, 1e6), st.floats(0.5, 1e6),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0),
+       st.floats(-12.0, math.log10(0.9)))
+def test_p_representable_implies_simon_on_large_scale_states(family, seed, r, rel, a, b, t1, t2,
+                                                             log_x, log_tol):
+    # Two-mode squeezed states plus noise n within 1e-4 relative of the
+    # entanglement threshold n* = (1 - e^(-2r))/2, and standard forms with
+    # a, b up to 1e6 and |c1|, |c2| up to sqrt((a - 1/2)(b - 1/2)), under a
+    # local pair of squeezers e^(+-log_x), e^(-+log_x): wherever
+    # p_rep_ensemble accepts V, Simon holds, and classify reports the
+    # coherent excess exactly there, though it decides V - I/2 only where
+    # Simon holds.
+    tol, rng = 10.0**log_tol, np.random.default_rng(seed)
+    if family == "two_mode_squeezed":
+        n = -0.5 * math.expm1(-2.0 * r) * (1.0 + rel)
+        v = statezoo.two_mode_squeezed(r) + n * np.eye(4)
+    else:
+        cap = math.sqrt((a - 0.5) * (b - 0.5))
+        v = standard_matrix(a, b, t1 * cap, t2 * cap)
+    v = apply_symp(v, squeezed_symp(rng, log_x), squeezed_symp(rng, -log_x))
+    p_rep = _is_p_representable(v, tol)
+    assert simon_criterion(v, tol).satisfied or not p_rep
+    assert (classify(v, tol).ensemble_used == "coherent_excess") == p_rep
 
 
 #: Every public entry point that takes a covariance matrix, called on one.
