@@ -244,23 +244,34 @@ class StandardForm:
 
 
 def _block_dets(rows) -> tuple[float, float, float]:
-    """(det A, det B, det C) of a 4x4 matrix given as rows of Python floats,
-    which overflow to inf without a warning."""
+    """(det A, det B, det C) of a 4x4 matrix given as rows of Python numbers:
+    exact on integers (invariants); on floats (the standard form) each product
+    and difference is rounded, and overflows to inf without a warning."""
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
     return a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
 
 
+def _rounded(num: int, den: int) -> float:
+    """num / den for a positive den, rounded once, as int / int true division
+    rounds: +-inf past the float maximum."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def invariants(v) -> tuple[float, float, float, float]:
     """The local-symplectic invariants (det A, det B, det C, det V) of
-    as_covariance(v), which raises InvalidInput on a bad v. det V is the
-    Laplace expansion along the first two rows, six products of complementary
-    2x2 minors summed left to right on Python floats (the same bits on any
-    BLAS). Where a product overflows, det V is that expansion of V / 2^k, k
-    the exponent of its largest absolute row sum, whose products cannot
-    overflow, times 2^4k, which is exact: +-inf only past the float maximum,
-    without a warning."""
-    v = as_covariance(v)
-    rows = v.tolist()
+    as_covariance(v), which raises InvalidInput on a bad v: each the exact
+    value for V's float entries, rounded once to the nearest float, or +-inf
+    past the float maximum. Every float is an integer over a power of two,
+    so the 16 entries times their largest denominator k are integers, and
+    _block_dets and the Laplace expansion along the first two rows (six
+    products of complementary 2x2 minors) run on them exactly; det A, det B
+    and det C are then over k^2 and det V over k^4."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in as_covariance(v).tolist()]
+    k = max(d for row in ratios for _, d in row)  # a power of two, as is every d
+    rows = [[n * (k // d) for n, d in row] for row in ratios]
     (t0, t1, t2, t3), (u0, u1, u2, u3), (w0, w1, w2, w3), (z0, z1, z2, z3) = rows
     det_a, det_b, det_c = _block_dets(rows)
     det_v = (det_a * det_b
@@ -269,12 +280,9 @@ def invariants(v) -> tuple[float, float, float, float]:
              + (t1 * u2 - t2 * u1) * (w0 * z3 - w3 * z0)
              - (t1 * u3 - t3 * u1) * (w0 * z2 - w2 * z0)
              + det_c * (w0 * z1 - w1 * z0))
-    if not math.isfinite(det_v):
-        row_sum = _max_row_sum(rows)  # inf past the float maximum, yet below 2^1026
-        k = math.frexp(row_sum)[1] if row_sum < math.inf else 1026
-        with np.errstate(over="ignore"):
-            det_v = float(np.ldexp(invariants(np.ldexp(v, -k))[3], 4 * k))
-    return det_a, det_b, det_c, det_v
+    k2 = k * k
+    return (_rounded(det_a, k2), _rounded(det_b, k2), _rounded(det_c, k2),
+            _rounded(det_v, k2 * k2))
 
 
 def _isotropize(block, det: float, name: str):

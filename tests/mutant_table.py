@@ -27,6 +27,7 @@ class Mutant(NamedTuple):
 
 CRITERIA = "tests/test_criteria.py::"
 CLI = "tests/test_cli.py::"
+INVARIANTS = "tests/test_covariance.py::TestInvariants::"
 
 MUTANTS = (
     Mutant(
@@ -166,5 +167,21 @@ MUTANTS = (
         "ragged_input_not_caught", "covariance.py",
         "except ValueError as exc:  # numpy's", "except TypeError as exc:  # numpy's",
         (CRITERIA + "test_matrix_takers_refuse_a_ragged_nested_list",),
+    ),
+    Mutant(
+        "invariants_entry_at_twice_the_scale", "covariance.py",
+        "rows = [[n * (k // d) for n, d in row] for row in ratios]",
+        "rows = [[n * (k // d) for n, d in row] for row in ratios]; rows[0][0] *= 2",
+        (INVARIANTS + "test_bits_match_the_exact_determinants_on_the_pools[7]",),
+    ),
+    Mutant(
+        "det_v_over_k_squared", "covariance.py",
+        "_rounded(det_v, k2 * k2)", "_rounded(det_v, k2)",
+        (INVARIANTS + "test_bits_match_the_exact_determinants_on_the_pools[7]",),
+    ),
+    Mutant(
+        "overflow_rounds_to_plus_inf", "covariance.py",
+        "return math.inf if num > 0 else -math.inf", "return math.inf",
+        (INVARIANTS + "test_det_v_is_the_exact_value_where_the_expansion_overflows[negative_1e100]",),
     ),
 )

@@ -57,17 +57,25 @@ def det4(m):
 
 
 def exact_det(m):
-    """det of m's float entries in rational arithmetic, as the nearest float,
-    or +-inf past the float maximum: the Leibniz sum over permutations."""
+    """det of a square m's float entries in rational arithmetic, as the
+    nearest float, or +-inf past the float maximum: the Leibniz sum over
+    permutations."""
     rows = [[Fraction(x) for x in row] for row in m.tolist()]
+    n = len(rows)
     det = Fraction(0)
-    for perm in itertools.permutations(range(4)):
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
-        det += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(4))
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        det += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
     try:
         return float(det)
     except OverflowError:
         return math.inf if det > 0 else -math.inf
+
+
+def exact_invariants(v):
+    """(det A, det B, det C, det V) of as_covariance(v), each by exact_det."""
+    v = as_covariance(v)
+    return exact_det(v[:2, :2]), exact_det(v[2:, 2:]), exact_det(v[:2, 2:]), exact_det(v)
 
 
 class TestApplySymp:
@@ -266,14 +274,25 @@ class TestStandardForm:
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", [7, 13, 31])
-    def test_bits_match_the_block_and_laplace_determinants(self, seed):
-        # Audit-pool states, one in five scaled by 0.8: every bit, signed
-        # zeros included, is what det2 and the CLI's det V gave.
+    def test_bits_match_the_exact_determinants_on_the_pools(self, seed):
+        # Audit-pool states, one in five scaled by 0.8: each invariant is the
+        # exact determinant of the float entries, rounded once.
         rng = np.random.default_rng(seed)
         for i in range(4000):
             v = (0.8 if i % 5 == 4 else 1.0) * statezoo.mixed_physical_state(rng, i)
-            expected = (det2(v[:2, :2]), det2(v[2:, 2:]), det2(v[:2, 2:]), det4(v))
-            assert np.array(invariants(v)).tobytes() == np.array(expected).tobytes()
+            assert np.array(invariants(v)).tobytes() == np.array(exact_invariants(v)).tobytes()
+
+    @pytest.mark.parametrize("v", [
+        np.diag([1e200, 1e200, 1.0, 1.0]),
+        np.diag([1e160, 1e160, 1e-300, 1e-300]),
+        *(statezoo.two_mode_squeezed(r) for r in (0.5, 5.0, 7.0, 9.0, 12.0)),
+    ], ids=["diag_1e200_1", "diag_1e160_1e-300",
+            *(f"two_mode_squeezed_{r:g}" for r in (0.5, 5.0, 7.0, 9.0, 12.0))])
+    def test_bits_match_the_exact_determinants_at_both_ends_of_the_range(self, v):
+        # Entries at both ends of the float range, where det V is past the
+        # float maximum (inf) or far below the entries (1.0e-280), and strong
+        # squeezing, where det V = 1/16 cancels from entries near e^(2r) / 4.
+        assert np.array(invariants(v)).tobytes() == np.array(exact_invariants(v)).tobytes()
 
     @pytest.mark.parametrize("v", [
         1.9e77 * statezoo.two_mode_squeezed(0.5),
@@ -283,16 +302,12 @@ class TestInvariants:
                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
     ], ids=["squeezed_1.9e77", "squeezed_1e100", "negative_1e100", "row_sum_inf"])
     def test_det_v_is_the_exact_value_where_the_expansion_overflows(self, v):
-        # The expansion's products overflow to nan or -inf, but det V is the
-        # exact determinant of the float matrix: within a few ulps below the
-        # float maximum (5 for the squeezed state), +-inf past it, and 0.0
-        # for a singular block whose row sum is itself past the maximum.
-        det_v, exact = invariants(v)[3], exact_det(v)
+        # The float expansion's products overflow to nan or -inf, but det V is
+        # the exact determinant of the float matrix rounded once, bit for bit:
+        # +-inf past the float maximum, and 0.0 for a singular block whose row
+        # sum is itself past the maximum.
         assert not math.isfinite(det4(v))
-        if math.isfinite(exact):
-            assert abs(det_v - exact) <= 8 * math.ulp(exact)
-        else:
-            assert det_v == exact
+        assert np.float64(invariants(v)[3]).tobytes() == np.float64(exact_det(v)).tobytes()
 
     @pytest.mark.parametrize("seed", [7, 13])
     def test_det_v_scales_exactly_by_a_power_of_two(self, seed):

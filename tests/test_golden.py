@@ -72,8 +72,10 @@ SQUEEZE_DIGEST = "9c422bd031f81583f1d1f19a8c2c8d9a05d05ddfab0662e064869b921c32c9
 def _standard_form_docs() -> dict:
     """Input documents of cvsep standard-form: reference states, five locally
     transformed audit-pool states (two rescaled), a state whose det V is
-    past the float maximum (printed as inf), a standard_form document, a slightly
-    asymmetric matrix and two blocks the reduction refuses."""
+    past the float maximum (printed as inf), a strongly squeezed state whose
+    det V of about 1/16 cancels from entries near 3e5, a standard_form
+    document, a slightly asymmetric matrix and two blocks the reduction
+    refuses."""
     docs = {
         "vacuum": statezoo.vacuum(),
         "thermal_1_1.5": statezoo.thermal(1.0, 1.5),
@@ -85,6 +87,7 @@ def _standard_form_docs() -> dict:
         v = apply_symp(v, statezoo.random_symp2(rng), statezoo.random_symp2(rng))
         docs[f"pool_seed7_{i}_scale_{scale:g}"] = scale * v
     docs["two_mode_squeezed_0.5_scale_1e100"] = 1e100 * statezoo.two_mode_squeezed(0.5)
+    docs["two_mode_squeezed_7"] = statezoo.two_mode_squeezed(7.0)
     asym = statezoo.two_mode_squeezed(0.3)
     asym[0, 2] += 1e-12
     docs["asymmetry_1e-12"] = asym
@@ -99,7 +102,7 @@ def _standard_form_docs() -> dict:
 STANDARD_FORM_DOCS = _standard_form_docs()
 
 #: SHA-256 of the standard_form entries as json.dumps(..., sort_keys=True) writes them.
-STANDARD_FORM_DIGEST = "eb3205bc7acbaa89fcd8b71fc013774c35aae9a868dc074d87a3677e652d278d"
+STANDARD_FORM_DIGEST = "4a1e52ddadd82bba6e93721457582026ba2807c199c7ea66687685bf9c4f5a31"
 
 
 #: Seeds of the audit pools whose verdicts are digested, the size of each pool,
