@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statezoo
-from .covariance import _HALF_I, _coherent_excess, _tol_scale
+from .covariance import _HALF_I, _coherent_excess
 from .criteria import classify, stringent_criterion
 from .matkit import DEFAULT_TOL, _check_count_and_seed, check_tol
 
@@ -42,12 +42,13 @@ def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
     P-representable => stringent => Simon => Duan. The state's classify verdict
     gives Simon, Duan and the coherent-excess report, and P-representability
     where Simon holds; classify infers "not P-representable" from a violated
-    Simon, so there the audit decides it itself (covariance._coherent_excess),
-    one decision per state either way. Only the random ensemble is evaluated
-    here. Returns the count of violations (expected zero) and how often the
-    nonzero ensemble makes the stringent margin strictly smaller than
-    Simon's. Raises InvalidInput unless samples is a positive integer, seed
-    a nonnegative one and tol passes check_tol.
+    Simon, so there the audit decides it itself (covariance._coherent_excess)
+    at the scale the verdict records, one decision per state either way.
+    Only the random ensemble is evaluated here. Returns the count of
+    violations (expected zero) and how often the nonzero ensemble makes the
+    stringent margin strictly smaller than Simon's. Raises InvalidInput
+    unless samples is a positive integer, seed a nonnegative one and tol
+    passes check_tol.
     """
     samples, seed = _check_count_and_seed(samples, seed, "audit")
     tol = check_tol(tol)
@@ -66,7 +67,7 @@ def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
         # would hold by construction.
         p_rep = verdict.ensemble_used == "coherent_excess"
         if not (p_rep or si.satisfied):
-            p_rep = _coherent_excess(v, _tol_scale(v.tolist()), tol)[0]
+            p_rep = _coherent_excess(v, verdict.scale, tol)[0]
         if not p_rep:
             continue
         prep_count += 1

@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .audit import run_audit
-from .covariance import (_as_real, _tol_scale, apply_symp, as_covariance, invariants,
-                         standard_matrix, to_standard_form)
+from .covariance import (_as_real, apply_symp, as_covariance, invariants, standard_matrix,
+                         to_standard_form)
 from .criteria import Outcome, classify
 from .errors import CvsepError, DegenerateBlock, InvalidInput, OutOfDomain
 from .matkit import DEFAULT_TOL, check_tol
@@ -60,7 +60,7 @@ _ROUNDING = 16.0 * sys.float_info.epsilon
 
 def _fmt_value(x: float, scale: float) -> str:
     """x printed by ".12g", or 0 when |x| <= 16 eps * scale, -0.0 included: a
-    margin that small (scale the state's _tol_scale) or a unit-vector entry
+    margin that small (scale the verdict's scale) or a unit-vector entry
     that small (scale 1) is rounding, whose bits follow the LAPACK kernel."""
     x = float(x)
     return format(0.0 if abs(x) <= _ROUNDING * scale else x, ".12g")
@@ -130,9 +130,8 @@ def cmd_classify(args) -> int:
     # --tol wins over the document's "tol", which wins over the default.
     tol = next((t for t in (args.tol, doc_tol) if t is not None), DEFAULT_TOL)
     verdict = classify(mat, tol)
-    scale = _tol_scale(mat.tolist())
     print(f"verdict: {verdict.outcome.value}")
-    print(f"tolerance: {tol:.3g}")
+    print(f"tolerance: {verdict.tol:.3g}")
     sf = verdict.standard_form
     if sf is not None:
         print(
@@ -144,7 +143,7 @@ def cmd_classify(args) -> int:
         if rep is None:
             continue
         state = "ok" if rep.satisfied else "VIOLATED"
-        line = f"criterion {name}: {state} margin={_fmt_value(rep.margin, scale)}"
+        line = f"criterion {name}: {state} margin={_fmt_value(rep.margin, verdict.scale)}"
         if rep.sign_branch is not None:
             branch = "both" if rep.sign_branch == 0 else f"{rep.sign_branch:+d}"
             line += f" branch={branch}"

@@ -118,6 +118,14 @@ class Verdict:
     ("coherent_excess" when V - I/2 is PSD, decided only where Simon holds,
     which it implies; "zero" otherwise). consistent records whether Simon's
     criterion and the extremal-squeezing bound agreed.
+
+    tol is the float matkit.check_tol read and scale the state's tolerance
+    scale s = covariance._tol_scale(V), the two every threshold below was
+    set from. The physical, simon and stringent reports and ensemble_used
+    pass at -tol * s, the duan report at -2 tol * s. Three thresholds are
+    still absolute: the simon_algebraic and p_rep_bound reports pass at
+    -tol, and consistent allows a disagreement only where both margins are
+    within 1e-8 of zero.
     """
 
     outcome: Outcome
@@ -125,6 +133,8 @@ class Verdict:
     standard_form: StandardForm | None
     ensemble_used: str
     consistent: bool
+    tol: float
+    scale: float
 
 
 def _quad(m: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
@@ -334,12 +344,12 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     bound; for Gaussian states that coincides with Simon's criterion, and the
     coincidence is re-checked on every call and recorded in the verdict.
     P-representability (ensemble_used) is decided only where Simon holds,
-    which it implies; a state violating Simon gets the zero ensemble.
-    Raises InvalidInput unless v passes as_covariance (finite, 4x4,
-    symmetric) and tol passes check_tol, DegenerateBlock if the
-    standard-form reduction fails, and OutOfDomain if a * b of the standard
-    form exceeds the bound of the squeezing routes or a value computed from
-    v overflows.
+    which it implies; a state violating Simon gets the zero ensemble. The
+    verdict records the tol and the scale s it was decided at. Raises
+    InvalidInput unless v passes as_covariance (finite, 4x4, symmetric) and
+    tol passes check_tol, DegenerateBlock if the standard-form reduction
+    fails, and OutOfDomain if a * b of the standard form exceeds the bound
+    of the squeezing routes or a value computed from v overflows.
     """
     v, rows, s, tol = _state(v, tol)
     ok, lam, vec = decide_psd(v + _UNCERTAINTY_SHIFT, s, tol)
@@ -365,7 +375,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     reports["stringent"] = stringent
 
     if not phys_ok:
-        return Verdict(Outcome.NONPHYSICAL, reports, None, ens_kind, True)
+        return Verdict(Outcome.NONPHYSICAL, reports, None, ens_kind, True, tol, s)
 
     sf = _standard_form(rows)
     reports["simon_algebraic"] = simon_algebraic(sf, tol)
@@ -379,4 +389,4 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     consistent = (simon.satisfied == separable) or (
         abs(prep_margin) <= 1e-8 and abs(simon.margin) <= 1e-8
     )
-    return Verdict(outcome, reports, sf, ens_kind, consistent)
+    return Verdict(outcome, reports, sf, ens_kind, consistent, tol, s)

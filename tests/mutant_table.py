@@ -68,8 +68,19 @@ MUTANTS = (
     ),
     Mutant(
         "audit_trusts_inferred_prep", "audit.py",
-        "p_rep = _coherent_excess(v, _tol_scale(v.tolist()), tol)[0]", "p_rep = False",
+        "p_rep = _coherent_excess(v, verdict.scale, tol)[0]", "p_rep = False",
         ("tests/test_audit.py::test_audit_decides_p_representability_where_simon_fails",),
+    ),
+    Mutant(
+        "audit_prep_at_unit_scale", "audit.py",
+        "_coherent_excess(v, verdict.scale, tol)", "_coherent_excess(v, 1.0, tol)",
+        ("tests/test_audit.py::test_audit_decides_p_representability_at_the_scale_the_verdict_records",),
+    ),
+    Mutant(
+        "classify_records_unit_scale", "criteria.py",
+        "Verdict(outcome, reports, sf, ens_kind, consistent, tol, s)",
+        "Verdict(outcome, reports, sf, ens_kind, consistent, tol, 1.0)",
+        (CLI + "TestClassify::test_pure_state_prints_its_physical_margin_as_zero[8.0]",),
     ),
     Mutant(
         "epr_larger_root", "criteria.py",
@@ -145,7 +156,7 @@ MUTANTS = (
     ),
     Mutant(
         "classify_margin_rounding_at_unit_scale", "cli.py",
-        "_fmt_value(rep.margin, scale)", "_fmt_value(rep.margin, 1.0)",
+        "_fmt_value(rep.margin, verdict.scale)", "_fmt_value(rep.margin, 1.0)",
         (CLI + "TestClassify::test_pure_state_prints_its_physical_margin_as_zero",),
     ),
     Mutant(

@@ -8,6 +8,7 @@ from cvsep.audit import run_audit
 from cvsep.cli import main
 from cvsep.criteria import CriterionReport, Outcome, Verdict, classify
 from cvsep.errors import InvalidInput
+from cvsep.matkit import DEFAULT_TOL
 
 
 def counting(monkeypatch, name):
@@ -76,7 +77,7 @@ def test_audit_counts_each_broken_implication(monkeypatch, capsys):
         reports = {"simon": CriterionReport(simon > 0, simon),
                    "duan": CriterionReport(duan > 0, duan),
                    "stringent": CriterionReport(stringent >= 0, stringent)}
-        return Verdict(Outcome.ENTANGLED, reports, None, ensemble_used, True)
+        return Verdict(Outcome.ENTANGLED, reports, None, ensemble_used, True, DEFAULT_TOL, 1.0)
 
     verdicts = itertools.cycle([verdict("zero", 0.1, -0.3, 0.1),
                                 verdict("coherent_excess", -0.2, -0.4, 0.0)])
@@ -107,3 +108,21 @@ def test_audit_decides_p_representability_where_simon_fails(monkeypatch):
     assert violated > 0 and len(decisions) == violated
     monkeypatch.setattr(cvsep.audit, "_coherent_excess", lambda v, s, tol: (True, None, None, None))
     assert run_audit(40, 55).counterexamples > 0
+
+
+def test_audit_decides_p_representability_at_the_scale_the_verdict_records(monkeypatch):
+    # A Simon-violated verdict of a state whose V - I/2 has its smallest
+    # eigenvalue -1e-8 between -tol * s and -tol (s = 1000): P-representable
+    # at the verdict's scale, so the audit counts P-rep => Simon broken, and
+    # stringent => Simon at both ensembles; at scale 1 it would count none.
+    v = np.diag([0.5 - 1e-8, 0.5 - 1e-8, 1000.0, 1000.0])
+    decided = classify(v)
+    lam = float(np.linalg.eigvalsh(v - 0.5 * np.eye(4))[0])
+    assert -decided.tol * decided.scale <= lam < -decided.tol
+    simon = CriterionReport(False, -0.2)
+    reports = {"simon": simon, "duan": CriterionReport(False, -0.4), "stringent": simon}
+    monkeypatch.setattr(cvsep.audit.statezoo, "mixed_physical_state", lambda rng, i: v)
+    monkeypatch.setattr(cvsep.audit, "classify", lambda v, tol: Verdict(
+        Outcome.ENTANGLED, reports, None, "zero", True, decided.tol, decided.scale))
+    result = run_audit(1, 0)
+    assert (result.p_representable, result.counterexamples) == (1, 3)

@@ -51,6 +51,7 @@ from cvsep.audit import _scaled_random_psd, run_audit
 from cvsep.errors import (
     BoundaryPRep,
     CvsepError,
+    DegenerateBlock,
     InvalidEnsembleMatrix,
     InvalidInput,
     NotPRepresentable,
@@ -66,7 +67,7 @@ from cvsep.covariance import (
     _epr_entries,
     _tol_scale,
 )
-from cvsep.matkit import DEFAULT_TOL
+from cvsep.matkit import DEFAULT_TOL, check_tol
 
 
 def params(d, f, g, h):
@@ -622,6 +623,26 @@ class TestVerdictInvariance:
                 assert classify(apply_symp(v, s1, s2)).outcome is outcome
 
 
+#: Entries of every size a finite matrix can hold: signed zeros, subnormals,
+#: halves (V - I/2 and |x + i/2| at the boundary) and entries near 1e308,
+#: whose row sums overflow.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324]),
+    st.floats(-10.0, 10.0),
+    st.floats(1e307, sys.float_info.max),
+    st.floats(-sys.float_info.max, -1e307),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _symmetric(upper):
+    """The symmetric matrix of an upper triangle given row by row, each
+    entry's sign of zero kept."""
+    v, upper_index = np.zeros((4, 4)), np.triu_indices(4)
+    v[upper_index] = v[upper_index[::-1]] = upper
+    return v
+
+
 def _verdict_bits(verdict) -> tuple:
     """Every field of a verdict, its reports' witnesses and its standard form
     as bytes, so two verdicts compare bit for bit."""
@@ -635,7 +656,8 @@ def _verdict_bits(verdict) -> tuple:
     )
     sf = verdict.standard_form
     form = None if sf is None else tuple(bits(x) for x in vars(sf).values())
-    return verdict.outcome, verdict.ensemble_used, verdict.consistent, reports, form
+    return (verdict.outcome, verdict.ensemble_used, verdict.consistent, bits(verdict.tol),
+            bits(verdict.scale), reports, form)
 
 
 class TestClassify:
@@ -959,6 +981,40 @@ class TestClassify:
             assert verdict.outcome in (Outcome.SEPARABLE, Outcome.ENTANGLED)
             assert verdict.consistent
 
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3])
+    @pytest.mark.parametrize("seed", [7, 13, 31])
+    def test_records_the_scale_it_decided_at_on_the_pools(self, seed, tol):
+        # The scale is the one float _state reads, bit for bit, on every
+        # outcome, the early return of a nonphysical verdict included.
+        outcomes = set()
+        for v in _scaled_pool(seed, 2000):
+            verdict = classify(v, tol)
+            outcomes.add(verdict.outcome)
+            assert verdict.scale.hex() == _tol_scale(as_covariance(v).tolist()).hex()
+        assert outcomes == set(Outcome)
+
+    @settings(max_examples=300)
+    @example([0.0] * 10)  # nonphysical at the floor s = 1
+    @example([0.5, -0.0, 5e-324, 0.0, 0.5, 0.0, -5e-324, 0.5, 0.0, 0.5])  # separable, s = 1
+    @example([1e150, 0.0, 0.0, 0.0, 1e150, 0.0, 0.0, 0.5, 0.0, 0.5])  # separable, s = 1e150
+    @example([4.4e307, 0.0, 4.4e307, 0.0, 4.4e307, 0.0, 4.4e307, 1.0, 0.0, 1.0])
+    @given(st.lists(_ENTRIES, min_size=10, max_size=10))
+    def test_records_the_scale_it_decided_at_on_extreme_entries(self, upper):
+        v = _symmetric(upper)
+        try:
+            verdict = classify(v)
+        except (DegenerateBlock, OutOfDomain):
+            return  # refused: no verdict records a scale
+        assert verdict.scale.hex() == _tol_scale(as_covariance(v).tolist()).hex()
+
+    @pytest.mark.parametrize("v", [statezoo.two_mode_squeezed(0.5), 0.4 * np.eye(4)],
+                             ids=["entangled", "nonphysical"])
+    @pytest.mark.parametrize("tol", [1e-3, Fraction(1, 1000), np.float32(1e-3)],
+                             ids=["float", "fraction", "float32"])
+    def test_records_the_tol_check_tol_read(self, v, tol):
+        verdict = classify(v, tol)
+        assert type(verdict.tol) is float and verdict.tol.hex() == check_tol(tol).hex()
+
 
 def _epr_less_identity(v, ens, sign):
     """EPR(sign) of v, less that of ens unless None, less I, each from the
@@ -1053,6 +1109,51 @@ def test_swapping_the_modes_changes_no_verdict(seed, tol):
             other = swapped.reports[name]
             assert (rep.satisfied, rep.sign_branch) == (other.satisfied, other.sign_branch), name
             assert abs(rep.margin - other.margin) <= 1e-13 * max(1.0, abs(rep.margin)), name
+
+
+def _near_the_boundary(verdict, *names):
+    """Whether a named report's margin lies within tol * s of zero, at the
+    tol and scale the verdict records."""
+    return any(abs(verdict.reports[name].margin) <= verdict.tol * verdict.scale
+               for name in names)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3])
+@pytest.mark.parametrize("seed", [7, 13, 31])
+def test_partial_transpose_keeps_separable_and_makes_entangled_nonphysical(seed, tol):
+    # The partial transpose of a separable state is a separable state; that
+    # of an entangled state violates physicality, as V violates Simon. Its
+    # physicality margin is Simon's sigma = -1 branch of V and its scale is
+    # V's, so a verdict may differ only within tol * s of the boundary.
+    counts = {Outcome.SEPARABLE: 0, Outcome.ENTANGLED: 0}
+    for v in _scaled_pool(seed, 2000):
+        verdict = classify(v, tol)
+        if verdict.outcome is Outcome.NONPHYSICAL:
+            continue
+        counts[verdict.outcome] += 1
+        entangled = verdict.outcome is Outcome.ENTANGLED
+        expected = Outcome.NONPHYSICAL if entangled else Outcome.SEPARABLE
+        assert (classify(partial_transpose(v), tol).outcome is expected
+                or _near_the_boundary(verdict, "simon", "p_rep_bound"))
+    assert min(counts.values()) > 0
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3])
+@pytest.mark.parametrize("seed", [7, 13, 31])
+def test_adding_a_psd_matrix_keeps_separable_and_physical_states(seed, tol):
+    # V + N, N PSD, is V's state with classical noise added: a separable
+    # state stays separable and a physical state physical, except within
+    # tol * s of the boundary.
+    rng = np.random.default_rng(seed + 1)
+    for v in _scaled_pool(seed, 2000):
+        g = rng.standard_normal((4, 4))
+        verdict = classify(v, tol)
+        noisy = classify(v + 0.1 * (g @ g.T), tol).outcome
+        if verdict.outcome is Outcome.SEPARABLE:
+            assert (noisy is Outcome.SEPARABLE
+                    or _near_the_boundary(verdict, "simon", "p_rep_bound"))
+        elif verdict.outcome is Outcome.ENTANGLED:
+            assert noisy is not Outcome.NONPHYSICAL or _near_the_boundary(verdict, "physical")
 
 
 def test_two_mode_squeezed_noise_threshold_is_the_closed_form():
@@ -1152,26 +1253,6 @@ def test_closed_form_epr_margin_matches_eigvalsh_under_local_squeezing(family, s
     for rep in (*reports, duan):
         if not rep.satisfied:
             assert gap_separable(v, None, rep.witness) < 0.0
-
-
-#: Entries of every size a finite matrix can hold: signed zeros, subnormals,
-#: halves (V - I/2 and |x + i/2| at the boundary) and entries near 1e308,
-#: whose row sums overflow.
-_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324]),
-    st.floats(-10.0, 10.0),
-    st.floats(1e307, sys.float_info.max),
-    st.floats(-sys.float_info.max, -1e307),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
-def _symmetric(upper):
-    """The symmetric matrix of an upper triangle given row by row, each
-    entry's sign of zero kept."""
-    v, upper_index = np.zeros((4, 4)), np.triu_indices(4)
-    v[upper_index] = v[upper_index[::-1]] = upper
-    return v
 
 
 @settings(max_examples=400)
