@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statezoo
-from .covariance import _HALF_I, _coherent_excess
+from .covariance import _HALF_I
 from .criteria import classify, stringent_criterion
 from .matkit import DEFAULT_TOL, _check_count_and_seed, check_tol
 
@@ -40,15 +40,13 @@ def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
     For each state and each admissible ensemble matrix (zero, the coherent
     excess when PSD, and a random PSD matrix dominated by it), verify
     P-representable => stringent => Simon => Duan. The state's classify verdict
-    gives Simon, Duan and the coherent-excess report, and P-representability
-    where Simon holds; classify infers "not P-representable" from a violated
-    Simon, so there the audit decides it itself (covariance._coherent_excess)
-    at the scale the verdict records, one decision per state either way.
-    Only the random ensemble is evaluated here. Returns the count of
-    violations (expected zero) and how often the nonzero ensemble makes the
-    stringent margin strictly smaller than Simon's. Raises InvalidInput
-    unless samples is a positive integer, seed a nonnegative one and tol
-    passes check_tol.
+    gives Simon, Duan, the coherent-excess report and P-representability
+    (ensemble_used), which classify decides on every state independently
+    of Simon, so each implication is checked on independent decisions. Only
+    the random ensemble is evaluated here. Returns the count of violations
+    (expected zero) and how often the nonzero ensemble makes the stringent
+    margin strictly smaller than Simon's. Raises InvalidInput unless samples
+    is a positive integer, seed a nonnegative one and tol passes check_tol.
     """
     samples, seed = _check_count_and_seed(samples, seed, "audit")
     tol = check_tol(tol)
@@ -62,13 +60,7 @@ def run_audit(samples: int, seed: int, tol: float = DEFAULT_TOL) -> AuditResult:
         si, du = verdict.reports["simon"], verdict.reports["duan"]
         if si.satisfied and not du.satisfied:
             bad += 1
-        # classify infers "zero" from a violated Simon, so there the audit
-        # decides P-representability itself, or P-representable => Simon
-        # would hold by construction.
-        p_rep = verdict.ensemble_used == "coherent_excess"
-        if not (p_rep or si.satisfied):
-            p_rep = _coherent_excess(v, verdict.scale, tol)[0]
-        if not p_rep:
+        if verdict.ensemble_used != "coherent_excess":
             continue
         prep_count += 1
         # P-representable => stringent => Simon on every ensemble; at the zero

@@ -54,6 +54,11 @@ _UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
 #: x - 0.0 is x exactly, signed zeros included.
 _HALF_I = 0.5 * np.eye(4)
 
+#: _UNCERTAINTY_SHIFT with -I/2 as a third row, one complex stack: V + _STATE_SHIFT
+#: holds Simon's two branches and the coherent excess, whose real part is
+#: V - _HALF_I bit for bit, since x + -0.0 is x exactly, signed zeros included.
+_STATE_SHIFT = np.concatenate([_UNCERTAINTY_SHIFT, -_HALF_I[None]])
+
 
 def _max_row_sum(rows: list) -> float:
     """Largest absolute row sum of a 4x4 matrix given as rows of Python floats,
@@ -372,14 +377,13 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
 
 
 def _coherent_excess(v: np.ndarray, s: float, tol: float) -> tuple:
-    """(whether V - I/2 is PSD within -tol * s, V - I/2, its ascending
-    eigenvalues as Python floats, its eigenvectors as columns) of a checked V,
-    s its _tol_scale, from one matkit.decide_psd call: the one
-    P-representability decision, of classify's ensemble_used where Simon
-    holds, run_audit's where it fails, p_rep_ensemble and prep.p_weight."""
-    excess = v - _HALF_I
-    ok, lam, vec = matkit.decide_psd(excess[None], s, tol)
-    return ok[0], excess, lam[0], vec[0]
+    """(whether V - I/2 is PSD within -tol * s, its ascending eigenvalues as
+    Python floats, its complex eigenvectors as columns) of a checked V, s its
+    _tol_scale: the third matrix of classify's stack V + _STATE_SHIFT, decided
+    alone by the same complex matkit.decide_psd kernel, so p_rep_ensemble and
+    prep.p_weight take classify's P-representability decision bit for bit."""
+    ok, lam, vec = matkit.decide_psd(v + _STATE_SHIFT[2:], s, tol)
+    return ok[0], lam[0], vec[0]
 
 
 def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -387,12 +391,11 @@ def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Defined whenever V - I/2 is PSD, i.e. whenever the state is
     P-representable without further squeezing, as _coherent_excess decides
-    it for classify's ensemble_used too. Raises InvalidInput unless v passes
-    as_covariance and tol passes check_tol, and OutOfDomain when _tol_scale
-    refuses V.
+    it, bit for bit the decision behind classify's ensemble_used. Raises
+    InvalidInput unless v passes as_covariance and tol passes check_tol, and
+    OutOfDomain when _tol_scale refuses V.
     """
     v, _, s, tol = _state(v, tol)
-    ok, excess, _, _ = _coherent_excess(v, s, tol)
-    if not ok:
+    if not _coherent_excess(v, s, tol)[0]:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
-    return excess
+    return v - _HALF_I

@@ -20,13 +20,13 @@ Hermitian (2, 4, 4) stack in one LAPACK call. Duan's EPR matrices
 [[alpha I, K], [K^T, beta I]], K a scaled rotation or reflection, are
 decided in closed form on Python floats (_epr_report), so their margins,
 branches and witnesses do not depend on the BLAS kernel. classify() makes
-one LAPACK call, the Hermitian stack, for a state that violates Simon, and
-two otherwise: where Simon holds, a real (1, 4, 4) stack holding the
-coherent excess V - I/2, whose PSD verdict is P-representability
-(covariance._coherent_excess, as p_rep_ensemble and prep.p_weight decide
-it). A state violating Simon is not P-representable: V - I/2 PSD within
--tol * s gives V + (i/2) diag(J, sigma*J) PSD within -tol * s, as
-I/2 + (i/2) diag(J, sigma*J) is PSD.
+one LAPACK call per state: its Hermitian stack V + covariance._STATE_SHIFT,
+of shape (3, 4, 4), holds Simon's two matrices and the coherent excess
+V - I/2, whose PSD verdict is P-representability, bit for bit the decision
+p_rep_ensemble and prep.p_weight take. That verdict is read on every state,
+independently of Simon's: V - I/2 PSD within -tol * s gives V + (i/2)
+diag(J, sigma*J) PSD within -tol * s, as I/2 + (i/2) diag(J, sigma*J) is
+PSD, so the audit can check the implication on two independent decisions.
 
 Every matrix of a call is judged against one scale, that of the state,
 s = covariance._tol_scale(V): a caller's ensemble matrix ens,
@@ -51,11 +51,11 @@ import numpy as np
 
 from . import matkit
 from .covariance import (
+    _STATE_SHIFT,
     _UNCERTAINTY_SHIFT,
     J2,
     StandardForm,
     _as_vector,
-    _coherent_excess,
     _epr_entries,
     _standard_form,
     _state,
@@ -115,9 +115,9 @@ class Verdict:
     """Classification outcome with per-criterion reports.
 
     ensemble_used records which ensemble matrix backed the stringent report
-    ("coherent_excess" when V - I/2 is PSD, decided only where Simon holds,
-    which it implies; "zero" otherwise). consistent records whether Simon's
-    criterion and the extremal-squeezing bound agreed.
+    ("coherent_excess" when V - I/2 is PSD, decided on every state
+    independently of Simon's criterion; "zero" otherwise). consistent records whether
+    Simon's criterion and the extremal-squeezing bound agreed.
 
     tol is the float matkit.check_tol read and scale the state's tolerance
     scale s = covariance._tol_scale(V), the two every threshold below was
@@ -343,8 +343,9 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     its standard-form correlation |c1| sits below the extremal-squeezing
     bound; for Gaussian states that coincides with Simon's criterion, and the
     coincidence is re-checked on every call and recorded in the verdict.
-    P-representability (ensemble_used) is decided only where Simon holds,
-    which it implies; a state violating Simon gets the zero ensemble. The
+    P-representability (ensemble_used) is decided on every state, as the
+    third matrix of the one Hermitian stack that decides physicality and
+    Simon; a state that is not P-representable gets the zero ensemble. The
     verdict records the tol and the scale s it was decided at. Raises
     InvalidInput unless v passes as_covariance (finite, 4x4, symmetric) and
     tol passes check_tol, DegenerateBlock if the standard-form reduction
@@ -352,7 +353,7 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     of the squeezing routes or a value computed from v overflows.
     """
     v, rows, s, tol = _state(v, tol)
-    ok, lam, vec = decide_psd(v + _UNCERTAINTY_SHIFT, s, tol)
+    ok, lam, vec = decide_psd(v + _STATE_SHIFT, s, tol)
     simon = _branch_report(ok, lam, vec)
     phys_ok = ok[0]  # physicality is the sigma = +1 branch of Simon's criterion
     reports: dict[str, CriterionReport] = {}
@@ -362,10 +363,9 @@ def classify(v, tol: float = DEFAULT_TOL) -> Verdict:
     reports["simon"] = simon
     reports["duan"] = _epr_report(_epr_entries(rows), (1, -1), tol, s)
 
-    # The state is P-representable when V - I/2 is PSD. That implies Simon,
-    # since I/2 + (i/2) diag(J, sigma*J) is PSD, so only a state satisfying
-    # Simon pays for the decision.
-    if simon.satisfied and _coherent_excess(v, s, tol)[0]:
+    # The state is P-representable when V - I/2, the stack's third matrix, is
+    # PSD: decided on every state independently of Simon, which it implies.
+    if ok[2]:
         # V - (V - I/2) is I/2 exactly (computed per state, it rounds once a
         # diagonal entry reaches 2^53), so this is the report of I/2: margin
         # 0.0, branches tied, no witness. Built per verdict, which owns it.

@@ -54,17 +54,18 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
 
     Requires V - I/2 positive definite. Whether it is PSD is the one
     P-representability decision, covariance._coherent_excess within
-    -tol * s, s = _tol_scale(V), as classify and p_rep_ensemble make it:
-    NotPRepresentable where it is not. Of the eigenvalues and eigenvectors
-    that decision computed, P is built; a smallest eigenvalue within tol * s
-    of zero means the weight degenerates to a lower-dimensional Gaussian with
-    no phase-space density, BoundaryPRep. Raises InvalidInput unless v passes
+    -tol * s, s = _tol_scale(V), bit for bit as classify and p_rep_ensemble
+    make it: NotPRepresentable where it is not. P is built from that
+    decision's eigenvalues and complex eigenvectors U, as the real part of
+    U diag(1 / lambda) U^H; a smallest eigenvalue within tol * s of zero
+    means the weight degenerates to a lower-dimensional Gaussian with no
+    phase-space density, BoundaryPRep. Raises InvalidInput unless v passes
     as_covariance and tol passes matkit.check_tol, and OutOfDomain when
     _tol_scale refuses V, the eigensolver does not converge or the
     determinant of V - I/2 overflows.
     """
     v, _, s, tol = _state(v, tol)
-    ok, _, values, vectors = _coherent_excess(v, s, tol)
+    ok, values, vectors = _coherent_excess(v, s, tol)
     if not ok:
         raise NotPRepresentable("V - I/2 has a negative eigenvalue")
     if values[0] <= tol * s:
@@ -72,7 +73,7 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     det = math.prod(values)  # Python floats overflow to inf without a warning
     if det == math.inf:
         raise OutOfDomain("p_weight: the determinant of V - I/2 overflows")
-    pmat = (vectors / values) @ vectors.T
+    pmat = ((vectors / values) @ vectors.conj().T).real
     pmat = 0.5 * (pmat + pmat.T)
     return PWeight(pmat, 1.0 / (4.0 * math.pi**2 * math.sqrt(det)))
 

@@ -55,26 +55,22 @@ MUTANTS = (
         (CRITERIA + "TestClassify::test_consistent_allows_a_disagreement_only_within_1e_8",),
     ),
     Mutant(
-        "coherent_excess_at_twice_the_scale", "criteria.py",
-        "simon.satisfied and _coherent_excess(v, s, tol)[0]:",
-        "simon.satisfied and _coherent_excess(v, 2.0 * s, tol)[0]:",
-        (CRITERIA + "TestClassify::test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria",
+        "coherent_excess_at_twice_the_scale", "covariance.py",
+        "decide_psd(v + _STATE_SHIFT[2:], s, tol)",
+        "decide_psd(v + _STATE_SHIFT[2:], 2.0 * s, tol)",
+        (CRITERIA + "TestClassify::test_p_representability_has_one_decider_on_the_pools",),
+    ),
+    Mutant(
+        "p_rep_read_from_the_simon_branch", "criteria.py",
+        "if ok[2]:", "if ok[1]:",
+        (CRITERIA + "TestClassify::test_p_representability_has_one_decider_on_the_pools",
+         CRITERIA + "TestClassify::test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria"),
+    ),
+    Mutant(
+        "coherent_excess_shift_halved", "covariance.py",
+        "-_HALF_I[None]", "-0.5 * _HALF_I[None]",
+        (CRITERIA + "TestClassify::test_physical_and_zero_ensemble_reports_reuse_simon",
          "tests/test_golden.py::test_cli_outputs_match_golden"),
-    ),
-    Mutant(
-        "prep_decided_on_every_state", "criteria.py",
-        "if simon.satisfied and _coherent_excess(", "if _coherent_excess(",
-        (CRITERIA + "TestClassify::test_makes_two_lapack_calls_only_where_simon_holds",),
-    ),
-    Mutant(
-        "audit_trusts_inferred_prep", "audit.py",
-        "p_rep = _coherent_excess(v, verdict.scale, tol)[0]", "p_rep = False",
-        ("tests/test_audit.py::test_audit_decides_p_representability_where_simon_fails",),
-    ),
-    Mutant(
-        "audit_prep_at_unit_scale", "audit.py",
-        "_coherent_excess(v, verdict.scale, tol)", "_coherent_excess(v, 1.0, tol)",
-        ("tests/test_audit.py::test_audit_decides_p_representability_at_the_scale_the_verdict_records",),
     ),
     Mutant(
         "classify_records_unit_scale", "criteria.py",

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import cvsep.audit
+from cvsep import statezoo
 from cvsep.audit import run_audit
 from cvsep.cli import main
-from cvsep.criteria import CriterionReport, Outcome, Verdict, classify
+from cvsep.criteria import CriterionReport, Outcome, Verdict
 from cvsep.errors import InvalidInput
 from cvsep.matkit import DEFAULT_TOL
 
@@ -93,36 +94,18 @@ def test_audit_counts_each_broken_implication(monkeypatch, capsys):
     assert "stringent margin strictly below simon: 1/2 (0.5)\n" in out
 
 
-def test_audit_decides_p_representability_where_simon_fails(monkeypatch):
-    # classify infers "not P-representable" from a violated Simon, so there
-    # the audit decides it itself, once per such state; otherwise
-    # P-representable => Simon would hold by construction. A decision that
-    # accepts every state must then find a counterexample at the pool's
-    # first Simon-violated state.
-    verdicts = []
-    monkeypatch.setattr(cvsep.audit, "classify",
-                        lambda v, tol: verdicts.append(classify(v, tol)) or verdicts[-1])
-    decisions = counting(monkeypatch, "_coherent_excess")
-    assert run_audit(40, 55).counterexamples == 0
-    violated = sum(not v.reports["simon"].satisfied for v in verdicts)
-    assert violated > 0 and len(decisions) == violated
-    monkeypatch.setattr(cvsep.audit, "_coherent_excess", lambda v, s, tol: (True, None, None, None))
-    assert run_audit(40, 55).counterexamples > 0
-
-
-def test_audit_decides_p_representability_at_the_scale_the_verdict_records(monkeypatch):
-    # A Simon-violated verdict of a state whose V - I/2 has its smallest
-    # eigenvalue -1e-8 between -tol * s and -tol (s = 1000): P-representable
-    # at the verdict's scale, so the audit counts P-rep => Simon broken, and
-    # stringent => Simon at both ensembles; at scale 1 it would count none.
-    v = np.diag([0.5 - 1e-8, 0.5 - 1e-8, 1000.0, 1000.0])
-    decided = classify(v)
-    lam = float(np.linalg.eigvalsh(v - 0.5 * np.eye(4))[0])
-    assert -decided.tol * decided.scale <= lam < -decided.tol
+def test_audit_takes_p_representability_from_the_verdict_alone(monkeypatch):
+    # classify decides P-representability on every state, independently of
+    # Simon, so the audit decides nothing itself. On a P-representable state, a
+    # verdict that records the coherent excess beside a violated Simon counts
+    # P-rep => Simon broken, and stringent => Simon at both ensembles; one
+    # that records the zero ensemble adds no pair and no counterexample.
+    monkeypatch.setattr(cvsep.audit.statezoo, "mixed_physical_state",
+                        lambda rng, i: statezoo.thermal(1.0, 1.5))
     simon = CriterionReport(False, -0.2)
-    reports = {"simon": simon, "duan": CriterionReport(False, -0.4), "stringent": simon}
-    monkeypatch.setattr(cvsep.audit.statezoo, "mixed_physical_state", lambda rng, i: v)
-    monkeypatch.setattr(cvsep.audit, "classify", lambda v, tol: Verdict(
-        Outcome.ENTANGLED, reports, None, "zero", True, decided.tol, decided.scale))
-    result = run_audit(1, 0)
-    assert (result.p_representable, result.counterexamples) == (1, 3)
+    for ensemble_used, counts in (("coherent_excess", (3, 9)), ("zero", (0, 0))):
+        reports = {"simon": simon, "duan": CriterionReport(False, -0.4), "stringent": simon}
+        monkeypatch.setattr(cvsep.audit, "classify", lambda v, tol: Verdict(
+            Outcome.ENTANGLED, reports, None, ensemble_used, True, DEFAULT_TOL, 1.0))
+        result = run_audit(3, 0)
+        assert (result.p_representable, result.counterexamples) == counts

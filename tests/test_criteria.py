@@ -61,13 +61,16 @@ from cvsep.prep import PWeight, char_fn, p_density, p_moment_residual, p_sample,
 from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze, optimal_squeeze, simon_bound
 from cvsep.covariance import (
+    _STATE_SHIFT,
     _UNCERTAINTY_SHIFT,
     J2,
     StandardForm,
+    _coherent_excess,
     _epr_entries,
+    _state,
     _tol_scale,
 )
-from cvsep.matkit import DEFAULT_TOL, check_tol
+from cvsep.matkit import DEFAULT_TOL, check_tol, decide_psd
 
 
 def params(d, f, g, h):
@@ -643,6 +646,30 @@ def _symmetric(upper):
     return v
 
 
+def _assert_one_p_rep_decider(v, tol):
+    """classify decides P-representability as the third matrix of its stack
+    V + _STATE_SHIFT: that matrix's verdict, eigenvalue and eigenvector bits
+    are what covariance._coherent_excess gives run alone, and ensemble_used
+    is "coherent_excess" exactly when p_rep_ensemble accepts v. A V that
+    _tol_scale refuses, p_rep_ensemble refuses too."""
+    try:
+        w, _, s, tol = _state(v, tol)
+    except OutOfDomain:
+        with pytest.raises(OutOfDomain, match="row sum"):
+            p_rep_ensemble(v, tol)
+        return
+    try:
+        ok, lam, vec = decide_psd(w + _STATE_SHIFT, s, tol)
+    except OutOfDomain:  # LAPACK did not converge on the stack
+        return
+    assert _bits((ok[2], lam[2], vec[2])) == _bits(_coherent_excess(w, s, tol))
+    try:
+        verdict = classify(v, tol)
+    except (DegenerateBlock, OutOfDomain):
+        return  # no verdict records the decision
+    assert (verdict.ensemble_used == "coherent_excess") == _is_p_representable(v, tol) == ok[2]
+
+
 def _verdict_bits(verdict) -> tuple:
     """Every field of a verdict, its reports' witnesses and its standard form
     as bytes, so two verdicts compare bit for bit."""
@@ -797,32 +824,30 @@ class TestClassify:
             call(no_convergence_matrix())
 
     @pytest.mark.parametrize(
-        "v, calls",
+        "v",
         [
-            (standard_matrix(1.0, 1.0, 0.6, 0.0), 2),  # separable, V - I/2 indefinite
-            (statezoo.thermal(1.0, 1.5), 2),  # P-representable
-            (statezoo.two_mode_squeezed(0.5), 1),  # entangled
-            (0.4 * np.eye(4), 1),  # nonphysical
+            standard_matrix(1.0, 1.0, 0.6, 0.0),  # separable, V - I/2 indefinite
+            statezoo.thermal(1.0, 1.5),  # P-representable
+            statezoo.two_mode_squeezed(0.5),  # entangled
+            0.4 * np.eye(4),  # nonphysical
         ],
         ids=["separable", "p_representable", "entangled", "nonphysical"],
     )
-    def test_makes_two_lapack_calls_only_where_simon_holds(self, linalg_calls, v, calls,
-                                                           monkeypatch):
-        # One complex (2, 4, 4) stack for physicality and Simon, and a real
-        # (1, 4, 4) stack for the coherent excess V - I/2 only where Simon
-        # holds: P-representable implies Simon, so a state violating it is
-        # not P-representable. Duan's two branches are decided in closed form.
+    def test_makes_one_lapack_call_per_state(self, linalg_calls, v, monkeypatch):
+        # One complex (3, 4, 4) stack holds physicality, Simon's partial
+        # transpose and the coherent excess V - I/2, on every state. Duan's
+        # two branches are decided in closed form.
         stacks, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: stacks.append((a.shape, a.dtype.kind)) or eigh(a))
         classify(v)
-        assert linalg_calls == ["eigh"] * calls
-        assert stacks == [((2, 4, 4), "c"), ((1, 4, 4), "f")][:calls]
+        assert linalg_calls == ["eigh"]
+        assert stacks == [((3, 4, 4), "c")]
 
     @pytest.mark.parametrize(
         "call, eigh_calls",
         [
-            (classify, None),  # the stack of V - I/2 only where Simon holds
+            (classify, 1),
             (simon_criterion, 1),
             (duan_criterion, 0),
             (lambda v: weak_gap(v, None, 1), 0),
@@ -838,28 +863,25 @@ class TestClassify:
              "p_rep_ensemble", "p_weight", "weak_gap_ens", "stringent_ens"],
     )
     @pytest.mark.parametrize(
-        "v, simon_holds",
+        "v",
         [
-            (standard_matrix(1.0, 1.0, 0.6, 0.0), True),
-            (statezoo.thermal(1.0, 1.5), True),
-            (statezoo.two_mode_squeezed(0.5), False),
-            (0.4 * np.eye(4), False),
+            standard_matrix(1.0, 1.0, 0.6, 0.0),
+            statezoo.thermal(1.0, 1.5),
+            statezoo.two_mode_squeezed(0.5),
+            0.4 * np.eye(4),
         ],
         ids=["separable", "p_representable", "entangled", "nonphysical"],
     )
-    def test_makes_one_eigh_call_per_stack(self, linalg_calls, call, eigh_calls, v,
-                                           simon_holds):
+    def test_makes_one_eigh_call_per_stack(self, linalg_calls, call, eigh_calls, v):
         # Every criterion reads its tolerance scale off V's entries and hands
         # each stack, a caller's ensemble matrix included, to
         # matkit.decide_psd, one eigh call per stack; the EPR matrices of
         # Duan and weak_gap need none, and p_weight builds P from the
         # eigendecomposition of the (1, 4, 4) stack of V - I/2 that
-        # covariance._coherent_excess decides, as classify decides it where
-        # Simon holds.
+        # covariance._coherent_excess decides, the third matrix of classify's
+        # stack.
         with contextlib.suppress(NotPRepresentable):  # V - I/2 indefinite
             call(v)
-        if eigh_calls is None:
-            eigh_calls = 2 if simon_holds else 1
         assert linalg_calls == ["eigh"] * eigh_calls
 
     def test_ensemble_used_is_p_rep_ensemble_and_reports_are_the_public_criteria(self):
@@ -1006,6 +1028,19 @@ class TestClassify:
         except (DegenerateBlock, OutOfDomain):
             return  # refused: no verdict records a scale
         assert verdict.scale.hex() == _tol_scale(as_covariance(v).tolist()).hex()
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3])
+    @pytest.mark.parametrize("seed", [7, 13, 31])
+    def test_p_representability_has_one_decider_on_the_pools(self, seed, tol):
+        for v in _scaled_pool(seed, 2000):
+            _assert_one_p_rep_decider(v, tol)
+
+    @settings(max_examples=300)
+    @example([0.5, -0.0, 5e-324, 0.0, 0.5, 0.0, -5e-324, 0.5, 0.0, 0.5], DEFAULT_TOL)  # V - I/2 ~ 0
+    @example([1.7e308, 0.0, 0.0, 0.0, 1.7e308, 0.0, 0.0, 1.0, 0.0, 1.0], 1e-3)  # s refused
+    @given(st.lists(_ENTRIES, min_size=10, max_size=10), st.sampled_from([DEFAULT_TOL, 1e-3]))
+    def test_p_representability_has_one_decider_on_extreme_entries(self, upper, tol):
+        _assert_one_p_rep_decider(_symmetric(upper), tol)
 
     @pytest.mark.parametrize("v", [statezoo.two_mode_squeezed(0.5), 0.4 * np.eye(4)],
                              ids=["entangled", "nonphysical"])
@@ -1463,8 +1498,7 @@ def test_weak_gap_at_the_zero_ensemble_is_weak_gap_without_one(upper, sign):
 
 
 def _is_p_representable(v, tol):
-    """Whether p_rep_ensemble accepts v, decided apart from classify, whose
-    ensemble_used implies Simon by construction."""
+    """Whether p_rep_ensemble accepts v."""
     try:
         p_rep_ensemble(v, tol)
     except NotPRepresentable:
