@@ -2,8 +2,10 @@
 reduction to the four-parameter standard form, and physicality; the one
 reader of a state that every PSD route opens with (_state), which gives the
 one tolerance scale (_tol_scale) every test of the state is judged against;
-the matrices the PSD tests decide; and the entries of the EPR matrices
-(_epr_entries) that the Duan criteria decide in closed form.
+the one stack of shifts every Hermitian PSD test of a state slices
+(_STATE_SHIFT); the one P-representability decision, the only refusal of a
+state that is not P-representable (_coherent_excess); and the entries of
+the EPR matrices (_epr_entries) that the Duan criteria decide in closed form.
 
 Conventions: quadrature ordering (q1, p1, q2, p2), units chosen so the vacuum
 covariance is I/2. First moments are assumed to vanish and are not modeled.
@@ -25,7 +27,7 @@ from .errors import (
     NotPRepresentable,
     OutOfDomain,
 )
-from .matkit import DEFAULT_TOL, _check_real, _mul2
+from .matkit import DEFAULT_TOL, _check_real, _check_sign, _mul2
 
 #: Single-mode symplectic form.
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -40,24 +42,27 @@ _PT_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
 def symplectic_form(sign: int = 1) -> np.ndarray:
-    """Two-mode form diag(J, sign*J); sign=-1 is the partial-transpose branch."""
+    """Two-mode form diag(J, sign*J); sign=-1 is the partial-transpose branch.
+    Raises InvalidInput unless sign is the integer +1 or -1 (matkit._check_sign)."""
+    sign = _check_sign(sign, "symplectic form sign")
     out = np.zeros((4, 4))
     out[:2, :2] = J2
     out[2:, 2:] = sign * J2
     return out
 
 
-#: (i/2) diag(J, sign*J) stacked for sign = +1, then -1 (the partial transpose).
-_UNCERTAINTY_SHIFT = 0.5j * np.stack([symplectic_form(1), symplectic_form(-1)])
-
 #: I/2, the vacuum covariance. V - _HALF_I keeps V's off-diagonal bits, since
 #: x - 0.0 is x exactly, signed zeros included.
 _HALF_I = 0.5 * np.eye(4)
 
-#: _UNCERTAINTY_SHIFT with -I/2 as a third row, one complex stack: V + _STATE_SHIFT
-#: holds Simon's two branches and the coherent excess, whose real part is
-#: V - _HALF_I bit for bit, since x + -0.0 is x exactly, signed zeros included.
-_STATE_SHIFT = np.concatenate([_UNCERTAINTY_SHIFT, -_HALF_I[None]])
+#: The one complex stack of shifts: (i/2) diag(J, sign*J) for sign = +1, then
+#: -1 (the partial transpose), then -I/2. V + _STATE_SHIFT holds physicality,
+#: Simon's partial transpose and the coherent excess, whose real part is
+#: V - _HALF_I bit for bit, since x + -0.0 is x exactly, signed zeros
+#: included. classify decides the whole stack; every other Hermitian route
+#: decides a slice of it: is_physical [:1], Simon and the stringent
+#: condition [:2], _coherent_excess [2:].
+_STATE_SHIFT = np.stack([0.5j * symplectic_form(1), 0.5j * symplectic_form(-1), -_HALF_I])
 
 
 def _max_row_sum(rows: list) -> float:
@@ -157,9 +162,16 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
 
 
 def _standard_params(a, b, c1, c2) -> tuple[float, float, float, float]:
-    """The standard-form parameters as floats (matkit._check_real)."""
-    return (_check_real(a, "standard-form a"), _check_real(b, "standard-form b"),
-            _check_real(c1, "standard-form c1"), _check_real(c2, "standard-form c2"))
+    """The standard-form parameters as floats (matkit._check_real); raises
+    InvalidInput unless each is finite."""
+    params = (_check_real(a, "standard-form a"), _check_real(b, "standard-form b"),
+              _check_real(c1, "standard-form c1"), _check_real(c2, "standard-form c2"))
+    a, b, c1, c2 = params
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c1) and math.isfinite(c2)):
+        name, x = next((n, x) for n, x in zip(("a", "b", "c1", "c2"), params)
+                       if not math.isfinite(x))
+        raise InvalidInput(f"standard-form {name} must be finite, got {x}")
+    return params
 
 
 def standard_matrix(a: float, b: float, c1: float, c2: float) -> np.ndarray:
@@ -195,6 +207,7 @@ def apply_symp(v, s1, s2) -> np.ndarray:
     once by matkit._mul2 on the Python floats of as_covariance(v), which
     raises InvalidInput on a bad v; the lower triangle mirrors the upper one,
     so the result is exactly symmetric and has the same bits on any BLAS.
+    Raises OutOfDomain when an entry of the result overflows.
     """
     if not is_symplectic2(s1) or not is_symplectic2(s2):
         raise InvalidTransform("each factor must be a 2x2 symplectic matrix")
@@ -205,6 +218,8 @@ def apply_symp(v, s1, s2) -> np.ndarray:
     (p00, p01), (_, p11) = _mul2(_mul2(s1, ((a00, a01), (a10, a11))), s1t)
     (q00, q01), (_, q11) = _mul2(_mul2(s2, ((b00, b01), (b10, b11))), s2t)
     (r00, r01), (r10, r11) = _mul2(_mul2(s1, ((c00, c01), (c10, c11))), s2t)
+    if not all(map(math.isfinite, (p00, p01, p11, q00, q01, q11, r00, r01, r10, r11))):
+        raise OutOfDomain("apply_symp: an entry of S V S^T overflows")
     return np.array([[p00, p01, r00, r01], [p01, p11, r10, r11],
                      [r00, r10, q00, q01], [r01, r11, q01, q11]])
 
@@ -228,10 +243,8 @@ class StandardForm:
     s2: np.ndarray
 
     def __post_init__(self):
-        """a, b, c1 and c2 as the floats _standard_params reads."""
-        a, b, c1, c2 = self.a, self.b, self.c1, self.c2
-        if not type(a) is type(b) is type(c1) is type(c2) is float:
-            self.a, self.b, self.c1, self.c2 = _standard_params(a, b, c1, c2)
+        """a, b, c1 and c2 as the finite floats _standard_params reads."""
+        self.a, self.b, self.c1, self.c2 = _standard_params(self.a, self.b, self.c1, self.c2)
 
     @classmethod
     def from_params(cls, a: float, b: float, c1: float, c2: float) -> "StandardForm":
@@ -322,6 +335,8 @@ def _standard_form(rows: list) -> StandardForm:
         r1, r2, c1, c2 = matkit.svd2_rotations(_mul2(s1c, zip(*s2)))  # zip(*s2) is S2^T
     except InvalidInput as exc:  # C is finite, so S1 C S2^T overflowed
         raise OutOfDomain(f"S1 C S2^T overflows ({exc})") from None
+    if c1 == math.inf:  # c1 = q + r of two hypots; c2 = q - r is finite whenever c1 is
+        raise OutOfDomain("S1 C S2^T overflows (its larger singular value c1)")
     return StandardForm(a, b, c1, c2, np.array(_mul2(r1, s1)), np.array(_mul2(r2, s2)))
 
 
@@ -344,7 +359,7 @@ def is_physical(v, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     OutOfDomain when _tol_scale refuses V.
     """
     v, _, s, tol = _state(v, tol)
-    ok, lam, _ = matkit.decide_psd(v + _UNCERTAINTY_SHIFT[:1], s, tol)
+    ok, lam, _ = matkit.decide_psd(v + _STATE_SHIFT[:1], s, tol)
     return ok[0], lam[0][0]
 
 
@@ -377,13 +392,17 @@ def ensemble_matrix(weights, deviations) -> np.ndarray:
 
 
 def _coherent_excess(v: np.ndarray, s: float, tol: float) -> tuple:
-    """(whether V - I/2 is PSD within -tol * s, its ascending eigenvalues as
-    Python floats, its complex eigenvectors as columns) of a checked V, s its
-    _tol_scale: the third matrix of classify's stack V + _STATE_SHIFT, decided
-    alone by the same complex matkit.decide_psd kernel, so p_rep_ensemble and
-    prep.p_weight take classify's P-representability decision bit for bit."""
+    """(ascending eigenvalues as Python floats, complex eigenvectors as
+    columns) of V - I/2 for a checked V, s its _tol_scale, or
+    NotPRepresentable unless V - I/2 is PSD within -tol * s. V - I/2 is the
+    third matrix of classify's stack V + _STATE_SHIFT, decided alone by the
+    same complex matkit.decide_psd kernel, so p_rep_ensemble and prep.p_weight
+    take classify's P-representability decision bit for bit, and this is
+    the one place that refuses a state that is not P-representable."""
     ok, lam, vec = matkit.decide_psd(v + _STATE_SHIFT[2:], s, tol)
-    return ok[0], lam[0], vec[0]
+    if not ok[0]:
+        raise NotPRepresentable("V - I/2 has a negative eigenvalue")
+    return lam[0], vec[0]
 
 
 def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -391,11 +410,11 @@ def p_rep_ensemble(v, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Defined whenever V - I/2 is PSD, i.e. whenever the state is
     P-representable without further squeezing, as _coherent_excess decides
-    it, bit for bit the decision behind classify's ensemble_used. Raises
-    InvalidInput unless v passes as_covariance and tol passes check_tol, and
-    OutOfDomain when _tol_scale refuses V.
+    it, bit for bit the decision behind classify's ensemble_used; it raises
+    NotPRepresentable otherwise. Raises InvalidInput unless v passes
+    as_covariance and tol passes check_tol, and OutOfDomain when _tol_scale
+    refuses V.
     """
     v, _, s, tol = _state(v, tol)
-    if not _coherent_excess(v, s, tol)[0]:
-        raise NotPRepresentable("V - I/2 has a negative eigenvalue")
+    _coherent_excess(v, s, tol)
     return v - _HALF_I

@@ -15,18 +15,22 @@ The hierarchy, from strongest to weakest: the ensemble-refined condition
 Duan-type condition obtained by restricting the coefficients. For Gaussian
 states the extremal-squeezing bound of the squeezing module is necessary and
 sufficient, and classify() cross-checks it against Simon's criterion on
-every call. Physicality, Simon and the stringent condition decide a
-Hermitian (2, 4, 4) stack in one LAPACK call. Duan's EPR matrices
+every call. Every Hermitian test adds a slice of one constant,
+covariance._STATE_SHIFT, and makes one LAPACK call: Simon and the
+stringent condition decide the (2, 4, 4) stack V + _STATE_SHIFT[:2] (at
+V - ens for the latter). Duan's EPR matrices
 [[alpha I, K], [K^T, beta I]], K a scaled rotation or reflection, are
 decided in closed form on Python floats (_epr_report), so their margins,
 branches and witnesses do not depend on the BLAS kernel. classify() makes
-one LAPACK call per state: its Hermitian stack V + covariance._STATE_SHIFT,
-of shape (3, 4, 4), holds Simon's two matrices and the coherent excess
-V - I/2, whose PSD verdict is P-representability, bit for bit the decision
-p_rep_ensemble and prep.p_weight take. That verdict is read on every state,
-independently of Simon's: V - I/2 PSD within -tol * s gives V + (i/2)
-diag(J, sigma*J) PSD within -tol * s, as I/2 + (i/2) diag(J, sigma*J) is
-PSD, so the audit can check the implication on two independent decisions.
+one LAPACK call per state: its Hermitian stack V + _STATE_SHIFT, of shape
+(3, 4, 4), holds Simon's two matrices and the coherent excess V - I/2,
+whose PSD verdict is P-representability, bit for bit the decision
+covariance._coherent_excess makes for p_rep_ensemble and prep.p_weight,
+where it is the one refusal of a state that is not. That verdict is read
+on every state, independently of Simon's: V - I/2 PSD within -tol * s
+gives V + (i/2) diag(J, sigma*J) PSD within -tol * s, as
+I/2 + (i/2) diag(J, sigma*J) is PSD, so the audit can check the
+implication on two independent decisions.
 
 Every matrix of a call is judged against one scale, that of the state,
 s = covariance._tol_scale(V): a caller's ensemble matrix ens,
@@ -52,7 +56,6 @@ import numpy as np
 from . import matkit
 from .covariance import (
     _STATE_SHIFT,
-    _UNCERTAINTY_SHIFT,
     J2,
     StandardForm,
     _as_vector,
@@ -62,7 +65,7 @@ from .covariance import (
     _tol_scale,
     as_covariance,
 )
-from .errors import InvalidEnsembleMatrix, InvalidInput, OutOfDomain
+from .errors import InvalidEnsembleMatrix, OutOfDomain
 from .matkit import DEFAULT_TOL, decide_psd
 from .squeezing import _c1_bound
 
@@ -275,7 +278,7 @@ def simon_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Simon's separability condition: V + (i/2) diag(J, sigma*J) PSD for both
     sigma = +1 (physicality) and sigma = -1 (partial transpose)."""
     v, _, s, tol = _state(v, tol)
-    return _branch_report(*decide_psd(v + _UNCERTAINTY_SHIFT, s, tol))
+    return _branch_report(*decide_psd(v + _STATE_SHIFT[:2], s, tol))
 
 
 def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -289,7 +292,7 @@ def stringent_criterion(v, ens, tol: float = DEFAULT_TOL) -> CriterionReport:
     and row sums, and ens is decided last, PSD within -tol * _tol_scale(V).
     """
     v, _, s, tol = _state(v, tol)
-    return _branch_report(*decide_psd(_less(v, ens, s, tol) + _UNCERTAINTY_SHIFT, s, tol))
+    return _branch_report(*decide_psd(_less(v, ens, s, tol) + _STATE_SHIFT[:2], s, tol))
 
 
 def simon_algebraic(sf: StandardForm, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -320,12 +323,11 @@ def weak_gap(v, ens, sign: int, tol: float = DEFAULT_TOL) -> CriterionReport:
     coincides bit for bit with the matching branch of duan_criterion,
     within the same -2 tol * _tol_scale(V).
     """
-    if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
-        raise InvalidInput("sign branch must be +1 or -1")
+    sign = matkit._check_sign(sign, "sign branch")
     v, rows, s, tol = _state(v, tol)
     if ens is not None:
         rows = _less(v, ens, s, tol).tolist()
-    return _epr_report(_epr_entries(rows), (int(sign),), tol, s)
+    return _epr_report(_epr_entries(rows), (sign,), tol, s)
 
 
 def duan_criterion(v, tol: float = DEFAULT_TOL) -> CriterionReport:

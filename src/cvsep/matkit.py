@@ -64,6 +64,14 @@ def _check_int(k, what: str) -> int:
     return int(k)
 
 
+def _check_sign(sign, what: str) -> int:
+    """sign as an int; raises InvalidInput unless it is a Python or numpy
+    integer (not a bool) equal to +1 or -1, the two commutator-sign branches."""
+    if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):
+        raise InvalidInput(f"{what} must be +1 or -1")
+    return int(sign)
+
+
 def _check_seed(seed, caller: str) -> int:
     """seed as an int; raises InvalidInput, naming the caller, unless it is a
     Python or numpy integer (not a bool) >= 0, so every draw is reproducible."""

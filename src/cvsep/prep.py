@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matkit
 from .covariance import _HALF_I, _as_vector, _coherent_excess, _state, as_covariance
-from .errors import BoundaryPRep, InvalidInput, NotPRepresentable, OutOfDomain
+from .errors import BoundaryPRep, InvalidInput, OutOfDomain
 from .matkit import DEFAULT_TOL
 
 
@@ -55,8 +55,8 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     Requires V - I/2 positive definite. Whether it is PSD is the one
     P-representability decision, covariance._coherent_excess within
     -tol * s, s = _tol_scale(V), bit for bit as classify and p_rep_ensemble
-    make it: NotPRepresentable where it is not. P is built from that
-    decision's eigenvalues and complex eigenvectors U, as the real part of
+    make it, which raises NotPRepresentable where it is not. P is built from
+    that decision's eigenvalues and complex eigenvectors U, as the real part of
     U diag(1 / lambda) U^H; a smallest eigenvalue within tol * s of zero
     means the weight degenerates to a lower-dimensional Gaussian with no
     phase-space density, BoundaryPRep. Raises InvalidInput unless v passes
@@ -65,9 +65,7 @@ def p_weight(v, tol: float = DEFAULT_TOL) -> PWeight:
     determinant of V - I/2 overflows.
     """
     v, _, s, tol = _state(v, tol)
-    ok, values, vectors = _coherent_excess(v, s, tol)
-    if not ok:
-        raise NotPRepresentable("V - I/2 has a negative eigenvalue")
+    values, vectors = _coherent_excess(v, s, tol)
     if values[0] <= tol * s:
         raise BoundaryPRep("V - I/2 is singular; the weight has no density")
     det = math.prod(values)  # Python floats overflow to inf without a warning

@@ -86,14 +86,19 @@ def _check_ratio(t: float) -> float:
 def apply_squeeze(sf: StandardForm, p: SqueezeParams) -> np.ndarray:
     """Covariance of the standard form squeezed by diag(sqrt(r), 1/sqrt(r))
     per mode: diagonal (a r1, a/r1, b r2, b/r2), correlations scaled by
-    sqrt(r1 r2) and its inverse."""
+    sqrt(r1 r2) and its inverse. Raises OutOfDomain when an entry is not
+    finite, as where a r1 or sqrt(r1 r2) overflows."""
     root = math.sqrt(p.r1 * p.r2)
+    a1, a2, b1, b2 = sf.a * p.r1, sf.a / p.r1, sf.b * p.r2, sf.b / p.r2
+    k1, k2 = sf.c1 * root, sf.c2 / root
+    if not all(map(math.isfinite, (a1, a2, b1, b2, k1, k2))):
+        raise OutOfDomain("apply_squeeze: an entry of the squeezed covariance overflows")
     return np.array(
         [
-            [sf.a * p.r1, 0.0, sf.c1 * root, 0.0],
-            [0.0, sf.a / p.r1, 0.0, sf.c2 / root],
-            [sf.c1 * root, 0.0, sf.b * p.r2, 0.0],
-            [0.0, sf.c2 / root, 0.0, sf.b / p.r2],
+            [a1, 0.0, k1, 0.0],
+            [0.0, a2, 0.0, k2],
+            [k1, 0.0, b1, 0.0],
+            [0.0, k2, 0.0, b2],
         ]
     )
 
@@ -327,7 +332,8 @@ def superadditivity_gap(n1: float, n2: float, m1: float, m2: float) -> tuple[flo
     All four arguments must be at least 1/2. The gap is nonnegative and
     vanishes exactly under the proportionality condition
     (n2 - 1/2)(m1 - 1/2) == (n1 - 1/2)(m2 - 1/2), whose status is returned
-    alongside the gap.
+    alongside the gap. Raises OutOfDomain when the gap is not finite, as
+    where (n1 + n2 - 1)(m1 + m2 - 1) overflows.
     """
     checked = []
     for name, val in (("n1", n1), ("n2", n2), ("m1", m1), ("m2", m2)):
@@ -338,15 +344,19 @@ def superadditivity_gap(n1: float, n2: float, m1: float, m2: float) -> tuple[flo
     n1, n2, m1, m2 = checked
     lhs = math.sqrt((n1 + n2 - 1.0) * (m1 + m2 - 1.0))
     rhs = math.sqrt((n1 - 0.5) * (m1 - 0.5)) + math.sqrt((n2 - 0.5) * (m2 - 0.5))
+    gap = lhs - rhs
+    if not math.isfinite(gap):
+        raise OutOfDomain("superadditivity_gap: a product of the arguments overflows")
     cross = (n2 - 0.5) * (m1 - 0.5) - (n1 - 0.5) * (m2 - 0.5)
     scale = max(1.0, (n1 - 0.5) * (m2 - 0.5), (n2 - 0.5) * (m1 - 0.5))
-    return lhs - rhs, bool(abs(cross) <= 1e-9 * scale)
+    return gap, bool(abs(cross) <= 1e-9 * scale)
 
 
 def duan_split_residual(a: float, b: float, p: SqueezeParams) -> float:
     """How far the Duan-form product term is from splitting into the two
     squeezed P-representation factors; zero exactly at extremal squeezing,
-    strictly positive otherwise."""
+    strictly positive otherwise. Raises as superadditivity_gap does on
+    (a r1, a/r1, b r2, b/r2)."""
     a, b = _check_real(a, "block size a"), _check_real(b, "block size b")
     gap, _ = superadditivity_gap(a * p.r1, a / p.r1, b * p.r2, b / p.r2)
     return gap

@@ -27,7 +27,9 @@ class Mutant(NamedTuple):
 
 CRITERIA = "tests/test_criteria.py::"
 CLI = "tests/test_cli.py::"
-INVARIANTS = "tests/test_covariance.py::TestInvariants::"
+COVARIANCE = "tests/test_covariance.py::"
+INVARIANTS = COVARIANCE + "TestInvariants::"
+SQUEEZING = "tests/test_squeezing.py::"
 
 MUTANTS = (
     Mutant(
@@ -68,7 +70,7 @@ MUTANTS = (
     ),
     Mutant(
         "coherent_excess_shift_halved", "covariance.py",
-        "-_HALF_I[None]", "-0.5 * _HALF_I[None]",
+        "-_HALF_I])", "-0.5 * _HALF_I])",
         (CRITERIA + "TestClassify::test_physical_and_zero_ensemble_reports_reuse_simon",
          "tests/test_golden.py::test_cli_outputs_match_golden"),
     ),
@@ -142,7 +144,7 @@ MUTANTS = (
     ),
     Mutant(
         "is_physical_at_twice_the_scale", "covariance.py",
-        "_UNCERTAINTY_SHIFT[:1], s, tol)", "_UNCERTAINTY_SHIFT[:1], 2.0 * s, tol)",
+        "_STATE_SHIFT[:1], s, tol)", "_STATE_SHIFT[:1], 2.0 * s, tol)",
         (CRITERIA + "test_kernel_criteria_match_the_reference_on_extreme_entries",),
     ),
     Mutant(
@@ -190,5 +192,46 @@ MUTANTS = (
         "overflow_rounds_to_plus_inf", "covariance.py",
         "return math.inf if num > 0 else -math.inf", "return math.inf",
         (INVARIANTS + "test_det_v_is_the_exact_value_where_the_expansion_overflows[negative_1e100]",),
+    ),
+    Mutant(
+        "coherent_excess_accepts_every_state", "covariance.py",
+        "    if not ok[0]:\n        raise NotPRepresentable", "    if False:\n        raise NotPRepresentable",
+        (CRITERIA + "TestClassify::test_p_representability_has_one_decider_on_the_pools",
+         COVARIANCE + "TestPRepEnsemble::test_boundary_standard_form_rejected_unsqueezed",
+         "tests/test_prep.py::TestPWeight::test_entangled_state_rejected"),
+    ),
+    Mutant(
+        "sign_not_checked", "matkit.py",
+        "if isinstance(sign, bool) or not isinstance(sign, (int, np.integer)) or sign not in (1, -1):",
+        "if False:",
+        (COVARIANCE + "test_symplectic_form_refuses_a_sign_that_is_not_the_integer_plus_or_minus_one",
+         CRITERIA + "TestWeakGap::test_rejects_a_sign_that_is_not_the_integer_plus_or_minus_one"),
+    ),
+    Mutant(
+        "standard_params_not_checked_finite", "covariance.py",
+        "if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c1) and math.isfinite(c2)):",
+        "if False:",
+        (COVARIANCE + "test_standard_form_parameters_must_be_finite",),
+    ),
+    Mutant(
+        "standard_form_c1_overflow_not_checked", "covariance.py",
+        "if c1 == math.inf:", "if False:",
+        (COVARIANCE + "TestStandardForm::test_overflowing_correlation_singular_value_is_out_of_domain",),
+    ),
+    Mutant(
+        "apply_symp_overflow_not_checked", "covariance.py",
+        "if not all(map(math.isfinite, (p00, p01, p11, q00, q01, q11, r00, r01, r10, r11))):",
+        "if False:",
+        (COVARIANCE + "TestApplySymp::test_overflowing_entry_is_out_of_domain",),
+    ),
+    Mutant(
+        "apply_squeeze_overflow_not_checked", "squeezing.py",
+        "if not all(map(math.isfinite, (a1, a2, b1, b2, k1, k2))):", "if False:",
+        (SQUEEZING + "TestApplySqueeze::test_overflowing_entry_is_out_of_domain",),
+    ),
+    Mutant(
+        "superadditivity_overflow_not_checked", "squeezing.py",
+        "if not math.isfinite(gap):", "if False:",
+        (SQUEEZING + "TestSuperadditivityGap::test_overflowing_product_is_out_of_domain",),
     ),
 )

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import is_psd, random_symmetric, rotation, squeezed_symp
 import cvsep
 from cvsep import cli, statezoo
+from cvsep.criteria import classify
 from cvsep.covariance import (
     StandardForm,
     apply_symp,
@@ -132,6 +133,28 @@ class TestApplySymp:
         with pytest.raises(InvalidTransform):
             apply_symp(statezoo.vacuum(), np.diag([1.0 + 1e-6, 1.0]), np.eye(2))
 
+    def test_overflowing_entry_is_out_of_domain(self):
+        # S1 A S1^T has 1e320 past the float maximum, and 0 * inf as nan,
+        # which were returned as the result.
+        with pytest.raises(OutOfDomain, match="apply_symp: an entry of S V S\\^T overflows"):
+            apply_symp(1e300 * np.eye(4), np.diag([1e10, 1e-10]), np.eye(2))
+        # An entry near the float maximum still passes.
+        top = apply_symp(1.7e308 * np.eye(4), np.diag([1.0, 1.0]), np.eye(2))
+        assert top[0, 0] == 1.7e308
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, True, False, 1.0, -1.0, "1", None])
+def test_symplectic_form_refuses_a_sign_that_is_not_the_integer_plus_or_minus_one(sign):
+    # symplectic_form(2) built diag(J, 2J), which is not a symplectic form,
+    # and True was read as 1.
+    with pytest.raises(InvalidInput, match=r"symplectic form sign must be \+1 or -1"):
+        cvsep.symplectic_form(sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_symplectic_form_reads_a_numpy_integer_sign_as_its_int(sign):
+    assert cvsep.symplectic_form(np.int64(sign)).tobytes() == cvsep.symplectic_form(sign).tobytes()
+
 
 class TestPartialTranspose:
     def test_flips_c2(self):
@@ -243,6 +266,17 @@ class TestStandardForm:
         v[1, 3] = v[3, 1] = 1e300
         with pytest.raises(OutOfDomain, match="rotation SVD needs a finite 2x2 matrix"):
             to_standard_form(v)
+
+    def test_overflowing_correlation_singular_value_is_out_of_domain(self):
+        # S1 = diag(1e-150, 1e150) takes C's p1 row to (1.5e308, 1.5e308):
+        # finite entries, but the singular value 2.1e308 is past the float
+        # maximum. It was returned as c1 = inf, and classify called the state
+        # (physical within -tol * s, s = 1e300) entangled.
+        v = np.diag([1e300, 1e-300, 1.0, 1.0])
+        v[1, 2] = v[2, 1] = v[1, 3] = v[3, 1] = 1.5e158
+        for call in (to_standard_form, classify):
+            with pytest.raises(OutOfDomain, match=r"S1 C S2\^T overflows \(its larger singular"):
+                call(v)
 
     def test_symplectic_invariants_preserved(self):
         rng = np.random.default_rng(9)
@@ -414,6 +448,28 @@ class TestPRepEnsemble:
             p_rep_ensemble(standard_matrix(1.0, 1.0, 0.75, 0.0))
 
 
+#: Every way to build standard-form parameters, with x in slot k.
+_STANDARD_PARAM_TAKERS = {
+    "from_params": lambda p: StandardForm.from_params(*p),
+    "standard_form": lambda p: StandardForm(*p, np.eye(2), np.eye(2)),
+    "standard_matrix": lambda p: standard_matrix(*p),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "minus_inf", "integer_past_the_range"])
+@pytest.mark.parametrize("k, name", enumerate(["a", "b", "c1", "c2"]))
+@pytest.mark.parametrize("call", _STANDARD_PARAM_TAKERS.values(),
+                         ids=_STANDARD_PARAM_TAKERS.keys())
+def test_standard_form_parameters_must_be_finite(call, k, name, x):
+    # A nan parameter was accepted, and simon_algebraic, prep_conditions and
+    # apply_squeeze then returned nan margins, False verdicts or a nan matrix.
+    params = [1.0, 1.0, 0.5, 0.0]
+    params[k] = x
+    with pytest.raises(InvalidInput, match=f"^standard-form {name} must be finite, got"):
+        call(params)
+
+
 def test_standard_form_t_ratio():
     sf = StandardForm.from_params(1.0, 1.0, 0.5, -0.3)
     assert sf.t == pytest.approx(0.6)
@@ -443,6 +499,7 @@ _STANDARD_FORM_CHILD = """
 import contextlib, hashlib, io, json, sys
 import numpy as np
 from cvsep import cli, statezoo
+from cvsep.criteria import classify
 from cvsep.covariance import to_standard_form
 job = json.load(sys.stdin)
 forms = [_hex_form(to_standard_form(np.array([[float.fromhex(x) for x in row] for row in m])))

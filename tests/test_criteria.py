@@ -62,7 +62,6 @@ from cvsep.statezoo import mixed_physical_state
 from cvsep.squeezing import SqueezeParams, apply_squeeze, optimal_squeeze, simon_bound
 from cvsep.covariance import (
     _STATE_SHIFT,
-    _UNCERTAINTY_SHIFT,
     J2,
     StandardForm,
     _coherent_excess,
@@ -377,7 +376,7 @@ class TestSimon:
         # eigenvalues (about -0.0403) differ by 3.8e-10, past the 1e-12
         # relative tie, so the lower one binds and gives the witness.
         v = standard_matrix(1.0, 1.0, 0.8, c2)
-        matrices = v + _UNCERTAINTY_SHIFT
+        matrices = v + _STATE_SHIFT[:2]
         for rep in (simon_criterion(v), classify(v).reports["simon"]):
             assert not rep.satisfied
             assert rep.sign_branch == branch
@@ -648,10 +647,11 @@ def _symmetric(upper):
 
 def _assert_one_p_rep_decider(v, tol):
     """classify decides P-representability as the third matrix of its stack
-    V + _STATE_SHIFT: that matrix's verdict, eigenvalue and eigenvector bits
-    are what covariance._coherent_excess gives run alone, and ensemble_used
-    is "coherent_excess" exactly when p_rep_ensemble accepts v. A V that
-    _tol_scale refuses, p_rep_ensemble refuses too."""
+    V + _STATE_SHIFT: where that matrix passes, its eigenvalue and
+    eigenvector bits are what covariance._coherent_excess gives run alone,
+    and where it fails, _coherent_excess raises NotPRepresentable; and
+    ensemble_used is "coherent_excess" exactly when p_rep_ensemble accepts v.
+    A V that _tol_scale refuses, p_rep_ensemble refuses too."""
     try:
         w, _, s, tol = _state(v, tol)
     except OutOfDomain:
@@ -662,7 +662,11 @@ def _assert_one_p_rep_decider(v, tol):
         ok, lam, vec = decide_psd(w + _STATE_SHIFT, s, tol)
     except OutOfDomain:  # LAPACK did not converge on the stack
         return
-    assert _bits((ok[2], lam[2], vec[2])) == _bits(_coherent_excess(w, s, tol))
+    if ok[2]:
+        assert _bits((lam[2], vec[2])) == _bits(_coherent_excess(w, s, tol))
+    else:
+        with pytest.raises(NotPRepresentable, match="V - I/2 has a negative eigenvalue"):
+            _coherent_excess(w, s, tol)
     try:
         verdict = classify(v, tol)
     except (DegenerateBlock, OutOfDomain):
@@ -1310,7 +1314,7 @@ def test_every_matrix_built_from_an_accepted_v_is_finite(upper):
             return
         assert _tol_scale(rows) == s
         epr = [np.array(epr_matrix(rows, sign)) - np.eye(4) for sign in (1, -1)]
-        for m in (v + _UNCERTAINTY_SHIFT, v - 0.5 * np.eye(4), *epr):
+        for m in (v + _STATE_SHIFT[:2], v - 0.5 * np.eye(4), *epr):
             assert np.isfinite(m).all() and np.isfinite(row_sum_scale(m)).all()
         # So Duan's closed form, on those entries, answers.
         assert math.isfinite(duan_criterion(v).margin)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import epr_matrix, real_embedding, row_sum_scale
 from cvsep import statezoo, symplectic_form
-from cvsep.covariance import _UNCERTAINTY_SHIFT
+from cvsep.covariance import _STATE_SHIFT
 from cvsep.errors import InvalidInput
 from cvsep.matkit import (
     DEFAULT_TOL,
@@ -116,7 +116,7 @@ def _branch_stacks(n):
     for i in range(n):
         v = statezoo.mixed_physical_state(rng, i)
         for w in (v, 0.8 * v):
-            yield w + _UNCERTAINTY_SHIFT
+            yield w + _STATE_SHIFT[:2]
             rows = w.tolist()
             yield np.array([epr_matrix(rows, 1), epr_matrix(rows, -1), rows]) - np.array(
                 [np.eye(4), np.eye(4), 0.5 * np.eye(4)])

@@ -69,6 +69,16 @@ class TestApplySqueeze:
         with pytest.raises(OutOfDomain):
             SqueezeParams(0.9, 1.0)
 
+    @pytest.mark.parametrize(
+        "sf, p",
+        [(StandardForm.from_params(1e308, 1.0, 0.0, 0.0), SqueezeParams(10.0, 1.0)),
+         (StandardForm.from_params(1.0, 1.0, 0.5, 0.0), SqueezeParams(1e200, 1e200))],
+        ids=["a_times_r1", "root_of_r1_times_r2"])
+    def test_overflowing_entry_is_out_of_domain(self, sf, p):
+        # a * r1 past the float maximum was returned as an inf entry.
+        with pytest.raises(OutOfDomain, match="apply_squeeze: an entry .* overflows"):
+            apply_squeeze(sf, p)
+
 
 class TestPrepConditions:
     def test_vacuum_at_boundary(self):
@@ -267,6 +277,12 @@ class TestSuperadditivityGap:
     def test_domain_guard(self):
         with pytest.raises(OutOfDomain):
             superadditivity_gap(0.4, 1.0, 1.0, 1.0)
+
+    def test_overflowing_product_is_out_of_domain(self):
+        # inf - inf was returned as the gap (nan, False), which the docstring
+        # promises is nonnegative.
+        with pytest.raises(OutOfDomain, match="superadditivity_gap: .* overflows"):
+            superadditivity_gap(1e200, 1e200, 1e200, 1e200)
 
     def test_nonnegative_and_equality_characterized(self):
         rng = np.random.default_rng(21)
@@ -560,7 +576,8 @@ def test_scalar_parameters_past_the_float_range_read_as_inf(call):
         assert _outcome(call, huge) == _outcome(call, inf)
 
 
-#: The takers without a range of their own: an infinite parameter is theirs to hold.
+#: The takers without a range of their own: they refuse an infinite parameter
+#: as InvalidInput, non-finite input, not as a range error.
 _UNBOUNDED_TAKERS = ("from_params_a", "standard_form_a", "standard_form_c2",
                      "standard_matrix_c2")
 
